@@ -7,7 +7,14 @@ mixed trichotomy, explicit constructions, and exhaustive or randomized
 search -- everything cross-checked by an exact finite-depth oracle.
 """
 
-from .digitset import DigitSet, SumsetProfile, is_n_good, reflect, sumset_profile
+from .digitset import (
+    DigitSet,
+    InvariantError,
+    SumsetProfile,
+    is_n_good,
+    reflect,
+    sumset_profile,
+)
 from .gdifs import (
     TypingProfile,
     UniquenessReport,

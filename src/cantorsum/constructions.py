@@ -39,7 +39,7 @@ from math import isqrt
 
 import numpy as np
 
-from .digitset import DigitSet, sumset_profile
+from .digitset import DigitSet, InvariantError, sumset_profile
 from .gdifs import (
     DIM_TOL,
     TypingProfile,
@@ -254,5 +254,6 @@ def chain_to_target(n_target: int,
     for i, k in enumerate(ks, start=1):
         A, typing, report = _tower_step(A, k, typing, report)
         rows.append(ChainRow(i, k, A, typing.matrix, report.lam, report.dim))
-    assert rows[-1].n == n_target
+    if rows[-1].n != n_target:
+        raise InvariantError(f"chain ended at base {rows[-1].n}, not {n_target}")
     return TowerChain(base=rows[0].digitset, steps=tuple(ks), rows=tuple(rows))

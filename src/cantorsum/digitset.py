@@ -29,6 +29,7 @@ the attractor.  Hence goodness is the integer gap condition tested by
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -36,6 +37,7 @@ import numpy as np
 
 __all__ = [
     "DigitSet",
+    "InvariantError",
     "SumsetProfile",
     "sumset_profile",
     "is_n_good",
@@ -47,6 +49,22 @@ __all__ = [
 _PAIR_CHUNK = 4_000_000
 
 
+class InvariantError(AssertionError):
+    """A mathematical invariant the code relies on failed to hold.
+
+    Raised explicitly rather than by ``assert`` so that the checks stay
+    on under ``python -O``.
+    """
+
+
+def _ints(values) -> list[int]:
+    """Python ints from any integer type (int, numpy ints); no truncation."""
+    try:
+        return list(map(operator.index, values))
+    except TypeError as exc:
+        raise ValueError(f"base and digits must be integers: {exc}") from None
+
+
 @dataclass(frozen=True)
 class DigitSet:
     """A base together with an increasing tuple of digits."""
@@ -55,9 +73,11 @@ class DigitSet:
     digits: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 3:
+        (n,) = _ints([self.n])
+        if n < 3:
             raise ValueError(f"base must be an integer >= 3, got {self.n!r}")
-        digits = tuple(int(d) for d in self.digits)
+        digits = tuple(_ints(self.digits))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "digits", digits)
         if len(digits) < 2:
             raise ValueError("need at least two digits")
@@ -71,13 +91,13 @@ class DigitSet:
     @classmethod
     def of(cls, n: int, digits: Iterable[int]) -> "DigitSet":
         """Build from any iterable, sorting and checking for duplicates."""
-        ds = sorted(int(d) for d in digits)
+        ds = sorted(_ints(digits))
         return cls(n, tuple(ds))
 
     @classmethod
     def general(cls, n: int, digits: Iterable[int]) -> "DigitSet":
         """Build a general-mode set, translating so the smallest digit is 0."""
-        ds = sorted(int(d) for d in digits)
+        ds = sorted(_ints(digits))
         if not ds:
             raise ValueError("empty digit set")
         lo = ds[0]
@@ -106,7 +126,7 @@ class DigitSet:
     @classmethod
     def from_json(cls, text: str) -> "DigitSet":
         obj = json.loads(text)
-        return cls(int(obj["n"]), tuple(int(d) for d in obj["digits"]))
+        return cls(obj["n"], tuple(obj["digits"]))
 
     def csv_cell(self) -> str:
         return ";".join(str(d) for d in self.digits)

@@ -1,32 +1,34 @@
 """Exhaustive and randomized search for large uniqueness dimensions.
 
 Digit sets live in machine words: bit d of a mask means digit d is
-present.  For one mask the whole analysis is a handful of word
-operations:
+present.  Everything the typing rules need is two sumset words: m1
+marks the sums s with at least one ordered pair (a, a') in A x A,
+a + a' = s, and m2 the sums with at least two, so m1 & ~m2 marks the
+unique sums.  From those words:
 
-* The sumset support is the OR of the mask shifted by each of its own
-  digits (bit s set iff some ordered pair sums to s).
-* Saturated multiplicities come from a carry-save pass over the same
-  shifted words: m1 collects bits seen at least once, m2 bits seen at
-  least twice.  The number of shifted words covering s *is* the
-  ordered-pair count of s, so m1 & ~m2 marks the unique sums -- all the
-  typing rules ever need.
 * Goodness is "support dilated by two shifts covers 0..2n-2".
 * L/R interval words follow from the unique and support words, and the
   quadrant counts a, b, c, d are four popcounts.
 
-This evaluates one digit set in O(n) word ops with no per-pair loop,
-which is what makes full enumeration at base 27 (2^25 sets) a matter
-of seconds to minutes.  The same formulas are implemented twice: once
-over numpy arrays of masks (exhaustive batches, optionally threaded)
-and once over Python ints (hill climbing); tests hold the two kernels
-and the reference interval-typing path to identical answers.
+The words are built two ways.  The exhaustive kernel works on numpy
+arrays of masks with a carry-save pass over the mask shifted by each of
+its own digits (the number of shifted words covering s *is* the
+ordered-pair count of s); no per-pair loop, which is what makes full
+enumeration at base 27 (2^25 sets) a matter of seconds to minutes.
+The hill climb keeps the exact pair-count array of its current set
+instead: flipping digit d moves the count of d + a by 2 for every other
+digit a and the count of 2d by 1, so one proposal costs a few vector
+operations of length 2n, and the words are the thresholds count > 0
+and count > 1.  One Python typing tail turns those words into a row;
+tests hold the two paths, the incremental updates and the reference
+interval-typing path to identical answers.
 
-Every batch also asserts the cheap integer invariants inline
+Every batch also checks the cheap integer invariants inline
 (eigenvalue dichotomy, lambda <= |A|, good sets need >= sqrt(n)
-digits, the missing-edge-digit bound) and any record whose dimension
-exceeds log(2)/log(3) + 1e-9 is collected for the conjecture monitor
-rather than silently kept.
+digits, the missing-edge-digit bound) and raises
+:class:`~cantorsum.digitset.InvariantError` on a violation; any record
+whose dimension exceeds log(2)/log(3) + 1e-9 is collected for the
+conjecture monitor rather than silently kept.
 """
 
 from __future__ import annotations
@@ -37,8 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constructions import chain_to_target, load_base_table, sqrt_good_set
-from .digitset import DigitSet
+from .constructions import (
+    BaseMissingError,
+    chain_to_target,
+    load_base_table,
+    sqrt_good_set,
+)
+from .digitset import DigitSet, InvariantError
 
 __all__ = [
     "SearchRecord",
@@ -106,8 +113,14 @@ class SearchResult:
     source: str
 
 
+def _indicator(n: int, mask: int) -> np.ndarray:
+    """Bit d of the mask as entry d of a 0/1 array of length n."""
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:n]
+
+
 def _mask_digits(n: int, mask: int) -> tuple[int, ...]:
-    return tuple(d for d in range(n) if (mask >> d) & 1)
+    return tuple(np.flatnonzero(_indicator(n, mask)).tolist())
 
 
 def _reflect_mask(n: int, mask: np.ndarray) -> np.ndarray:
@@ -148,28 +161,24 @@ def _kernel(n: int, masks: np.ndarray):
     bitn2 = ((masks >> np.uint64(n - 2)) & one).astype(bool)
     very_good = good & ~bit1 & ~bitn2 & ((a + b == c + d) | (a + c == b + d))
     # inline integer invariants: dichotomy, containment, size bounds
-    assert np.all(trivial | (lam >= 2 - 1e-9)), "eigenvalue dichotomy violated"
-    assert np.all(lam <= size + 1e-9), "lambda exceeded |A|"
-    assert np.all(~good | (size * size >= n)), "good set smaller than sqrt(n)"
-    assert np.all(
-        ~(good & ~bit1 & ~bitn2) | (lam >= 2 - 1e-9)
-    ), "missing-edge-digit bound violated"
+    if not np.all(trivial | (lam >= 2 - 1e-9)):
+        raise InvariantError("eigenvalue dichotomy violated")
+    if not np.all(lam <= size + 1e-9):
+        raise InvariantError("lambda exceeded |A|")
+    if not np.all(~good | (size * size >= n)):
+        raise InvariantError("good set smaller than sqrt(n)")
+    if not np.all(~(good & ~bit1 & ~bitn2) | (lam >= 2 - 1e-9)):
+        raise InvariantError("missing-edge-digit bound violated")
     return good, very_good, a, b, c, d, lam, dim
 
 
-def eval_mask(n: int, mask: int):
-    """Pure-Python twin of the batch kernel for a single mask."""
-    m1 = 0
-    m2 = 0
-    for d in range(n):
-        if (mask >> d) & 1:
-            w = mask << d
-            m2 |= m1 & w
-            m1 |= w
+def _type_words(n: int, mask: int, m1: int, m2: int):
+    """Goodness, typing, lambda and dim from the sumset words of a mask.
+
+    Bit s of m1 (m2) is set when s has at least one (two) ordered pairs.
+    """
     word_mask = (1 << (2 * n)) - 1
     below_top = (1 << (2 * n - 2)) - 1
-    m1 &= word_mask
-    m2 &= word_mask
     good = m1 & ~(m1 >> 1) & ~(m1 >> 2) & below_top == 0
     unique = m1 & ~m2
     l_word = (unique & ~(m1 << 1)) & word_mask
@@ -189,6 +198,47 @@ def eval_mask(n: int, mask: int):
         and (a + b == c + d or a + c == b + d)
     )
     return good, very_good, a, b, c, d, lam, dim
+
+
+def _word(bits: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+class _PairCounts:
+    """Exact ordered pair counts of one digit set, updated digit by digit.
+
+    cnt[s] = #{(x, y) in A x A : x + y = s} for s in 0..2n-2, and ind is
+    the digit indicator of A, so cnt is the self-convolution of ind.
+    """
+
+    __slots__ = ("n", "mask", "ind", "cnt")
+
+    def __init__(self, n: int, mask: int):
+        self.n = n
+        self.mask = mask
+        self.ind = _indicator(n, mask).astype(np.int64)
+        self.cnt = np.convolve(self.ind, self.ind)
+
+    def flip(self, d: int) -> None:
+        """Add or remove digit d; flipping it again undoes the change."""
+        pairs = self.cnt[d:d + self.n]
+        if self.ind[d]:
+            self.ind[d] = 0
+            pairs -= 2 * self.ind
+            self.cnt[2 * d] -= 1
+        else:
+            pairs += 2 * self.ind
+            self.cnt[2 * d] += 1
+            self.ind[d] = 1
+        self.mask ^= 1 << d
+
+    def row(self):
+        return _type_words(self.n, self.mask, _word(self.cnt > 0), _word(self.cnt > 1))
+
+
+def eval_mask(n: int, mask: int):
+    """Scalar twin of the batch kernel: pair counts, words, typing."""
+    return _PairCounts(n, mask).row()
 
 
 def _record(n: int, mask: int, row) -> SearchRecord:
@@ -335,12 +385,12 @@ def _seed_masks(n: int) -> list[int]:
     """Deterministic warm starts: tower chain, table row, sqrt family."""
     seeds = []
     if n >= 9:
-        try:
-            chain = chain_to_target(n)
-            seeds.append(sum(1 << d for d in chain.final.digitset.digits))
-        except Exception:
-            pass
         table = load_base_table()
+        try:
+            chain = chain_to_target(n, table)
+            seeds.append(sum(1 << d for d in chain.final.digitset.digits))
+        except BaseMissingError:
+            pass
         if n in table:
             seeds.append(sum(1 << d for d in table[n].digits))
         try:
@@ -363,92 +413,84 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
     Starts from tower/table/sqrt seeds plus random restarts, flipping
     one interior digit at a time and keeping strict improvements;
     non-good proposals are evaluated (they cost budget) but never
-    climbed onto when goodness is required.  For tiny n the whole
-    space is enumerated instead.  `budget` caps the number of
-    single-set evaluations.
+    climbed onto when goodness is required.  The climb carries the pair
+    counts of its current set and updates them per flip, undoing the
+    update when the proposal is rejected.  For tiny n the whole space
+    is enumerated instead.  `budget` caps the number of single-set
+    evaluations.
     """
     if n < 3:
         raise ValueError("base must be >= 3")
     base = 1 | (1 << (n - 1))
     inner_bits = n - 2
+    best: SearchRecord | None = None
+    exceed: list[SearchRecord] = []
+    matching = 0
 
-    def meets(row) -> bool:
-        if require_very_good:
-            return bool(row[1])
-        if require_good:
-            return bool(row[0])
-        return True
-
-    if (1 << inner_bits) <= 64:
-        # space is smaller than any sensible budget: enumerate
-        best = None
-        matching = 0
-        exceed = []
-        for inner in range(1 << inner_bits):
-            mask = base | (inner << 1)
-            row = eval_mask(n, mask)
-            if not meets(row):
-                continue
-            matching += 1
+    def offer(mask: int, row) -> None:
+        """Count a matching set; record it only if it can be best or exceeds."""
+        nonlocal best, matching
+        if (require_very_good and not row[1]) or (require_good and not row[0]):
+            return
+        matching += 1
+        dim = row[7]
+        over = dim > LOG2_OVER_LOG3 + MONITOR_TOL
+        if over or best is None or dim >= best.dim:
             cand = _record(n, mask, row)
-            if cand.dim > LOG2_OVER_LOG3 + MONITOR_TOL:
+            if over:
                 exceed.append(cand)
             if _better(cand, best):
                 best = cand
+
+    if (1 << inner_bits) <= 64:
+        # space is smaller than any sensible budget: enumerate
+        for inner in range(1 << inner_bits):
+            mask = base | (inner << 1)
+            offer(mask, eval_mask(n, mask))
         return SearchResult(best=best, n_enumerated=1 << inner_bits,
                             n_matching=matching, evaluations=1 << inner_bits,
                             exceedances=tuple(exceed), source="heuristic")
     rng = np.random.default_rng(seed)
     evals = 0
-    best: SearchRecord | None = None
-    exceed: list[SearchRecord] = []
-    matching = 0
+    unconstrained = not (require_good or require_very_good)
 
-    def consider(mask: int):
-        """Evaluate one mask; returns (record-or-None, climbable)."""
-        nonlocal evals, best, matching
+    def consider(counts: _PairCounts):
+        """Evaluate the counted set; returns (climbable, dim)."""
+        nonlocal evals
         evals += 1
-        row = eval_mask(n, mask)
-        climbable = row[0] or not (require_good or require_very_good)
-        if not meets(row):
-            return None, climbable, row
-        matching += 1
-        cand = _record(n, mask, row)
-        if cand.dim > LOG2_OVER_LOG3 + MONITOR_TOL:
-            exceed.append(cand)
-        if _better(cand, best):
-            best = cand
-        return cand, climbable, row
+        row = counts.row()
+        offer(counts.mask, row)
+        return row[0] or unconstrained, row[7]
 
-    seeds = _seed_masks(n)
-    stack = list(seeds)
-    current_mask: int | None = None
+    stack = _seed_masks(n)
+    current: _PairCounts | None = None
     current_dim = -1.0
     stuck = 0
     max_stuck = 4 * n
     while evals < budget:
-        if current_mask is None:
+        if current is None:
             if stack:
                 mask = stack.pop(0)
             else:
                 mask = base | (_random_inner(rng, inner_bits) << 1)
-            _, climbable, row = consider(mask)
+            start = _PairCounts(n, mask)
+            climbable, dim = consider(start)
             if climbable:
-                current_mask = mask
-                current_dim = row[7]
+                current = start
+                current_dim = dim
             stuck = 0
             continue
         d = int(rng.integers(1, n - 1))
-        mask = current_mask ^ (1 << d)
-        _, climbable, row = consider(mask)
-        if climbable and row[7] > current_dim:
-            current_mask = mask
-            current_dim = row[7]
+        current.flip(d)
+        climbable, dim = consider(current)
+        if climbable and dim > current_dim:
+            current_dim = dim
             stuck = 0
         else:
+            current.flip(d)
             stuck += 1
             if stuck > max_stuck:
-                current_mask = None
+                current = None
     exceed.sort(key=lambda r: (r.n, r.digits))
     return SearchResult(best=best, n_enumerated=evals, n_matching=matching,
                         evaluations=evals, exceedances=tuple(exceed),

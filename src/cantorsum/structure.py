@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .digitset import DigitSet, sumset_profile
+from .digitset import DigitSet, InvariantError, sumset_profile
 from . import oracle
 
 __all__ = [
@@ -183,8 +183,8 @@ def classify_structure(A: DigitSet, profile=None) -> StructureReport:
     n = A.n
     B = frozenset(int(s) for s in profile.support)
     dead = _first_dead_run(B, n)
-    # a support gap >= 3 always leaves an uncovered level-1 unit
-    assert dead is not None
+    if dead is None:
+        raise InvariantError("a support gap >= 3 left every level-1 unit covered")
     gap = (Fraction(dead[0], n), Fraction(dead[1] + 1, n))
     full = _full_states(B, n)
     hit = _find_full_unit(B, n, full) if full else None

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,24 @@ class TestDigitSet:
             DigitSet(5, (1, 4))
         with pytest.raises(ValueError):
             DigitSet.of(5, [0, 3, 3, 4])
+
+    def test_numpy_integers_accepted(self):
+        A = DigitSet(np.int64(10), (np.int64(0), np.int32(4), 9))
+        assert A == DigitSet(10, (0, 4, 9))
+        assert type(A.n) is int and all(type(d) is int for d in A.digits)
+        assert DigitSet.of(np.uint16(10), np.array([9, 0, 4])).digits == (0, 4, 9)
+
+    def test_non_integers_rejected(self):
+        with pytest.raises(ValueError):
+            DigitSet(10, (0, 2.7, 9))
+        with pytest.raises(ValueError):
+            DigitSet(10.0, (0, 9))
+        with pytest.raises(ValueError):
+            DigitSet.of(10, [0, 2.7, 9])
+        with pytest.raises(ValueError):
+            DigitSet.general(10, [1.5, 3])
+        with pytest.raises(ValueError):
+            DigitSet.from_json('{"n": 10, "digits": [0, 2.7, 9]}')
 
     def test_modes(self):
         assert DigitSet.of(5, [0, 2, 4]).canonical

@@ -1,7 +1,18 @@
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cantorsum
+from cantorsum import search
+from cantorsum.constructions import TowerVerificationError
 from cantorsum.digitset import DigitSet, is_n_good, reflect, sumset_profile
 from cantorsum.gdifs import classify_intervals, uniqueness_report
 from cantorsum.search import (
@@ -91,6 +102,50 @@ class TestKernelAgainstReference:
                 assert row[6] == pytest.approx(float(got[6]), abs=1e-12)
 
 
+class TestIncrementalPairCounts:
+    """The climb's per-flip count updates against from-scratch paths."""
+
+    @pytest.mark.parametrize("n", [40, 97, 300])
+    def test_random_flips_match_scratch_and_reference(self, rng, n):
+        from cantorsum.search import _PairCounts, _random_inner
+
+        counts = _PairCounts(n, 1 | (1 << (n - 1)) | (_random_inner(rng, n - 2) << 1))
+        added = removed = 0
+        for _ in range(60):
+            d = int(rng.integers(1, n - 1))
+            if (counts.mask >> d) & 1:
+                removed += 1
+            else:
+                added += 1
+            counts.flip(d)
+            A = DigitSet(n, tuple(x for x in range(n) if (counts.mask >> x) & 1))
+            profile = sumset_profile(A)
+            assert np.array_equal(counts.cnt, profile.counts)
+            row = counts.row()
+            assert row == eval_mask(n, counts.mask)
+            good, very_good, a, b, c, d_, lam, dim = row
+            t = classify_intervals(profile)
+            rep = uniqueness_report(t, A)
+            assert good == is_n_good(A)
+            assert (a, b, c, d_) == (t.a, t.b, t.c, t.d)
+            assert lam == pytest.approx(rep.lam, abs=1e-12)
+            assert dim == pytest.approx(rep.dim, abs=1e-12)
+            assert very_good == rep.very_good
+        assert added and removed
+
+    def test_flip_twice_restores_counts(self):
+        from cantorsum.search import _PairCounts
+
+        counts = _PairCounts(9, 0b100100101)
+        before = counts.cnt.copy(), counts.ind.copy(), counts.mask
+        for d in (1, 2, 5, 7):
+            counts.flip(d)
+            counts.flip(d)
+            assert np.array_equal(counts.cnt, before[0])
+            assert np.array_equal(counts.ind, before[1])
+            assert counts.mask == before[2]
+
+
 class TestHeuristic:
     def test_matches_exhaustive_optimum_at_9(self):
         ex = search_exhaustive(9, require_good=True)
@@ -110,6 +165,42 @@ class TestHeuristic:
     def test_tower_seed_gives_floor(self):
         res = search_heuristic(51, budget=2000, seed=1)
         assert res.best.dim >= math.log(8) / math.log(51) - 1e-9
+
+    # (n, seed, budget, constraints) -> SearchResult as produced by the
+    # climb that re-typed every proposal from scratch: best record fields,
+    # bookkeeping and a digest of the whole result's repr.
+    PINNED = [
+        ((23, 11, 3000, {}),
+         (3000, 2331, "0.5714440358797147", (3, 3, 3, 3), 8,
+          "eb57aef08e7f679ae5a7be5235ee47fd075df0152a9115d029467b90505d976b")),
+        ((97, 4, 2000, {"require_very_good": True}),
+         (2000, 215, "0.5033290854469099", (5, 5, 5, 5), 21,
+          "1c2d7af8f4fb47a1f15768ca832f21f45713e0e805e4c46936d0931b9428c1dc")),
+        ((300, 7, 400, {"require_good": False}),
+         (400, 400, "0.587363977488419", (13, 15, 15, 14), 31,
+          "6e5b10c885e3972044a9c7f00ec20973d9ea30ccdfa21b05a169dd733ab958a8")),
+    ]
+
+    @pytest.mark.parametrize("case,want", PINNED)
+    def test_pinned_results(self, case, want):
+        n, seed, budget, kw = case
+        evals, matching, dim, abcd, size, digest = want
+        res = search_heuristic(n, budget=budget, seed=seed, **kw)
+        assert res.evaluations == res.n_enumerated == evals
+        assert res.n_matching == matching
+        assert res.exceedances == ()
+        assert repr(res.best.dim) == dim
+        assert (res.best.a, res.best.b, res.best.c, res.best.d) == abcd
+        assert len(res.best.digits) == size
+        assert hashlib.sha256(repr(res).encode()).hexdigest() == digest
+
+    def test_tower_verification_failure_propagates(self, monkeypatch):
+        def broken(n, base_table=None):
+            raise TowerVerificationError("re-typed tower disagrees")
+
+        monkeypatch.setattr(search, "chain_to_target", broken)
+        with pytest.raises(TowerVerificationError):
+            search_heuristic(30, budget=50, seed=0)
 
     def test_bases_beyond_word_size(self):
         # masks wider than 64 bits: pure-int path and random restarts
@@ -180,3 +271,50 @@ class TestConjectureMonitor:
         # in the result, not raised
         res = search_exhaustive(9)
         assert isinstance(res.exceedances, tuple)
+
+
+class TestChecksSurviveOptimize:
+    SCRIPT = textwrap.dedent("""
+        import json
+        from types import SimpleNamespace
+
+        import numpy as np
+
+        from cantorsum import constructions, search
+        from cantorsum.digitset import DigitSet, InvariantError
+        from cantorsum.structure import classify_structure
+
+        def raised(fn):
+            try:
+                fn()
+            except InvariantError as exc:
+                return str(exc)
+            return None
+
+        out = {"debug": __debug__}
+        out["best"] = list(search.search_exhaustive(10, require_good=True).best.digits)
+        out["chain_n"] = constructions.chain_to_target(100).final.n
+        # the empty mask has no support gap, so it passes as good with 0 digits
+        out["kernel"] = raised(lambda: search._kernel(3, np.zeros(1, dtype=np.uint64)))
+        # a profile claiming a gap >= 3 over a support with no dead unit
+        fake = SimpleNamespace(gaps=np.array([3]), support=np.arange(9))
+        out["structure"] = raised(lambda: classify_structure(DigitSet(5, (0, 4)), fake))
+        constructions._tower_step = lambda A, k, typing, report: (A, typing, report)
+        out["chain"] = raised(lambda: constructions.chain_to_target(100))
+        print(json.dumps(out))
+    """)
+
+    def test_invariants_raise_under_python_O(self):
+        src = str(Path(cantorsum.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", self.SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["debug"] is False
+        assert tuple(out["best"]) == search_exhaustive(10, require_good=True).best.digits
+        assert out["chain_n"] == 100
+        assert out["kernel"] == "good set smaller than sqrt(n)"
+        assert "left every level-1 unit covered" in out["structure"]
+        assert out["chain"] == "chain ended at base 12, not 100"
