@@ -151,8 +151,6 @@ def _monitor_warnings(exceedances) -> None:
 
 def cmd_search(args) -> list[str]:
     lo, hi = _parse_range(args.n)
-    if args.figure:
-        return _figure_lines(lo, hi, args.budget, args.seed, args.threads)
     lines = [_SEARCH_CSV_HEADER]
     exceed = []
     for n in range(lo, hi + 1):
@@ -177,19 +175,15 @@ def cmd_search(args) -> list[str]:
     return lines
 
 
-def _figure_lines(lo, hi, budget, seed, threads) -> list[str]:
-    rows, exceed = figure_data(lo, hi, budget=int(budget), seed=seed,
-                               threads=threads)
+def cmd_figure(args) -> list[str]:
+    lo, hi = _parse_range(args.n)
+    rows, exceed = figure_data(lo, hi, budget=int(args.budget), seed=args.seed,
+                               threads=args.threads)
     lines = ["n,best_dim,reference"]
     for n, best, ref in rows:
         lines.append(f"{n},{_fmt(best)},{_fmt(ref)}")
     _monitor_warnings(exceed)
     return lines
-
-
-def cmd_figure(args) -> list[str]:
-    lo, hi = _parse_range(args.n)
-    return _figure_lines(lo, hi, args.budget, args.seed, args.threads)
 
 
 def cmd_tower(args) -> list[str]:
@@ -307,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=10_000)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--csv-out", default=None)
-    p.add_argument("--figure", action="store_true",
-                   help="emit per-base best-dimension figure data instead")
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_search)
 

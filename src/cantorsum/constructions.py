@@ -32,12 +32,11 @@ sets have equal row or column sums.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
 from math import isqrt
-
-import numpy as np
 
 from .digitset import DigitSet, InvariantError, sumset_profile
 from .gdifs import (
@@ -116,8 +115,7 @@ def predicted_tower_matrix(matrix, k: int):
 def _typed_report(A: DigitSet) -> tuple[TypingProfile, UniquenessReport]:
     profile = sumset_profile(A)
     typing = classify_intervals(profile)
-    good = bool(np.all(profile.gaps <= 2))
-    return typing, uniqueness_report(typing, A, good=good)
+    return typing, uniqueness_report(typing, A, good=profile.good)
 
 
 def tower(A: DigitSet, k: int) -> DigitSet:
@@ -156,18 +154,22 @@ def _tower_step(A: DigitSet, k: int, typing: TypingProfile,
     return out, out_typing, out_report
 
 
-def load_base_table() -> dict[int, DigitSet]:
-    """Bundled table of very-good sets for bases 9..27."""
+@functools.cache
+def _base_table_rows() -> tuple[tuple[int, DigitSet, float], ...]:
+    """(base, set, quoted dim) per row of the bundled table, parsed once."""
     text = resources.files("cantorsum.data").joinpath("base_table.json").read_text()
-    raw = json.loads(text)
-    return {int(n): DigitSet.of(int(n), row["digits"]) for n, row in raw.items()}
+    return tuple((int(n), DigitSet.of(int(n), row["digits"]), float(row["dim"]))
+                 for n, row in json.loads(text).items())
+
+
+def load_base_table() -> dict[int, DigitSet]:
+    """Bundled table of very-good sets for bases 9..27 (a fresh dict per call)."""
+    return {n: A for n, A, _ in _base_table_rows()}
 
 
 def load_base_table_dims() -> dict[int, float]:
     """Reference dimensions quoted alongside the bundled base table."""
-    text = resources.files("cantorsum.data").joinpath("base_table.json").read_text()
-    raw = json.loads(text)
-    return {int(n): float(row["dim"]) for n, row in raw.items()}
+    return {n: dim for n, _, dim in _base_table_rows()}
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,9 @@ A canonical A is called *good* when C_A + C_A = [0, 2].  At level one
 the maps of the sumset IFS cover intervals of length 2/n placed at the
 support elements; the union is all of [0, 2] exactly when consecutive
 support elements are at most 2 apart, and an invariant interval equals
-the attractor.  Hence goodness is the integer gap condition tested by
-:func:`is_n_good`.  The finite-depth oracle cross-validates this rule.
+the attractor.  Hence goodness is the integer gap condition
+:attr:`SumsetProfile.good`, the one place that rule is written; every
+caller reads it there.  The finite-depth oracle cross-validates it.
 """
 
 from __future__ import annotations
@@ -167,6 +168,11 @@ class SumsetProfile:
         """Differences between consecutive support elements."""
         return np.diff(self.support)
 
+    @property
+    def good(self) -> bool:
+        """Goodness: consecutive support elements at most 2 apart."""
+        return bool(np.all(self.gaps <= 2))
+
 
 def sumset_profile(A: DigitSet) -> SumsetProfile:
     """Multiplicity table of A + A over ordered pairs.
@@ -196,8 +202,7 @@ def is_n_good(A: DigitSet) -> bool:
     """
     if not A.canonical:
         raise ValueError("goodness is defined for canonical digit sets only")
-    profile = sumset_profile(A)
-    return bool(np.all(profile.gaps <= 2))
+    return sumset_profile(A).good
 
 
 def reflect(A: DigitSet) -> DigitSet:

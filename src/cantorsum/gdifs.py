@@ -28,6 +28,10 @@ just the two endpoints {0, 2}.
 Since a, d >= 1 for every canonical set (the extreme intervals are
 always typed L and R), integer arithmetic shows lambda is either 1 or
 at least 2; there is nothing in between.
+
+The lambda/trivial/dim formula and the very-good rule are written once,
+in :func:`matrix_dimension` and :func:`very_good_rule`; the search and
+oracle call them, and only the NumPy search kernel has a vector twin.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ __all__ = [
     "uniqueness_report",
     "edge_digit_dimension_bound",
     "perron_eigenvalue",
+    "matrix_dimension",
+    "very_good_rule",
 ]
 
 TYPE_O, TYPE_L, TYPE_R = 0, 1, 2
@@ -113,6 +119,20 @@ def perron_eigenvalue(a: int, b: int, c: int, d: int) -> float:
     return ((a + d) + math.sqrt((a - d) ** 2 + 4 * b * c)) / 2.0
 
 
+def matrix_dimension(a: int, b: int, c: int, d: int, n: int) -> tuple[float, bool, float]:
+    """(lambda, trivial, dim) of the quadrant matrix [[a, b], [c, d]] in base n."""
+    lam = perron_eigenvalue(a, b, c, d)
+    # Exact integer form of lambda == 1: with bc = 0 the eigenvalue is
+    # max(a, d), and bc >= 1 already forces lambda >= 2.
+    trivial = b * c == 0 and max(a, d) <= 1
+    return lam, trivial, 0.0 if trivial else math.log(lam) / math.log(n)
+
+
+def very_good_rule(good: bool, edge_digit: bool, a: int, b: int, c: int, d: int) -> bool:
+    """Very-good: good, neither 1 nor n-2 a digit, equal row or column sums."""
+    return good and not edge_digit and (a + b == c + d or a + c == b + d)
+
+
 @dataclass(frozen=True)
 class UniquenessReport:
     """Dimension data for the set of uniquely representable sums.
@@ -141,19 +161,10 @@ def uniqueness_report(T: TypingProfile, A: DigitSet,
     sumset profile.
     """
     a, b, c, d = T.a, T.b, T.c, T.d
-    lam = perron_eigenvalue(a, b, c, d)
-    # Exact integer form of lambda == 1: with bc = 0 the eigenvalue is
-    # max(a, d), and bc >= 1 already forces lambda >= 2.
-    trivial = b * c == 0 and max(a, d) <= 1
-    dim = 0.0 if trivial else math.log(lam) / math.log(A.n)
+    lam, trivial, dim = matrix_dimension(a, b, c, d, A.n)
     if good is None:
         good = is_n_good(A)
-    very_good = (
-        good
-        and 1 not in A
-        and A.n - 2 not in A
-        and (a + b == c + d or a + c == b + d)
-    )
+    very_good = very_good_rule(good, 1 in A or A.n - 2 in A, a, b, c, d)
     return UniquenessReport(lam=lam, dim=dim, trivial=trivial,
                             very_good=very_good, good=good)
 

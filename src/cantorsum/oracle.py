@@ -17,7 +17,8 @@ the closed-form machinery:
 * growth of those counts against the adjacency-matrix prediction.
 
 Start sets are kept as runs of consecutive integers, so dense covers
-cost almost nothing no matter the depth.  Multiplicities (number of
+cost almost nothing no matter the depth; :func:`level_set` and
+:func:`level_start_counts` share one loop.  Multiplicities (number of
 digit words producing a start, weighted by ordered-pair counts) are
 only needed saturated at 2 -- unique / not unique is all the typing
 rules consume -- and live in a flat array indexed by start.
@@ -33,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .digitset import DigitSet, sumset_profile
-from .gdifs import TypingProfile, classify_intervals
+from .gdifs import classify_intervals, matrix_dimension
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -228,6 +229,25 @@ def _check_feasible(n: int, support_len: int, max_sum: int, m: int, budget: int)
         raise BudgetExceededError(min(word_bound, range_bound), budget)
 
 
+def _start_runs(A: DigitSet, m: int, budget: int | None):
+    """Yield the start runs (run_lo, run_hi) at depths 1..m, checking
+    feasibility up front and the budget at every level."""
+    if m < 1:
+        raise ValueError("depth must be >= 1")
+    budget = _budget(budget)
+    support = sumset_profile(A).support.astype(np.int64)
+    _check_feasible(A.n, len(support), int(support[-1]), m, budget)
+    runs = _b_runs(support)
+    run_lo = np.array([r[0] for r in runs], dtype=np.int64)
+    run_hi = np.array([r[1] for r in runs], dtype=np.int64)
+    yield run_lo, run_hi
+    for _ in range(m - 1):
+        run_lo, run_hi = _advance_runs(run_lo, run_hi, A.n, runs)
+        if len(run_lo) > budget:
+            raise BudgetExceededError(len(run_lo), budget)
+        yield run_lo, run_hi
+
+
 def level_set(A: DigitSet, m: int, budget: int | None = None) -> LevelSet:
     """Exact components of the depth-m cover E_m.
 
@@ -236,44 +256,20 @@ def level_set(A: DigitSet, m: int, budget: int | None = None) -> LevelSet:
     start-range bound exceed the budget (default 10^7, or the
     CANTORSUM_BUDGET environment variable).
     """
-    if m < 1:
-        raise ValueError("depth must be >= 1")
-    budget = _budget(budget)
-    profile = sumset_profile(A)
-    support = profile.support.astype(np.int64)
-    max_sum = int(support[-1])
-    n = A.n
-    _check_feasible(n, len(support), max_sum, m, budget)
-    width = -(-max_sum // (n - 1))
-    runs = _b_runs(support)
-    run_lo = np.array([r[0] for r in runs], dtype=np.int64)
-    run_hi = np.array([r[1] for r in runs], dtype=np.int64)
-    for _ in range(m - 1):
-        run_lo, run_hi = _advance_runs(run_lo, run_hi, n, runs)
-        if len(run_lo) > budget:
-            raise BudgetExceededError(len(run_lo), budget)
+    levels = _start_runs(A, m, budget)
+    run_lo, run_hi = next(levels)
+    # the level-1 runs are those of the support, so they end at its max
+    width = -(-int(run_hi[-1]) // (A.n - 1))
+    for run_lo, run_hi in levels:  # advance to depth m
+        pass
     comp_lo, comp_hi = _merge_runs(run_lo.copy(), run_hi + width, link=0)
     components = tuple((int(a), int(b)) for a, b in zip(comp_lo, comp_hi))
-    return LevelSet(n, m, width, run_lo, run_hi, components)
+    return LevelSet(A.n, m, width, run_lo, run_hi, components)
 
 
 def level_start_counts(A: DigitSet, m: int, budget: int | None = None) -> list[int]:
     """Number of distinct starts at each depth 1..m (box counting)."""
-    budget = _budget(budget)
-    profile = sumset_profile(A)
-    support = profile.support.astype(np.int64)
-    n = A.n
-    _check_feasible(n, len(support), int(support[-1]), m, budget)
-    runs = _b_runs(support)
-    run_lo = np.array([r[0] for r in runs], dtype=np.int64)
-    run_hi = np.array([r[1] for r in runs], dtype=np.int64)
-    counts = [int(np.sum(run_hi - run_lo + 1))]
-    for _ in range(m - 1):
-        run_lo, run_hi = _advance_runs(run_lo, run_hi, n, runs)
-        if len(run_lo) > budget:
-            raise BudgetExceededError(len(run_lo), budget)
-        counts.append(int(np.sum(run_hi - run_lo + 1)))
-    return counts
+    return [int(np.sum(hi - lo + 1)) for lo, hi in _start_runs(A, m, budget)]
 
 
 def is_refinement(fine: LevelSet, coarse: LevelSet) -> bool:
@@ -376,8 +372,7 @@ def _evolve(v: tuple[int, int], M, transpose: bool) -> tuple[int, int]:
     return (a * L + b * R, c * L + d * R)
 
 
-def growth_check(A: DigitSet, m_max: int, budget: int | None = None,
-                 typing: TypingProfile | None = None) -> GrowthReport:
+def growth_check(A: DigitSet, m_max: int, budget: int | None = None) -> GrowthReport:
     """Compare oracle typing counts with the matrix-power prediction.
 
     The closed-form dimension comes from the adjacency matrix; here the
@@ -386,8 +381,7 @@ def growth_check(A: DigitSet, m_max: int, budget: int | None = None,
     carries both orientations; `ambiguous` means the matrix is too
     symmetric for the data to tell them apart.
     """
-    if typing is None:
-        typing = classify_intervals(sumset_profile(A))
+    typing = classify_intervals(sumset_profile(A))
     M = typing.matrix
     counts = list(typing_count_evolution(A, m_max, budget))
     pred_t = [counts[0]]
@@ -397,10 +391,7 @@ def growth_check(A: DigitSet, m_max: int, budget: int | None = None,
         pred_d.append(_evolve(pred_d[-1], M, transpose=False))
     matches_t = counts == pred_t
     matches_d = counts == pred_d
-    (a, b), (c, d) = M
-    lam = ((a + d) + math.sqrt((a - d) ** 2 + 4 * b * c)) / 2.0
-    trivial = b * c == 0 and max(a, d) <= 1
-    dim = 0.0 if trivial else math.log(lam) / math.log(A.n)
+    _, _, dim = matrix_dimension(typing.a, typing.b, typing.c, typing.d, A.n)
     ests = tuple(
         math.log(L + R) / (m * math.log(A.n)) if L + R > 0 else 0.0
         for m, (L, R) in enumerate(counts, start=1)

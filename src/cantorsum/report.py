@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .digitset import DigitSet, sumset_profile
 from .gdifs import TypingProfile, UniquenessReport, classify_intervals, uniqueness_report
 from .structure import StructureReport, classify_structure
@@ -39,7 +37,7 @@ class AnalysisReport:
 def analyze(A: DigitSet) -> AnalysisReport:
     """Goodness, typing, uniqueness dimension and structure in one pass."""
     profile = sumset_profile(A)
-    good = bool(np.all(profile.gaps <= 2))
+    good = profile.good
     typing = classify_intervals(profile)
     uniq = uniqueness_report(typing, A, good=good)
     struct = classify_structure(A, profile=profile)

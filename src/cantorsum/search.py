@@ -19,15 +19,17 @@ The hill climb keeps the exact pair-count array of its current set
 instead: flipping digit d moves the count of d + a by 2 for every other
 digit a and the count of 2d by 1, so one proposal costs a few vector
 operations of length 2n, and the words are the thresholds count > 0
-and count > 1.  One Python typing tail turns those words into a row;
-tests hold the two paths, the incremental updates and the reference
-interval-typing path to identical answers.
+and count > 1.  One Python typing tail turns those words into a row,
+with lambda, dim and very-goodness from their owner, ``gdifs``; tests
+hold the two paths, the incremental updates and the reference
+interval-typing path to identical answers.  One batch loop,
+:func:`_batches`, serves the exhaustive search and the record stream.
 
 Every batch also checks the cheap integer invariants inline
 (eigenvalue dichotomy, lambda <= |A|, good sets need >= sqrt(n)
 digits, the missing-edge-digit bound) and raises
 :class:`~cantorsum.digitset.InvariantError` on a violation; any record
-whose dimension exceeds log(2)/log(3) + 1e-9 is collected for the
+whose dimension exceeds log(2)/log(3) + DIM_TOL is collected for the
 conjecture monitor rather than silently kept.
 """
 
@@ -46,6 +48,7 @@ from .constructions import (
     sqrt_good_set,
 )
 from .digitset import DigitSet, InvariantError
+from .gdifs import DIM_TOL, matrix_dimension, very_good_rule
 
 __all__ = [
     "SearchRecord",
@@ -56,13 +59,13 @@ __all__ = [
     "search_heuristic",
     "figure_data",
     "LOG2_OVER_LOG3",
-    "MONITOR_TOL",
     "EXHAUSTIVE_MAX_N",
 ]
 
 LOG2_OVER_LOG3 = math.log(2) / math.log(3)
-MONITOR_TOL = 1e-9
+_MONITOR_DIM = LOG2_OVER_LOG3 + DIM_TOL
 EXHAUSTIVE_MAX_N = 30
+_FIGURE_EXHAUSTIVE_MAX_N = 18
 _BATCH = 1 << 20
 
 # 16-bit reversal table; two lookups reverse the <= 30-bit masks.
@@ -161,13 +164,13 @@ def _kernel(n: int, masks: np.ndarray):
     bitn2 = ((masks >> np.uint64(n - 2)) & one).astype(bool)
     very_good = good & ~bit1 & ~bitn2 & ((a + b == c + d) | (a + c == b + d))
     # inline integer invariants: dichotomy, containment, size bounds
-    if not np.all(trivial | (lam >= 2 - 1e-9)):
+    if not np.all(trivial | (lam >= 2 - DIM_TOL)):
         raise InvariantError("eigenvalue dichotomy violated")
-    if not np.all(lam <= size + 1e-9):
+    if not np.all(lam <= size + DIM_TOL):
         raise InvariantError("lambda exceeded |A|")
     if not np.all(~good | (size * size >= n)):
         raise InvariantError("good set smaller than sqrt(n)")
-    if not np.all(~(good & ~bit1 & ~bitn2) | (lam >= 2 - 1e-9)):
+    if not np.all(~(good & ~bit1 & ~bitn2) | (lam >= 2 - DIM_TOL)):
         raise InvariantError("missing-edge-digit bound violated")
     return good, very_good, a, b, c, d, lam, dim
 
@@ -188,15 +191,9 @@ def _type_words(n: int, mask: int, m1: int, m2: int):
     b = (r_word & low_mask).bit_count()
     c = (l_word >> n).bit_count()
     d = (r_word >> n).bit_count()
-    lam = ((a + d) + math.sqrt((a - d) ** 2 + 4 * b * c)) / 2.0
-    trivial = b * c == 0 and max(a, d) <= 1
-    dim = 0.0 if trivial else math.log(lam) / math.log(n)
-    very_good = (
-        good
-        and not (mask >> 1) & 1
-        and not (mask >> (n - 2)) & 1
-        and (a + b == c + d or a + c == b + d)
-    )
+    lam, _, dim = matrix_dimension(a, b, c, d, n)
+    edge_digit = (mask >> 1) & 1 or (mask >> (n - 2)) & 1
+    very_good = very_good_rule(good, edge_digit, a, b, c, d)
     return good, very_good, a, b, c, d, lam, dim
 
 
@@ -250,6 +247,11 @@ def _record(n: int, mask: int, row) -> SearchRecord:
     )
 
 
+def _batch_record(n: int, masks: np.ndarray, cols, i: int) -> SearchRecord:
+    """The record of row i of a kernel batch."""
+    return _record(n, int(masks[i]), tuple(col[i] for col in cols))
+
+
 def _better(cand: SearchRecord, best: SearchRecord | None) -> bool:
     """Maximize dim; break exact ties toward the smaller digit list."""
     if best is None:
@@ -264,31 +266,38 @@ def _masks_for(n: int, lo: int, hi: int) -> np.ndarray:
     return np.uint64(1) | (inner << np.uint64(1)) | np.uint64(1 << (n - 1))
 
 
+def _batches(n: int, lo: int, hi: int, require_good: bool,
+             require_very_good: bool):
+    """(masks, kernel columns, matching flags) per batch of the
+    reflection-canonical masks with subset indices lo..hi-1."""
+    for start in range(lo, hi, _BATCH):
+        masks = _masks_for(n, start, min(start + _BATCH, hi))
+        canonical = _reflect_mask(n, masks) >= masks
+        masks = masks[canonical]
+        if len(masks) == 0:
+            continue
+        cols = _kernel(n, masks)
+        if require_very_good:
+            keep = cols[1]
+        elif require_good:
+            keep = cols[0]
+        else:
+            keep = np.ones(len(masks), dtype=bool)
+        yield masks, cols, keep
+
+
 def _scan_range(n: int, lo: int, hi: int, require_good: bool,
                 require_very_good: bool):
     best: SearchRecord | None = None
     n_enumerated = 0
     n_matching = 0
     exceed: list[SearchRecord] = []
-    for start in range(lo, hi, _BATCH):
-        stop = min(start + _BATCH, hi)
-        masks = _masks_for(n, start, stop)
-        canonical = _reflect_mask(n, masks) >= masks
-        masks = masks[canonical]
-        if len(masks) == 0:
-            continue
-        good, very_good, a, b, c, d, lam, dim = _kernel(n, masks)
+    for masks, cols, keep in _batches(n, lo, hi, require_good, require_very_good):
+        dim = cols[7]
         n_enumerated += len(masks)
-        keep = np.ones(len(masks), dtype=bool)
-        if require_very_good:
-            keep &= very_good
-        elif require_good:
-            keep &= good
         n_matching += int(np.count_nonzero(keep))
-        over = keep & (dim > LOG2_OVER_LOG3 + MONITOR_TOL)
-        for i in np.flatnonzero(over):
-            exceed.append(_record(n, int(masks[i]), (
-                good[i], very_good[i], a[i], b[i], c[i], d[i], lam[i], dim[i])))
+        for i in np.flatnonzero(keep & (dim > _MONITOR_DIM)):
+            exceed.append(_batch_record(n, masks, cols, i))
         if not np.any(keep):
             continue
         dims = np.where(keep, dim, -1.0)
@@ -296,8 +305,7 @@ def _scan_range(n: int, lo: int, hi: int, require_good: bool,
         if best is not None and top < best.dim:
             continue
         for i in np.flatnonzero(dims == top):
-            cand = _record(n, int(masks[i]), (
-                good[i], very_good[i], a[i], b[i], c[i], d[i], lam[i], dim[i]))
+            cand = _batch_record(n, masks, cols, i)
             if _better(cand, best):
                 best = cand
     return best, n_enumerated, n_matching, exceed
@@ -355,21 +363,10 @@ def iter_exhaustive_records(n: int, require_good: bool = False,
     """Stream every reflection-canonical record (small n)."""
     if n > EXHAUSTIVE_MAX_N:
         raise InfeasibleSearchError("too many sets to stream")
-    total = 1 << (n - 2)
-    for start in range(0, total, _BATCH):
-        stop = min(start + _BATCH, total)
-        masks = _masks_for(n, start, stop)
-        masks = masks[_reflect_mask(n, masks) >= masks]
-        if len(masks) == 0:
-            continue
-        good, very_good, a, b, c, d, lam, dim = _kernel(n, masks)
-        for i in range(len(masks)):
-            if require_very_good and not very_good[i]:
-                continue
-            if require_good and not good[i]:
-                continue
-            yield _record(n, int(masks[i]), (
-                good[i], very_good[i], a[i], b[i], c[i], d[i], lam[i], dim[i]))
+    for masks, cols, keep in _batches(n, 0, 1 << (n - 2), require_good,
+                                      require_very_good):
+        for i in np.flatnonzero(keep):
+            yield _batch_record(n, masks, cols, i)
 
 
 def _random_inner(rng, bits: int) -> int:
@@ -434,7 +431,7 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
             return
         matching += 1
         dim = row[7]
-        over = dim > LOG2_OVER_LOG3 + MONITOR_TOL
+        over = dim > _MONITOR_DIM
         if over or best is None or dim >= best.dim:
             cand = _record(n, mask, row)
             if over:
@@ -498,17 +495,17 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
 
 
 def figure_data(n_lo: int, n_hi: int, budget: int = 10_000, seed: int = 0,
-                threads: int = 1, exhaustive_limit: int = 18):
+                threads: int = 1):
     """Best known dimension per base, for plotting against log2/log3.
 
-    Per base: exhaustive search when feasible, otherwise hill climbing
+    Per base: exhaustive search through base 18, otherwise hill climbing
     floored by the tower-chain value.  Returns (rows, exceedances)
     where rows are (n, best_dim, reference).
     """
     rows: list[tuple[int, float, float]] = []
     exceed: list[SearchRecord] = []
     for n in range(n_lo, n_hi + 1):
-        if n <= exhaustive_limit:
+        if n <= _FIGURE_EXHAUSTIVE_MAX_N:
             res = search_exhaustive(n, require_good=True, threads=threads)
         else:
             res = search_heuristic(n, budget=budget, seed=seed)

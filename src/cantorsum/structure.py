@@ -173,7 +173,7 @@ def classify_structure(A: DigitSet, profile=None) -> StructureReport:
         raise ValueError("structure classification needs a canonical digit set")
     if profile is None:
         profile = sumset_profile(A)
-    if bool(np.all(profile.gaps <= 2)):
+    if profile.good:
         return StructureReport(
             case=StructureCase.FULL_INTERVAL,
             gap_witness=None,

@@ -93,14 +93,6 @@ class TestSearchCmd:
                  "--seed", "7")
         assert r1 == r2 and r1[0] == 0
 
-    def test_figure_flag(self, capsys):
-        code, out, _ = run(capsys, "search", "--figure", "-n", "3..5",
-                           "--budget", "100")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "n,best_dim,reference"
-        assert lines[1].startswith("3,0.6309297536,0.6309297536")
-
 
 class TestTowerCmd:
     def test_chain_to_458(self, capsys):
@@ -172,3 +164,10 @@ class TestFigureCmd:
         lines = out.strip().splitlines()
         assert lines[0] == "n,best_dim,reference"
         assert len(lines) == 3
+
+    def test_exhaustive_range_first_row(self, capsys):
+        code, out, _ = run(capsys, "figure", "-n", "3..5", "--budget", "100")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "n,best_dim,reference"
+        assert lines[1].startswith("3,0.6309297536,0.6309297536")

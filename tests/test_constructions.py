@@ -146,6 +146,18 @@ class TestBaseTable:
             assert rep.very_good, n
             assert abs(rep.dim - dims[n]) <= 1e-9, n
 
+    def test_each_call_returns_a_fresh_table(self):
+        table = load_base_table()
+        dims = load_base_table_dims()
+        assert set(dims) == set(table)
+        del table[9]
+        table[99] = table[27]
+        dims[9] = 0.0
+        again = load_base_table()
+        assert set(again) == set(range(9, 28))
+        assert again[9] == DigitSet.of(9, [0, 2, 6, 8])
+        assert load_base_table_dims()[9] != 0.0
+
 
 class TestChain:
     def test_million_chain_rows(self):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cantorsum.digitset import DigitSet, is_n_good, sumset_profile
-from cantorsum.gdifs import classify_intervals
+from cantorsum.gdifs import classify_intervals, uniqueness_report
 from cantorsum.oracle import (
     BudgetExceededError,
     growth_check,
@@ -145,6 +145,12 @@ class TestGrowthCheck:
         assert rep.counts == ((1, 1), (1, 1), (1, 1))
         assert rep.dim == 0.0
 
+    def test_dimension_equals_closed_form_report(self):
+        for A in (DigitSet.of(8, [0, 2, 5, 7]), DigitSet.of(10, [0, 2, 6, 7, 9]),
+                  DigitSet.of(12, [0, 2, 3, 5, 9, 11]), DigitSet.of(3, [0, 2])):
+            t = classify_intervals(sumset_profile(A))
+            assert growth_check(A, 3).dim == uniqueness_report(t, A).dim
+
     def test_estimates_approach_dimension(self):
         # counts are 2 * 3^m here, so the depth-m estimate exceeds the
         # dimension by exactly log(2)/(m log 8)
@@ -162,3 +168,18 @@ class TestStartCounts:
         assert all(b > a for a, b in zip(counts, counts[1:]))
         # start counts are submultiplicative across depths
         assert counts[3] <= counts[1] * counts[2] + 1e-9
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_depth_below_one_rejected(self, m):
+        A = DigitSet(6, (0, 1, 5))
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            level_start_counts(A, m)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            level_set(A, m)
+
+    def test_last_count_is_level_set_size(self):
+        for A, depth in ((DigitSet(6, (0, 1, 5)), 5), (DigitSet.of(5, [0, 1, 7, 8]), 4),
+                         (DigitSet.of(8, [0, 2, 5, 7]), 4), (DigitSet.of(5, [0, 1, 4]), 3)):
+            counts = level_start_counts(A, depth)
+            for m in range(1, depth + 1):
+                assert level_set(A, m).n_starts == counts[m - 1]
