@@ -252,12 +252,35 @@ def _batch_record(n: int, masks: np.ndarray, cols, i: int) -> SearchRecord:
     return _record(n, int(masks[i]), tuple(col[i] for col in cols))
 
 
+def _root_sum_sign(p1: int, q1: int, p2: int, q2: int) -> int:
+    """Sign of (p1 + sqrt(q1)) - (p2 + sqrt(q2)), exactly, for q1, q2 >= 0."""
+    sp = (p1 > p2) - (p1 < p2)
+    sq = (q1 > q2) - (q1 < q2)
+    if sp == 0 or sq == 0 or sp == sq:
+        return sp or sq
+    # opposite signs: |p1 - p2| against |sqrt(q1) - sqrt(q2)|, whose
+    # squares differ by 2 sqrt(q1 q2) - f
+    f = q1 + q2 - (p1 - p2) ** 2
+    g = 1 if f < 0 else 4 * q1 * q2 - f * f
+    return sp if g > 0 else sq if g < 0 else 0
+
+
 def _better(cand: SearchRecord, best: SearchRecord | None) -> bool:
-    """Maximize dim; break exact ties toward the smaller digit list."""
+    """Maximize dim; break exact ties toward the smaller digit list.
+
+    Within one base dim orders as lambda, and 2 lambda =
+    (a + d) + sqrt((a - d)^2 + 4bc) is compared exactly from the
+    integer matrix, so the float dims (whose last bit depends on which
+    log computed them) only serve for display.
+    """
     if best is None:
         return True
-    if cand.dim != best.dim:
-        return cand.dim > best.dim
+    order = _root_sum_sign(
+        cand.a + cand.d, (cand.a - cand.d) ** 2 + 4 * cand.b * cand.c,
+        best.a + best.d, (best.a - best.d) ** 2 + 4 * best.b * best.c,
+    )
+    if order:
+        return order > 0
     return cand.digits < best.digits
 
 

@@ -27,6 +27,14 @@ state, so the whole question lives on the three surviving states
 itself FULL -- a greatest fixed point reached in at most three sweeps.
 The sum contains an interval iff a FULL state is reachable from the
 level-one seeding, and any unit realizing it is an interval witness.
+
+The automaton is built as arrays.  State (x, y) gets the code 2x + y,
+so 0 is dead.  Four shifted slices of an int8 support indicator give,
+for each live state, the child code of every residue r < n, and the
+level-1 seed code of every unit.  The fixed point, the dead-run gap
+witness and the rightmost interval witness read only which codes occur
+and the last r (or unit) giving each, so Python loops over the three
+states, never over residues.
 """
 
 from __future__ import annotations
@@ -55,7 +63,9 @@ __all__ = [
 # never the binding constraint; it is reported for transparency.
 WITNESS_SEARCH_CAP = 12
 
-_DEAD = (False, False)
+# State codes 2x + y.
+_DEAD, _Y, _X = 0, 1, 2
+_LIVE = (_Y, _X, _X | _Y)
 
 
 class StructureCase(Enum):
@@ -68,38 +78,42 @@ class NotApplicableError(ValueError):
     """Raised when an operation does not apply to this structure case."""
 
 
-def _children(state, B, n):
-    x, y = state
-    out = []
-    for r in range(n):
-        xp = (x and r in B) or (y and n + r in B)
-        yp = (x and r - 1 in B) or (y and n + r - 1 in B)
-        out.append((xp, yp))
+def _last_by_code(codes: np.ndarray) -> dict[int, int]:
+    """{code: last index holding it} for the state codes that occur."""
+    out = {}
+    for code in range(4):
+        hit = np.flatnonzero(codes == code)
+        if len(hit):
+            out[code] = int(hit[-1])
     return out
 
 
-def _full_states(B, n):
-    full = {(True, False), (False, True), (True, True)}
+def _automaton(support: np.ndarray, n: int):
+    """Level-1 seed codes by unit j = 0..2n-1, and per live state the
+    last residue r < n giving each child code."""
+    # p[s + 1] = [s in B] for s = -1..2n-1
+    p = np.zeros(2 * n + 1, dtype=np.int8)
+    p[support + 1] = 1
+    seeds = 2 * p[1:] + p[:-1]
+    low = 2 * p[1 : n + 1] + p[:n]            # x: r in B, r-1 in B
+    high = 2 * p[n + 1 :] + p[n : 2 * n]      # y: n+r in B, n+r-1 in B
+    children = {_X: _last_by_code(low), _Y: _last_by_code(high),
+                _X | _Y: _last_by_code(low | high)}
+    return seeds, children
+
+
+def _full_states(children) -> set[int]:
+    full = set(_LIVE)
     while True:
-        keep = {s for s in full if all(c in full for c in _children(s, B, n))}
+        keep = {s for s in full if set(children[s]) <= full}
         if keep == full:
             return full
         full = keep
 
 
-def _seed_states(B, n):
-    """Level-1 states by unit index j = 0..2n-1."""
-    return [((j in B), (j - 1 in B)) for j in range(2 * n)]
-
-
-def _find_full_unit(B, n, full, cap=WITNESS_SEARCH_CAP):
+def _find_full_unit(seeds, children, n, full, cap=WITNESS_SEARCH_CAP):
     """(level, unit index) of a reachable FULL unit, rightmost first."""
-    frontier: dict = {}
-    for j, s in enumerate(_seed_states(B, n)):
-        if s == _DEAD:
-            continue
-        if s not in frontier or j > frontier[s]:
-            frontier[s] = j
+    frontier = {s: j for s, j in _last_by_code(seeds).items() if s != _DEAD}
     seen = set(frontier)
     level = 1
     while frontier and level <= cap:
@@ -109,7 +123,7 @@ def _find_full_unit(B, n, full, cap=WITNESS_SEARCH_CAP):
             return level, j
         nxt: dict = {}
         for s, j in frontier.items():
-            for r, child in enumerate(_children(s, B, n)):
+            for child, r in children[s].items():
                 if child == _DEAD or child in seen:
                     continue
                 jj = n * j + r
@@ -121,18 +135,14 @@ def _find_full_unit(B, n, full, cap=WITNESS_SEARCH_CAP):
     return None
 
 
-def _first_dead_run(B, n):
+def _first_dead_run(seeds):
     """Leftmost maximal run of uncovered level-1 units, or None."""
-    seeds = _seed_states(B, n)
-    j = 0
-    while j < 2 * n:
-        if seeds[j] == _DEAD:
-            k = j
-            while k + 1 < 2 * n and seeds[k + 1] == _DEAD:
-                k += 1
-            return j, k
-        j += 1
-    return None
+    dead = np.flatnonzero(seeds == _DEAD)
+    if not len(dead):
+        return None
+    j = int(dead[0])
+    live = np.flatnonzero(seeds[j:])
+    return j, (j + int(live[0]) - 1 if len(live) else len(seeds) - 1)
 
 
 @dataclass(frozen=True)
@@ -181,13 +191,13 @@ def classify_structure(A: DigitSet, profile=None) -> StructureReport:
             points_dim_lower_bound=None,
         )
     n = A.n
-    B = frozenset(int(s) for s in profile.support)
-    dead = _first_dead_run(B, n)
+    seeds, children = _automaton(profile.support, n)
+    dead = _first_dead_run(seeds)
     if dead is None:
         raise InvariantError("a support gap >= 3 left every level-1 unit covered")
     gap = (Fraction(dead[0], n), Fraction(dead[1] + 1, n))
-    full = _full_states(B, n)
-    hit = _find_full_unit(B, n, full) if full else None
+    full = _full_states(children)
+    hit = _find_full_unit(seeds, children, n, full) if full else None
     if hit is None:
         return StructureReport(
             case=StructureCase.CANTOR_SET,
@@ -239,10 +249,10 @@ def cantor_sum_dimension(A: DigitSet, depth: int = 8,
 
     Raises :class:`NotApplicableError` for FullInterval or Mixed sets.
     """
-    report = classify_structure(A)
+    profile = sumset_profile(A)
+    report = classify_structure(A, profile=profile)
     if report.case is not StructureCase.CANTOR_SET:
         raise NotApplicableError(f"sum is {report.case.value}, not a Cantor set")
-    profile = sumset_profile(A)
     logn = math.log(A.n)
     if bool(np.all(profile.gaps >= 2)):
         value = math.log(len(profile.support)) / logn

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorsum.digitset import DigitSet, is_n_good, reflect, sumset_profile
+from cantorsum import digitset
+from cantorsum.constructions import chain_to_target
+from cantorsum.digitset import (
+    DigitSet,
+    InvariantError,
+    is_n_good,
+    reflect,
+    sumset_profile,
+)
 
 from conftest import canonical_sets
 
@@ -56,6 +64,21 @@ class TestDigitSet:
         assert not DigitSet.of(5, [0, 1, 7, 8]).canonical
         assert DigitSet.general(5, [3, 4, 10, 11]).digits == (0, 1, 7, 8)
 
+    @pytest.mark.parametrize("source", ["random", "chain"])
+    def test_membership_matches_set_lookup(self, source, rng):
+        if source == "random":
+            n = 3000
+            inner = np.flatnonzero(rng.random(n - 2) < 0.3) + 1
+            A = DigitSet.of(n, {0, n - 1} | {int(d) for d in inner})
+        else:
+            A = chain_to_target(10**5).final.digitset
+        n, digits = A.n, set(A.digits)
+        between = [d + 1 for d in A.digits] + [d - 1 for d in A.digits]
+        probes = list(A.digits) + between + [-1, n - 1, n, 2 * n]
+        assert any(p not in digits for p in between)
+        for p in probes:
+            assert (p in A) == (p in digits), p
+
     def test_json_roundtrip(self):
         A = DigitSet.of(8, [0, 2, 5, 7])
         assert DigitSet.from_json(A.to_json()) == A
@@ -104,6 +127,85 @@ class TestSumsetProfile:
         assert all(
             p.count_at(s) == q.count_at(top - s) for s in range(top + 1)
         )
+
+
+def pair_twin(A):
+    """Pair-sum histogram one digit row at a time (distinct sums per row)."""
+    digits = np.asarray(A.digits, dtype=np.int64)
+    counts = np.zeros(2 * int(digits[-1]) + 1, dtype=np.int64)
+    for a in A.digits:
+        counts[a + digits] += 1
+    return counts
+
+
+class TestSumsetAgainstPairTwin:
+    """Both sides of the bincount/FFT crossover against a row-loop twin."""
+
+    def _check(self, A, monkeypatch):
+        """Compare with the twin; return the name of the path taken."""
+        paths = []
+        for name in ("_pair_counts", "_fft_pair_counts"):
+            def spy(*args, fn=getattr(digitset, name), name=name):
+                paths.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(digitset, name, spy)
+        p = sumset_profile(A)
+        want = pair_twin(A)
+        assert p.counts.dtype == np.int64
+        assert np.array_equal(p.counts, want)
+        assert np.array_equal(p.support, np.flatnonzero(want))
+        return paths[0]
+
+    def test_full_digit_set_at_20000(self, monkeypatch):
+        n = 20_000
+        A = DigitSet(n, tuple(range(n)))
+        assert self._check(A, monkeypatch) == "_fft_pair_counts"
+        assert sumset_profile(A).counts.max() == n
+
+    def test_chain_set(self, monkeypatch):
+        A = chain_to_target(10**5).final.digitset
+        assert self._check(A, monkeypatch) == "_fft_pair_counts"
+
+    def test_random_sets_both_paths(self, rng, monkeypatch):
+        seen = set()
+        for i in range(60):
+            n = int(rng.integers(3, 3000))
+            density = rng.choice([0.02, 0.1, 0.3, 0.9])
+            inner = np.flatnonzero(rng.random(n) < density)
+            if i % 2:
+                # general mode: digits up to 2n, smallest translated to 0
+                inner = np.concatenate([inner, n + inner[: len(inner) // 2]])
+                A = DigitSet.general(n, {0, 1} | {int(d) for d in inner})
+            else:
+                A = DigitSet.of(n, {0, n - 1} | {int(d) for d in inner if d < n})
+            seen.add(self._check(A, monkeypatch))
+        assert seen == {"_pair_counts", "_fft_pair_counts"}
+
+
+class TestFFTGuard:
+    DENSE = DigitSet(1000, tuple(range(0, 1000, 2)) + (999,))
+
+    @pytest.mark.parametrize("fault,message", [("residual", "off an integer"),
+                                               ("total", "total"),
+                                               ("negative", "below zero")])
+    def test_bad_rounding_raises(self, fault, message, monkeypatch):
+        irfft = np.fft.irfft
+
+        def faulty(*args, **kwargs):
+            y = irfft(*args, **kwargs)
+            if fault == "residual":
+                return y + 0.4
+            if fault == "total":
+                y[0] += 1
+            else:
+                y[0] -= 2
+                y[1] += 2
+            return y
+
+        monkeypatch.setattr(np.fft, "irfft", faulty)
+        with pytest.raises(InvariantError, match=message):
+            sumset_profile(self.DENSE)
 
 
 class TestGoodness:

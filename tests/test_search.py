@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from cantorsum.gdifs import classify_intervals, uniqueness_report
 from cantorsum.search import (
     LOG2_OVER_LOG3,
     InfeasibleSearchError,
+    SearchRecord,
     eval_mask,
     figure_data,
     iter_exhaustive_records,
@@ -144,6 +146,42 @@ class TestIncrementalPairCounts:
             assert np.array_equal(counts.cnt, before[0])
             assert np.array_equal(counts.ind, before[1])
             assert counts.mask == before[2]
+
+
+def _root_sum_sign_twin(p1, q1, p2, q2):
+    """Sign of (p1 + sqrt(q1)) - (p2 + sqrt(q2)) at 60 decimal digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        diff = (Decimal(p1) + Decimal(q1).sqrt()) - (Decimal(p2) + Decimal(q2).sqrt())
+    return 0 if abs(diff) < Decimal("1e-40") else (1 if diff > 0 else -1)
+
+
+class TestExactRanking:
+    def _record(self, digits, abcd, dim):
+        a, b, c, d = abcd
+        return SearchRecord(n=23, digits=digits, good=True, very_good=False,
+                            a=a, b=b, c=c, d=d, lam=0.0, dim=dim)
+
+    def test_dims_one_ulp_apart_tie(self):
+        dim = 0.5714440358797147
+        low = self._record((0, 1, 22), (3, 3, 3, 3), dim)
+        high = self._record((0, 2, 22), (3, 3, 3, 3), math.nextafter(dim, 1.0))
+        assert search._better(low, high)
+        assert not search._better(high, low)
+
+    def test_larger_lambda_wins_over_float_dim(self):
+        # lambda 3 + sqrt(2) > 4 even if the stored float dims said otherwise
+        big = self._record((0, 9, 22), (3, 1, 2, 3), 0.1)
+        small = self._record((0, 1, 22), (2, 0, 0, 4), 0.2)
+        assert search._better(big, small)
+        assert not search._better(small, big)
+
+    def test_root_sum_sign_against_decimal(self, rng):
+        ties = [(5, 0, 3, 4), (4, 9, 6, 1), (2, 8, 2, 8), (0, 0, 0, 0), (7, 1, 8, 0)]
+        draws = rng.integers(0, 60, size=(20_000, 4))
+        for p1, q1, p2, q2 in ties + [tuple(map(int, r)) for r in draws]:
+            assert search._root_sum_sign(p1, q1, p2, q2) == \
+                _root_sum_sign_twin(p1, q1, p2, q2), (p1, q1, p2, q2)
 
 
 class TestHeuristic:
@@ -281,7 +319,7 @@ class TestChecksSurviveOptimize:
         import numpy as np
 
         from cantorsum import constructions, search
-        from cantorsum.digitset import DigitSet, InvariantError
+        from cantorsum.digitset import DigitSet, InvariantError, sumset_profile
         from cantorsum.structure import classify_structure
 
         def raised(fn):
@@ -301,6 +339,10 @@ class TestChecksSurviveOptimize:
         out["structure"] = raised(lambda: classify_structure(DigitSet(5, (0, 4)), fake))
         constructions._tower_step = lambda A, k, typing, report: (A, typing, report)
         out["chain"] = raised(lambda: constructions.chain_to_target(100))
+        # FFT pair counts 0.4 off every integer
+        irfft = np.fft.irfft
+        np.fft.irfft = lambda *args, **kwargs: irfft(*args, **kwargs) + 0.4
+        out["fft"] = raised(lambda: sumset_profile(DigitSet(1000, tuple(range(1000)))))
         print(json.dumps(out))
     """)
 
@@ -318,3 +360,4 @@ class TestChecksSurviveOptimize:
         assert out["kernel"] == "good set smaller than sqrt(n)"
         assert "left every level-1 unit covered" in out["structure"]
         assert out["chain"] == "chain ended at base 12, not 100"
+        assert out["fft"].startswith("FFT pair counts off an integer by 0.4")

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cantorsum import structure
 from cantorsum.digitset import DigitSet, sumset_profile
 from cantorsum.oracle import level_set
 from cantorsum.structure import (
@@ -11,11 +14,99 @@ from cantorsum.structure import (
     StructureCase,
     cantor_sum_dimension,
     classify_structure,
-    _children,
-    _seed_states,
 )
 
 from conftest import canonical_sets, feasible_oracle_depth
+
+
+# Reference covering automaton: states are (x, y) pairs of booleans and
+# every transition is a frozenset lookup per residue, the scalar twin of
+# the array automaton in structure.py.
+_DEAD = (False, False)
+_LIVE = {(True, False), (False, True), (True, True)}
+
+
+def _children(state, B, n):
+    x, y = state
+    out = []
+    for r in range(n):
+        xp = (x and r in B) or (y and n + r in B)
+        yp = (x and r - 1 in B) or (y and n + r - 1 in B)
+        out.append((xp, yp))
+    return out
+
+
+def _seed_states(B, n):
+    """Level-1 states by unit index j = 0..2n-1."""
+    return [((j in B), (j - 1 in B)) for j in range(2 * n)]
+
+
+def reference_structure(A):
+    """(case, gap witness, interval witness, witness level) by the scalar
+    automaton: first dead run, FULL fixed point, rightmost FULL unit."""
+    n = A.n
+    profile = sumset_profile(A)
+    if profile.good:
+        return StructureCase.FULL_INTERVAL, None, (Fraction(0), Fraction(2)), None
+    B = frozenset(int(s) for s in profile.support)
+    seeds = _seed_states(B, n)
+    j = seeds.index(_DEAD)
+    k = j
+    while k + 1 < 2 * n and seeds[k + 1] == _DEAD:
+        k += 1
+    gap = (Fraction(j, n), Fraction(k + 1, n))
+    full = set(_LIVE)
+    while True:
+        keep = {s for s in full if all(c in full for c in _children(s, B, n))}
+        if keep == full:
+            break
+        full = keep
+    frontier = {}
+    for j, s in enumerate(seeds):
+        if s != _DEAD and (s not in frontier or j > frontier[s]):
+            frontier[s] = j
+    seen = set(frontier)
+    level = 1
+    while frontier and full and level <= structure.WITNESS_SEARCH_CAP:
+        hits = [(j, s) for s, j in frontier.items() if s in full]
+        if hits:
+            j = max(hits)[0]
+            return (StructureCase.MIXED, gap,
+                    (Fraction(j, n**level), Fraction(j + 1, n**level)), level)
+        nxt = {}
+        for s, j in frontier.items():
+            for r, child in enumerate(_children(s, B, n)):
+                if child != _DEAD and child not in seen:
+                    nxt[child] = max(nxt.get(child, -1), n * j + r)
+        seen |= set(nxt)
+        frontier = nxt
+        level += 1
+    return StructureCase.CANTOR_SET, gap, None, None
+
+
+def _verdict(rep):
+    return rep.case, rep.gap_witness, rep.interval_witness, rep.witness_level
+
+
+def _random_set(rng, n, kind):
+    """Dense random, sparse random, or dense with a removed block."""
+    if kind == 0:
+        inner = np.flatnonzero(rng.random(n - 2) < rng.uniform(0.2, 0.95)) + 1
+    elif kind == 1:
+        k = int(rng.integers(0, 2 * math.isqrt(n) + 1))
+        inner = rng.choice(np.arange(1, n - 1), size=min(k, n - 2), replace=False)
+    else:
+        inner = np.flatnonzero(rng.random(n - 2) < rng.uniform(0.3, 0.7)) + 1
+        lo, width = int(rng.integers(1, n - 1)), int(rng.integers(1, n // 3 + 2))
+        inner = inner[(inner < lo) | (inner >= lo + width)]
+    return DigitSet.of(n, {0, n - 1} | {int(d) for d in inner})
+
+
+canonical_strategy = st.integers(3, 40).flatmap(
+    lambda n: st.sets(st.integers(1, n - 2), max_size=n - 2).map(
+        lambda inner: DigitSet.of(n, inner | {0, n - 1})
+    )
+)
 
 
 class TestTrichotomyExamples:
@@ -172,3 +263,39 @@ class TestAutomatonInternals:
     def test_dead_state_absorbs(self):
         B = frozenset([0, 3, 6])
         assert all(c == (False, False) for c in _children((False, False), B, 4))
+
+
+class TestArrayAutomatonAgainstScalar:
+    @given(canonical_strategy)
+    @settings(max_examples=150, deadline=None)
+    def test_hypothesis_sets(self, A):
+        assert _verdict(classify_structure(A)) == reference_structure(A)
+
+    def test_random_sets_all_cases(self, rng):
+        seen = {case: 0 for case in StructureCase}
+        for i in range(240):
+            n = 4980 + i % 40 if i % 8 == 0 else int(rng.integers(3, 400))
+            A = _random_set(rng, n, i % 3)
+            want = reference_structure(A)
+            assert _verdict(classify_structure(A)) == want, A
+            seen[want[0]] += 1
+        assert all(v >= 5 for v in seen.values()), seen
+
+    def test_every_set_up_to_base_10(self):
+        for n in range(3, 11):
+            for A in canonical_sets(n):
+                assert _verdict(classify_structure(A)) == reference_structure(A), A
+
+
+class TestProfileBuiltOnce:
+    def test_cantor_sum_dimension_builds_one_profile(self, monkeypatch):
+        calls = []
+
+        def counting(A):
+            calls.append(A)
+            return sumset_profile(A)
+
+        monkeypatch.setattr(structure, "sumset_profile", counting)
+        A = DigitSet.of(7, [0, 1, 6])
+        cantor_sum_dimension(A)
+        assert calls == [A]
