@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -164,7 +163,6 @@ def cmd_search(args) -> list[str]:
                     n,
                     require_good=args.require_good,
                     require_very_good=args.require_very_good,
-                    threads=args.threads,
                 )
             except InfeasibleSearchError as exc:
                 raise CliError(EXIT_INFEASIBLE, str(exc)) from exc
@@ -177,8 +175,7 @@ def cmd_search(args) -> list[str]:
 
 def cmd_figure(args) -> list[str]:
     lo, hi = _parse_range(args.n)
-    rows, exceed = figure_data(lo, hi, budget=int(args.budget), seed=args.seed,
-                               threads=args.threads)
+    rows, exceed = figure_data(lo, hi, budget=int(args.budget), seed=args.seed)
     lines = ["n,best_dim,reference"]
     for n, best, ref in rows:
         lines.append(f"{n},{_fmt(best)},{_fmt(ref)}")
@@ -299,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--require-good", action="store_true")
     p.add_argument("--require-very-good", action="store_true")
     p.add_argument("--budget", type=float, default=10_000)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--csv-out", default=None)
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_search)
@@ -307,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="best known dimension per base, CSV")
     p.add_argument("-n", required=True, help="range a..b")
     p.add_argument("--budget", type=float, default=10_000)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--csv-out", default=None)
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_figure)

@@ -10,20 +10,27 @@ unique sums.  From those words:
 * L/R interval words follow from the unique and support words, and the
   quadrant counts a, b, c, d are four popcounts.
 
-The words are built two ways.  The exhaustive kernel works on numpy
-arrays of masks with a carry-save pass over the mask shifted by each of
-its own digits (the number of shifted words covering s *is* the
-ordered-pair count of s); no per-pair loop, which is what makes full
-enumeration at base 27 (2^25 sets) a matter of seconds to minutes.
+The words are built two ways.  The exhaustive kernel splits each set
+into a low part L (digit 0 and the inner digits up to k <= 15) and
+high digits H (n - 1 and the rest).  A table of every L and its words
+is built once per call by doubling: adding digit j to each row puts
+the cross sums a + j into both words (pairs (a, j) and (j, a)) and 2j
+into m1.  A batch fixes H and crosses it with the table the same way:
+with X = OR_h (L << h) the words are m1_L | X | m1_H and
+m2_L | X | m2_H, |H| + 4 vector operations.  (A sum of both L + L and
+H + H with one pair on each side would be 2l = 2h, so m1_L & m1_H adds
+nothing to m2.)  The table rows are laid out so that the
+reflection-canonical sets of any batch are one suffix of it.
 The hill climb keeps the exact pair-count array of its current set
 instead: flipping digit d moves the count of d + a by 2 for every other
 digit a and the count of 2d by 1, so one proposal costs a few vector
 operations of length 2n, and the words are the thresholds count > 0
-and count > 1.  One Python typing tail turns those words into a row,
-with lambda, dim and very-goodness from their owner, ``gdifs``; tests
-hold the two paths, the incremental updates and the reference
-interval-typing path to identical answers.  One batch loop,
-:func:`_batches`, serves the exhaustive search and the record stream.
+and count > 1.  A Python typing tail and its NumPy twin turn those
+words into rows, with lambda, dim and very-goodness from their owner,
+``gdifs``; tests hold both paths, the incremental updates, an
+independent shift-loop batch kernel and the reference interval-typing
+path to identical answers.  One batch loop, :func:`_batches`, serves
+the exhaustive search and the record stream.
 
 Every batch also checks the cheap integer invariants inline
 (eigenvalue dichotomy, lambda <= |A|, good sets need >= sqrt(n)
@@ -36,7 +43,6 @@ conjecture monitor rather than silently kept.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,12 +72,7 @@ LOG2_OVER_LOG3 = math.log(2) / math.log(3)
 _MONITOR_DIM = LOG2_OVER_LOG3 + DIM_TOL
 EXHAUSTIVE_MAX_N = 30
 _FIGURE_EXHAUSTIVE_MAX_N = 18
-_BATCH = 1 << 20
-
-# 16-bit reversal table; two lookups reverse the <= 30-bit masks.
-_REV16 = np.zeros(1 << 16, dtype=np.uint64)
-for _i in range(16):
-    _REV16 |= ((np.arange(1 << 16, dtype=np.uint64) >> _i) & 1) << (15 - _i)
+_TABLE_DIGITS = 15  # inner digits in the low-part table: 2^15 rows, 1 MB
 
 
 class InfeasibleSearchError(ValueError):
@@ -124,55 +125,6 @@ def _indicator(n: int, mask: int) -> np.ndarray:
 
 def _mask_digits(n: int, mask: int) -> tuple[int, ...]:
     return tuple(np.flatnonzero(_indicator(n, mask)).tolist())
-
-
-def _reflect_mask(n: int, mask: np.ndarray) -> np.ndarray:
-    rev32 = (_REV16[mask & np.uint64(0xFFFF)] << np.uint64(16)) | _REV16[mask >> np.uint64(16)]
-    return rev32 >> np.uint64(32 - n)
-
-
-def _kernel(n: int, masks: np.ndarray):
-    """Vectorized analysis of a batch of digit-set masks."""
-    m1 = np.zeros_like(masks)
-    m2 = np.zeros_like(masks)
-    one = np.uint64(1)
-    for d in range(n):
-        has = ((masks >> np.uint64(d)) & one).astype(bool)
-        w = np.where(has, masks << np.uint64(d), np.uint64(0))
-        m2 |= m1 & w
-        m1 |= w
-    word_mask = np.uint64((1 << (2 * n)) - 1)
-    low_mask = np.uint64((1 << n) - 1)
-    below_top = np.uint64((1 << (2 * n - 2)) - 1)
-    m1 &= word_mask
-    m2 &= word_mask
-    # a gap > 2 shows as a support bit with the next two bits clear
-    bad = m1 & ~(m1 >> one) & ~(m1 >> np.uint64(2)) & below_top
-    good = bad == 0
-    unique = m1 & ~m2
-    l_word = (unique & ~(m1 << one)) & word_mask
-    r_word = ((unique << one) & ~m1) & word_mask
-    a = np.bitwise_count(l_word & low_mask).astype(np.int64)
-    b = np.bitwise_count(r_word & low_mask).astype(np.int64)
-    c = np.bitwise_count(l_word >> np.uint64(n)).astype(np.int64)
-    d = np.bitwise_count(r_word >> np.uint64(n)).astype(np.int64)
-    lam = ((a + d) + np.sqrt((a - d) ** 2 + 4 * b * c)) / 2.0
-    trivial = (b * c == 0) & (np.maximum(a, d) <= 1)
-    dim = np.where(trivial, 0.0, np.log(np.maximum(lam, 1.0)) / math.log(n))
-    size = np.bitwise_count(masks).astype(np.int64)
-    bit1 = ((masks >> one) & one).astype(bool)
-    bitn2 = ((masks >> np.uint64(n - 2)) & one).astype(bool)
-    very_good = good & ~bit1 & ~bitn2 & ((a + b == c + d) | (a + c == b + d))
-    # inline integer invariants: dichotomy, containment, size bounds
-    if not np.all(trivial | (lam >= 2 - DIM_TOL)):
-        raise InvariantError("eigenvalue dichotomy violated")
-    if not np.all(lam <= size + DIM_TOL):
-        raise InvariantError("lambda exceeded |A|")
-    if not np.all(~good | (size * size >= n)):
-        raise InvariantError("good set smaller than sqrt(n)")
-    if not np.all(~(good & ~bit1 & ~bitn2) | (lam >= 2 - DIM_TOL)):
-        raise InvariantError("missing-edge-digit bound violated")
-    return good, very_good, a, b, c, d, lam, dim
 
 
 def _type_words(n: int, mask: int, m1: int, m2: int):
@@ -284,38 +236,137 @@ def _better(cand: SearchRecord, best: SearchRecord | None) -> bool:
     return cand.digits < best.digits
 
 
-def _masks_for(n: int, lo: int, hi: int) -> np.ndarray:
-    inner = np.arange(lo, hi, dtype=np.uint64)
-    return np.uint64(1) | (inner << np.uint64(1)) | np.uint64(1 << (n - 1))
+def _add_digit(n: int, j: int, mask, mirror, m1, m2):
+    """Mask, mirror and sumset words with digit j added to sets without it.
+
+    Each new sum a + j (a in A) has the two ordered pairs (a, j) and
+    (j, a).  2j gains the pair (j, j); any earlier pair of 2j is some
+    (a, b) with a != b, so 2j was in m2 already.  Takes Python ints or
+    uint64 arrays alike.
+    """
+    cross = mask << j
+    return (mask | 1 << j, mirror | 1 << (n - 1 - j),
+            m1 | cross | 1 << 2 * j, m2 | cross)
 
 
-def _batches(n: int, lo: int, hi: int, require_good: bool,
-             require_very_good: bool):
-    """(masks, kernel columns, matching flags) per batch of the
-    reflection-canonical masks with subset indices lo..hi-1."""
-    for start in range(lo, hi, _BATCH):
-        masks = _masks_for(n, start, min(start + _BATCH, hi))
-        canonical = _reflect_mask(n, masks) >= masks
-        masks = masks[canonical]
-        if len(masks) == 0:
-            continue
-        cols = _kernel(n, masks)
-        if require_very_good:
-            keep = cols[1]
-        elif require_good:
-            keep = cols[0]
-        else:
-            keep = np.ones(len(masks), dtype=bool)
+def _low_table(n: int):
+    """k, s0 and every low part L (digit 0 plus a subset of the inner
+    digits 1..k) as rows (mask, m1, m2); s0 is the first row whose own
+    reflection pairs are canonical.
+
+    The p = n - 2 - k inner digits above k pair under reflection with
+    the prefix digits 1..p; the rest pair among themselves.  The table
+    is built by doubling: the self-paired digits p+1..k first, whose
+    rows are then stably partitioned so that the ones with mirror >= mask
+    form a suffix starting at s0; then digit 0 in place; then the prefix
+    digits p..1, digit i doubling on index bit k - i.
+    """
+    # (n + 10) // 2 keeps the 2^(2k+2-n) rows partitioned per call <= 2^12
+    k = min(n - 2, _TABLE_DIGITS, (n + 10) // 2)
+    p = n - 2 - k
+    table = np.zeros((4, 1 << k), dtype=np.uint64)
+    for j in range(p + 1, k + 1):
+        half = 1 << (j - p - 1)
+        table[:, half:2 * half] = _add_digit(n, j, *table[:, :half])
+    own = table[:, :1 << (k - p)]
+    canonical = own[1] >= own[0]
+    own[:] = np.take(own, np.argsort(canonical, kind="stable"), axis=1)
+    own[:] = _add_digit(n, 0, *own)
+    for i in range(p, 0, -1):
+        half = 1 << (k - i)
+        table[:, half:2 * half] = _add_digit(n, i, *table[:, :half])
+    mask, _, m1, m2 = table
+    return k, len(canonical) - int(np.count_nonzero(canonical)), (mask, m1, m2)
+
+
+def _type_batch(n: int, masks: np.ndarray, m1: np.ndarray, m2: np.ndarray):
+    """Vector twin of :func:`_type_words`, with the inline invariants.
+
+    The sets hold 0 and n - 1, so m2 lies inside m1, and a support bit
+    followed by two clear ones below 2n - 2 is two clear bits in a row.
+    """
+    span = (1 << (2 * n - 2)) - 1
+    good = (m1 | m1 >> 1) & span == span
+    unique = m1 ^ m2
+    l_word = unique & ~(m1 << 1)
+    r_word = unique << 1 & ~m1
+    low_mask = (1 << n) - 1
+    a, b, c, d = (np.bitwise_count(w).astype(np.int16) for w in (
+        l_word & low_mask, r_word & low_mask, l_word >> n, r_word >> n))
+    lam = ((a + d) + np.sqrt((a - d) ** 2 + 4 * b * c, dtype=np.float64)) / 2.0
+    # trivial matrices have lam <= 1, so their dim comes out 0.0 as well
+    trivial = (b * c == 0) & (np.maximum(a, d) <= 1)
+    dim = np.log(np.maximum(lam, 1.0)) / math.log(n)
+    size = np.bitwise_count(masks).astype(np.int16)
+    no_edge = good & (masks & (2 | 1 << (n - 2)) == 0)
+    very_good = no_edge & ((a + b == c + d) | (a + c == b + d))
+    if not np.all(trivial | (lam >= 2 - DIM_TOL)):
+        raise InvariantError("eigenvalue dichotomy violated")
+    if not np.all(lam <= size + DIM_TOL):
+        raise InvariantError("lambda exceeded |A|")
+    if not np.all(~good | (size * size >= n)):
+        raise InvariantError("good set smaller than sqrt(n)")
+    if not np.all(~no_edge | (lam >= 2 - DIM_TOL)):
+        raise InvariantError("missing-edge-digit bound violated")
+    return good, very_good, a, b, c, d, lam, dim
+
+
+def _batches(n: int, require_good: bool, require_very_good: bool,
+             tops: range | None = None):
+    """(masks, kernel columns, matching flags) of the reflection-canonical
+    masks of each high part in `tops` (default: all), in table row order.
+
+    High part t holds n - 1 and digit k + 1 + i for each bit i of t.
+    L | H is canonical when its first unequal reflection pair (i, n-1-i)
+    has i set: for i <= p that puts L in a later group of the table than
+    the index bits of the partners of H, otherwise at or past s0.
+    """
+    k, s0, (mask_l, m1_l, m2_l) = _low_table(n)
+    if tops is None:
+        tops = range(1 << (n - 2 - k))
+    for top in tops:
+        high = [j for j in range(k + 1, n - 1) if top >> (j - k - 1) & 1]
+        start = s0 + sum(1 << (k - (n - 1 - j)) for j in high)
+        high.append(n - 1)
+        mask_h = m1_h = m2_h = 0
+        for j in high:
+            mask_h, _, m1_h, m2_h = _add_digit(n, j, mask_h, 0, m1_h, m2_h)
+        low = mask_l[start:]
+        masks = low | mask_h
+        cross = low << high[0]
+        for j in high[1:]:
+            cross |= low << j
+        m1 = m1_l[start:] | cross
+        m1 |= m1_h
+        m2 = m2_l[start:] | cross
+        m2 |= m2_h
+        cols = _type_batch(n, masks, m1, m2)
+        keep = (cols[1] if require_very_good else cols[0] if require_good
+                else np.ones(len(masks), dtype=bool))
         yield masks, cols, keep
 
 
-def _scan_range(n: int, lo: int, hi: int, require_good: bool,
-                require_very_good: bool):
+def search_exhaustive(n: int, require_good: bool = False,
+                      require_very_good: bool = False) -> SearchResult:
+    """Enumerate every canonical digit set for base n (n <= 30).
+
+    Sets are deduplicated under reflection (the kept representative is
+    the one whose mask is not larger than its mirror's).  The best
+    record maximizes dim under the constraints, ties broken by the
+    lexicographically smallest digit list.
+    """
+    if n < 3:
+        raise ValueError("base must be >= 3")
+    if n > EXHAUSTIVE_MAX_N:
+        raise InfeasibleSearchError(
+            f"2^{n - 2} digit sets is beyond exhaustive reach; "
+            f"use search_heuristic"
+        )
     best: SearchRecord | None = None
     n_enumerated = 0
     n_matching = 0
     exceed: list[SearchRecord] = []
-    for masks, cols, keep in _batches(n, lo, hi, require_good, require_very_good):
+    for masks, cols, keep in _batches(n, require_good, require_very_good):
         dim = cols[7]
         n_enumerated += len(masks)
         n_matching += int(np.count_nonzero(keep))
@@ -331,50 +382,6 @@ def _scan_range(n: int, lo: int, hi: int, require_good: bool,
             cand = _batch_record(n, masks, cols, i)
             if _better(cand, best):
                 best = cand
-    return best, n_enumerated, n_matching, exceed
-
-
-def search_exhaustive(n: int, require_good: bool = False,
-                      require_very_good: bool = False,
-                      threads: int = 1) -> SearchResult:
-    """Enumerate every canonical digit set for base n (n <= 30).
-
-    Sets are deduplicated under reflection (the kept representative is
-    the one whose mask is not larger than its mirror's).  The best
-    record maximizes dim under the constraints, ties broken by the
-    lexicographically smallest digit list.  Work splits over
-    subset-index ranges; the merge is associative and commutative, so
-    the result does not depend on the thread count.
-    """
-    if n < 3:
-        raise ValueError("base must be >= 3")
-    if n > EXHAUSTIVE_MAX_N:
-        raise InfeasibleSearchError(
-            f"2^{n - 2} digit sets is beyond exhaustive reach; "
-            f"use search_heuristic"
-        )
-    total = 1 << (n - 2)
-    threads = max(1, int(threads))
-    if threads == 1 or total < 4 * _BATCH:
-        parts = [_scan_range(n, 0, total, require_good, require_very_good)]
-    else:
-        bounds = np.linspace(0, total, threads + 1, dtype=np.int64)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda se: _scan_range(n, int(se[0]), int(se[1]),
-                                       require_good, require_very_good),
-                zip(bounds[:-1], bounds[1:]),
-            ))
-    best: SearchRecord | None = None
-    n_enumerated = 0
-    n_matching = 0
-    exceed: list[SearchRecord] = []
-    for b_part, ne, nm, ex in parts:
-        n_enumerated += ne
-        n_matching += nm
-        exceed.extend(ex)
-        if b_part is not None and _better(b_part, best):
-            best = b_part
     exceed.sort(key=lambda r: (r.n, r.digits))
     return SearchResult(best=best, n_enumerated=n_enumerated,
                         n_matching=n_matching, evaluations=n_enumerated,
@@ -386,9 +393,8 @@ def iter_exhaustive_records(n: int, require_good: bool = False,
     """Stream every reflection-canonical record (small n)."""
     if n > EXHAUSTIVE_MAX_N:
         raise InfeasibleSearchError("too many sets to stream")
-    for masks, cols, keep in _batches(n, 0, 1 << (n - 2), require_good,
-                                      require_very_good):
-        for i in np.flatnonzero(keep):
+    for masks, cols, keep in _batches(n, require_good, require_very_good):
+        for i in np.flatnonzero(keep)[np.argsort(masks[keep])]:
             yield _batch_record(n, masks, cols, i)
 
 
@@ -517,8 +523,7 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
                         source="heuristic")
 
 
-def figure_data(n_lo: int, n_hi: int, budget: int = 10_000, seed: int = 0,
-                threads: int = 1):
+def figure_data(n_lo: int, n_hi: int, budget: int = 10_000, seed: int = 0):
     """Best known dimension per base, for plotting against log2/log3.
 
     Per base: exhaustive search through base 18, otherwise hill climbing
@@ -529,7 +534,7 @@ def figure_data(n_lo: int, n_hi: int, budget: int = 10_000, seed: int = 0,
     exceed: list[SearchRecord] = []
     for n in range(n_lo, n_hi + 1):
         if n <= _FIGURE_EXHAUSTIVE_MAX_N:
-            res = search_exhaustive(n, require_good=True, threads=threads)
+            res = search_exhaustive(n, require_good=True)
         else:
             res = search_heuristic(n, budget=budget, seed=seed)
         best = res.best.dim if res.best is not None else 0.0

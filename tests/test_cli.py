@@ -60,7 +60,7 @@ class TestStructureCmd:
 class TestSearchCmd:
     def test_table_rows_csv(self, capsys):
         code, out, _ = run(capsys, "search", "-n", "9..10", "--exhaustive",
-                           "--require-very-good", "--threads", "1")
+                           "--require-very-good")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "n,digits,good,very_good,a,b,c,d,lambda,dim"

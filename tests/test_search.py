@@ -62,11 +62,6 @@ class TestExhaustive:
                 assert refl not in seen or refl == rec.digits
                 seen.add(rec.digits)
 
-    def test_thread_count_does_not_change_result(self):
-        a = search_exhaustive(14, require_very_good=True, threads=1)
-        b = search_exhaustive(14, require_very_good=True, threads=2)
-        assert a == b
-
     def test_determinism_bytes(self):
         rows1 = [r.csv_row() for r in iter_exhaustive_records(10)]
         rows2 = [r.csv_row() for r in iter_exhaustive_records(10)]
@@ -90,18 +85,124 @@ class TestKernelAgainstReference:
             assert very_good == rep.very_good
 
     def test_batch_kernel_matches_scalar(self, rng):
-        from cantorsum.search import _kernel, _masks_for
+        for n in (5, 9, 13, 20):
+            for masks, batch, _ in search._batches(n, False, False):
+                idx = rng.integers(0, len(masks), size=50 if n < 20 else 5)
+                for i in idx:
+                    row = eval_mask(n, int(masks[i]))
+                    got = tuple(col[i] for col in batch)
+                    assert row[0] == got[0] and row[1] == got[1]
+                    assert row[2:6] == tuple(int(x) for x in got[2:6])
+                    assert row[6] == pytest.approx(float(got[6]), abs=1e-12)
 
-        for n in (5, 9, 13):
-            masks = _masks_for(n, 0, 1 << (n - 2))
-            batch = _kernel(n, masks)
-            idx = rng.integers(0, len(masks), size=50)
-            for i in idx:
-                row = eval_mask(n, int(masks[i]))
-                got = tuple(col[i] for col in batch)
-                assert row[0] == got[0] and row[1] == got[1]
-                assert row[2:6] == tuple(int(x) for x in got[2:6])
-                assert row[6] == pytest.approx(float(got[6]), abs=1e-12)
+
+# The shift-loop batch kernel that the split-mask kernel replaced, kept as
+# its independent twin: masks from consecutive subset indices, reflection
+# by a 16-bit reversal table, and sumset words from the mask shifted by
+# each of its own digits (the number of shifted words covering s is the
+# ordered-pair count of s).
+_REV16 = np.zeros(1 << 16, dtype=np.uint64)
+for _i in range(16):
+    _REV16 |= ((np.arange(1 << 16, dtype=np.uint64) >> _i) & 1) << (15 - _i)
+
+
+def _reflect_mask(n, mask):
+    rev32 = (_REV16[mask & np.uint64(0xFFFF)] << np.uint64(16)) | _REV16[mask >> np.uint64(16)]
+    return rev32 >> np.uint64(32 - n)
+
+
+def _shift_loop_kernel(n, masks):
+    m1 = np.zeros_like(masks)
+    m2 = np.zeros_like(masks)
+    one = np.uint64(1)
+    for d in range(n):
+        has = ((masks >> np.uint64(d)) & one).astype(bool)
+        w = np.where(has, masks << np.uint64(d), np.uint64(0))
+        m2 |= m1 & w
+        m1 |= w
+    word_mask = np.uint64((1 << (2 * n)) - 1)
+    low_mask = np.uint64((1 << n) - 1)
+    below_top = np.uint64((1 << (2 * n - 2)) - 1)
+    m1 &= word_mask
+    m2 &= word_mask
+    bad = m1 & ~(m1 >> one) & ~(m1 >> np.uint64(2)) & below_top
+    good = bad == 0
+    unique = m1 & ~m2
+    l_word = (unique & ~(m1 << one)) & word_mask
+    r_word = ((unique << one) & ~m1) & word_mask
+    a = np.bitwise_count(l_word & low_mask).astype(np.int64)
+    b = np.bitwise_count(r_word & low_mask).astype(np.int64)
+    c = np.bitwise_count(l_word >> np.uint64(n)).astype(np.int64)
+    d = np.bitwise_count(r_word >> np.uint64(n)).astype(np.int64)
+    lam = ((a + d) + np.sqrt((a - d) ** 2 + 4 * b * c)) / 2.0
+    trivial = (b * c == 0) & (np.maximum(a, d) <= 1)
+    dim = np.where(trivial, 0.0, np.log(np.maximum(lam, 1.0)) / math.log(n))
+    bit1 = ((masks >> one) & one).astype(bool)
+    bitn2 = ((masks >> np.uint64(n - 2)) & one).astype(bool)
+    very_good = good & ~bit1 & ~bitn2 & ((a + b == c + d) | (a + c == b + d))
+    return good, very_good, a, b, c, d, lam, dim
+
+
+def _reference_rows(n, lo, hi):
+    """Canonical masks with subset indices lo..hi-1 and their columns."""
+    inner = np.arange(lo, hi, dtype=np.uint64)
+    masks = np.uint64(1) | (inner << np.uint64(1)) | np.uint64(1 << (n - 1))
+    masks = masks[_reflect_mask(n, masks) >= masks]
+    return masks, _shift_loop_kernel(n, masks)
+
+
+def _split_rows(n, tops=None):
+    """The split-mask batches of the high parts `tops`, ordered by mask."""
+    parts = list(search._batches(n, False, False, tops))
+    masks = np.concatenate([m for m, _, _ in parts])
+    order = np.argsort(masks)
+    cols = [np.concatenate([c[j] for _, c, _ in parts])[order] for j in range(8)]
+    return masks[order], cols
+
+
+def _assert_same_rows(got, want):
+    masks, cols = got
+    ref_masks, ref_cols = want
+    assert np.array_equal(masks, ref_masks)
+    for j, (col, ref) in enumerate(zip(cols, ref_cols)):
+        if col.dtype.kind == "f":  # bit for bit, not just equal
+            col, ref = col.view(np.uint64), ref.view(np.uint64)
+        assert np.array_equal(col, ref), ("column", j)
+
+
+class TestSplitMaskKernel:
+    """Split-mask batches against the shift-loop twin, bit for bit."""
+
+    @pytest.mark.parametrize("n", list(range(3, 18)) + [22])
+    def test_every_canonical_mask(self, n):
+        # up to n = 14 the sets fit one batch
+        _assert_same_rows(_split_rows(n), _reference_rows(n, 0, 1 << (n - 2)))
+
+    @pytest.mark.parametrize("n", [23, 25])
+    def test_first_last_and_random_high_part(self, n, rng):
+        k = search._low_table(n)[0]
+        last = (1 << (n - 2 - k)) - 1
+        for top in (0, last, int(rng.integers(1, last))):
+            _assert_same_rows(_split_rows(n, range(top, top + 1)),
+                              _reference_rows(n, top << k, (top + 1) << k))
+
+    def test_tail_matches_scalar_tail_on_wide_counts(self):
+        # all 30 digits, words with every even sum unique: a = b = c = d = 15
+        n, mask = 30, (1 << 30) - 1
+        m1 = sum(1 << s for s in range(0, 2 * n - 1, 2))
+        cols = search._type_batch(n, np.array([mask], dtype=np.uint64),
+                                  np.array([m1], dtype=np.uint64),
+                                  np.zeros(1, dtype=np.uint64))
+        want = search._type_words(n, mask, m1, 0)
+        assert want[2:6] == (15, 15, 15, 15)
+        got = tuple(col[0] for col in cols)
+        assert got[:7] == want[:7]
+        assert got[7] == pytest.approx(want[7], abs=1e-15)
+
+    def test_enumerated_count_closed_form(self):
+        for n in range(3, 25):
+            want = ((1 << (n - 2)) + (1 << -(-(n - 2) // 2))) // 2
+            assert search_exhaustive(n).n_enumerated == want, n
 
 
 class TestIncrementalPairCounts:
@@ -332,8 +433,10 @@ class TestChecksSurviveOptimize:
         out = {"debug": __debug__}
         out["best"] = list(search.search_exhaustive(10, require_good=True).best.digits)
         out["chain_n"] = constructions.chain_to_target(100).final.n
-        # the empty mask has no support gap, so it passes as good with 0 digits
-        out["kernel"] = raised(lambda: search._kernel(3, np.zeros(1, dtype=np.uint64)))
+        # an empty set whose words claim every sum twice: good with 0 digits
+        full = np.full(1, (1 << 5) - 1, dtype=np.uint64)
+        out["kernel"] = raised(lambda: search._type_batch(
+            3, np.zeros(1, dtype=np.uint64), full, full))
         # a profile claiming a gap >= 3 over a support with no dead unit
         fake = SimpleNamespace(good=False, support=np.arange(9))
         out["structure"] = raised(lambda: classify_structure(DigitSet(5, (0, 4)), fake))
