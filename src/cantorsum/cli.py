@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Commands: analyze, search, tower, construct, structure, oracle, figure.
-Exit codes: 2 malformed input, 3 infeasible exhaustive search, 4 chain
-base missing, 5 oracle budget exceeded.  CANTORSUM_BUDGET overrides the
-oracle budget.  Decimals print with 10 digits.
+`search` enumerates every set unless --heuristic is given; `tower`
+prints rows that the construction has already re-typed from scratch;
+only `oracle` accepts general digit sets.  Exit codes: 2 malformed
+input, 3 infeasible exhaustive search, 4 chain base missing, 5 oracle
+budget exceeded.  Decimals print with 10 digits.
 """
 
 from __future__ import annotations
@@ -57,6 +59,14 @@ def _digitset(n: int, digits_text: str) -> DigitSet:
         raise CliError(EXIT_MALFORMED, f"bad digit set: {exc}") from exc
 
 
+def _canonical_digitset(n: int, digits_text: str) -> DigitSet:
+    A = _digitset(n, digits_text)
+    if not A.canonical:
+        raise CliError(EXIT_MALFORMED,
+                       f"{A} is not canonical; only the oracle accepts general sets")
+    return A
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     try:
         if ".." in text:
@@ -104,18 +114,12 @@ def _structure_lines(rep, as_json: bool) -> list[str]:
 
 
 def cmd_analyze(args) -> list[str]:
-    A = _digitset(args.n, args.digits)
-    if not A.canonical:
-        raise CliError(EXIT_MALFORMED,
-                       f"{A} is not canonical; only the oracle accepts general sets")
+    A = _canonical_digitset(args.n, args.digits)
     return _analysis_lines(analyze(A), args.json)
 
 
 def cmd_structure(args) -> list[str]:
-    A = _digitset(args.n, args.digits)
-    if not A.canonical:
-        raise CliError(EXIT_MALFORMED,
-                       f"{A} is not canonical; only the oracle accepts general sets")
+    A = _canonical_digitset(args.n, args.digits)
     return _structure_lines(classify_structure(A), args.json)
 
 
@@ -196,24 +200,11 @@ def cmd_tower(args) -> list[str]:
     lines = ["step,n,digits,lambda,dim"]
     for step, n, digits, lam, dim in chain.csv_rows():
         lines.append(f"{step},{n},{digits},{_fmt(lam)},{_fmt(dim)}")
-    if args.verify_direct:
-        # every row above was already re-typed from scratch during
-        # construction; surface that fact explicitly
-        final = chain.final
-        lines.append(
-            f"verified: direct typing at n={final.n} gives matrix "
-            f"[[{final.matrix[0][0]}, {final.matrix[0][1]}], "
-            f"[{final.matrix[1][0]}, {final.matrix[1][1]}]], "
-            f"lambda {_fmt(final.lam)}"
-        )
     return lines
 
 
 def cmd_oracle(args) -> list[str]:
-    try:
-        A = DigitSet.of(args.n, _parse_digits(args.digits))
-    except ValueError as exc:
-        raise CliError(EXIT_MALFORMED, f"bad digit set: {exc}") from exc
+    A = _digitset(args.n, args.digits)
     budget = int(args.budget) if args.budget is not None else None
     try:
         if args.which == "em":
@@ -291,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="best digit sets per base, CSV")
     p.add_argument("-n", required=True, help="base or range a..b")
-    p.add_argument("--exhaustive", action="store_true", default=True)
     p.add_argument("--heuristic", action="store_true")
     p.add_argument("--require-good", action="store_true")
     p.add_argument("--require-very-good", action="store_true")
@@ -310,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tower", help="tower chain from a tabled base to a target")
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--base-n", type=int, default=None)
-    p.add_argument("--verify-direct", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_tower)
 

@@ -148,10 +148,6 @@ class UniquenessReport:
     very_good: bool
     good: bool
 
-    @property
-    def nontrivial(self) -> bool:
-        return not self.trivial
-
 
 def uniqueness_report(T: TypingProfile, A: DigitSet,
                       good: bool | None = None) -> UniquenessReport:

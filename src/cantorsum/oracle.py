@@ -27,7 +27,6 @@ rules consume -- and live in a flat array indexed by start.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -47,16 +46,9 @@ __all__ = [
     "growth_check",
     "GrowthReport",
     "is_refinement",
-    "GDIFS_ORIENTATION",
 ]
 
 DEFAULT_BUDGET = 10**7
-
-# How level-m unique-interval counts evolve under the adjacency matrix:
-# (L, R) advances by the TRANSPOSE acting on column vectors, i.e.
-# L' = a L + c R, R' = b L + d R.  Pinned empirically on an asymmetric
-# instance (see tests); growth_check still reports what it sees.
-GDIFS_ORIENTATION = "transpose"
 
 # Piece buffers for run expansion are processed in chunks of this many
 # starts to bound peak memory.
@@ -76,10 +68,7 @@ class BudgetExceededError(RuntimeError):
 
 
 def _budget(budget: int | None) -> int:
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get("CANTORSUM_BUDGET")
-    return int(float(env)) if env else DEFAULT_BUDGET
+    return DEFAULT_BUDGET if budget is None else int(budget)
 
 
 @dataclass(frozen=True)
@@ -108,10 +97,6 @@ class LevelSet:
     def component_fractions(self) -> list[tuple[Fraction, Fraction]]:
         den = self.denominator
         return [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in self.components]
-
-    def covers_point(self, x: Fraction) -> bool:
-        den = self.denominator
-        return any(Fraction(lo, den) <= x <= Fraction(hi, den) for lo, hi in self.components)
 
     def covers_interval(self, lo: Fraction, hi: Fraction) -> bool:
         den = self.denominator
@@ -253,8 +238,7 @@ def level_set(A: DigitSet, m: int, budget: int | None = None) -> LevelSet:
 
     Accepts canonical and general digit sets.  Raises
     :class:`BudgetExceededError` when both the word count |B|^m and the
-    start-range bound exceed the budget (default 10^7, or the
-    CANTORSUM_BUDGET environment variable).
+    start-range bound exceed the budget (default 10^7).
     """
     levels = _start_runs(A, m, budget)
     run_lo, run_hi = next(levels)
@@ -377,9 +361,11 @@ def growth_check(A: DigitSet, m_max: int, budget: int | None = None) -> GrowthRe
 
     The closed-form dimension comes from the adjacency matrix; here the
     same matrix must also reproduce the exact unique-interval counts
-    level by level, starting from (L_1, R_1) = column sums.  The report
-    carries both orientations; `ambiguous` means the matrix is too
-    symmetric for the data to tell them apart.
+    level by level, starting from (L_1, R_1) = column sums.  The counts
+    advance by the transpose, L' = a L + c R and R' = b L + d R (the
+    tests pin this on an asymmetric set).  The report carries both
+    orientations; `ambiguous` means the matrix is too symmetric for the
+    data to tell them apart.
     """
     typing = classify_intervals(sumset_profile(A))
     M = typing.matrix

@@ -53,7 +53,7 @@ from .constructions import (
     load_base_table,
     sqrt_good_set,
 )
-from .digitset import DigitSet, InvariantError
+from .digitset import DigitSet, InvariantError, sumset_profile
 from .gdifs import DIM_TOL, matrix_dimension, very_good_rule
 
 __all__ = [
@@ -71,7 +71,7 @@ __all__ = [
 LOG2_OVER_LOG3 = math.log(2) / math.log(3)
 _MONITOR_DIM = LOG2_OVER_LOG3 + DIM_TOL
 EXHAUSTIVE_MAX_N = 30
-_FIGURE_EXHAUSTIVE_MAX_N = 18
+_FIGURE_EXHAUSTIVE_MAX_N = 24
 _TABLE_DIGITS = 15  # inner digits in the low-part table: 2^15 rows, 1 MB
 
 
@@ -93,12 +93,6 @@ class SearchRecord:
     d: int
     lam: float
     dim: float
-
-    def csv_row(self) -> tuple:
-        return (
-            self.n, ";".join(map(str, self.digits)), self.good, self.very_good,
-            self.a, self.b, self.c, self.d, self.lam, self.dim,
-        )
 
     @property
     def digitset(self) -> DigitSet:
@@ -156,8 +150,9 @@ def _word(bits: np.ndarray) -> int:
 class _PairCounts:
     """Exact ordered pair counts of one digit set, updated digit by digit.
 
-    cnt[s] = #{(x, y) in A x A : x + y = s} for s in 0..2n-2, and ind is
-    the digit indicator of A, so cnt is the self-convolution of ind.
+    cnt[s] = #{(x, y) in A x A : x + y = s} for s in 0..2n-2, taken from
+    :func:`~cantorsum.digitset.sumset_profile`; ind is the digit
+    indicator of A.  The mask must hold digits 0 and n - 1.
     """
 
     __slots__ = ("n", "mask", "ind", "cnt")
@@ -166,7 +161,7 @@ class _PairCounts:
         self.n = n
         self.mask = mask
         self.ind = _indicator(n, mask).astype(np.int64)
-        self.cnt = np.convolve(self.ind, self.ind)
+        self.cnt = sumset_profile(DigitSet(n, _mask_digits(n, mask))).counts
 
     def flip(self, d: int) -> None:
         """Add or remove digit d; flipping it again undoes the change."""
@@ -441,52 +436,37 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
     non-good proposals are evaluated (they cost budget) but never
     climbed onto when goodness is required.  The climb carries the pair
     counts of its current set and updates them per flip, undoing the
-    update when the proposal is rejected.  For tiny n the whole space
-    is enumerated instead.  `budget` caps the number of single-set
-    evaluations.
+    update when the proposal is rejected.  `budget` caps the number of
+    single-set evaluations.  For n <= 8 (at most 64 sets) this is
+    :func:`search_exhaustive`, and `budget` and `seed` are unused.
     """
-    if n < 3:
-        raise ValueError("base must be >= 3")
+    if n <= 8:
+        return search_exhaustive(n, require_good, require_very_good)
     base = 1 | (1 << (n - 1))
-    inner_bits = n - 2
     best: SearchRecord | None = None
     exceed: list[SearchRecord] = []
     matching = 0
-
-    def offer(mask: int, row) -> None:
-        """Count a matching set; record it only if it can be best or exceeds."""
-        nonlocal best, matching
-        if (require_very_good and not row[1]) or (require_good and not row[0]):
-            return
-        matching += 1
-        dim = row[7]
-        over = dim > _MONITOR_DIM
-        if over or best is None or dim >= best.dim:
-            cand = _record(n, mask, row)
-            if over:
-                exceed.append(cand)
-            if _better(cand, best):
-                best = cand
-
-    if (1 << inner_bits) <= 64:
-        # space is smaller than any sensible budget: enumerate
-        for inner in range(1 << inner_bits):
-            mask = base | (inner << 1)
-            offer(mask, eval_mask(n, mask))
-        return SearchResult(best=best, n_enumerated=1 << inner_bits,
-                            n_matching=matching, evaluations=1 << inner_bits,
-                            exceedances=tuple(exceed), source="heuristic")
     rng = np.random.default_rng(seed)
     evals = 0
     unconstrained = not (require_good or require_very_good)
 
     def consider(counts: _PairCounts):
-        """Evaluate the counted set; returns (climbable, dim)."""
-        nonlocal evals
+        """Evaluate the counted set and count it if it matches, recording
+        it only if it can be best or exceeds; returns (climbable, dim)."""
+        nonlocal best, evals, matching
         evals += 1
         row = counts.row()
-        offer(counts.mask, row)
-        return row[0] or unconstrained, row[7]
+        good, dim = row[0], row[7]
+        if not ((require_very_good and not row[1]) or (require_good and not good)):
+            matching += 1
+            over = dim > _MONITOR_DIM
+            if over or best is None or dim >= best.dim:
+                cand = _record(n, counts.mask, row)
+                if over:
+                    exceed.append(cand)
+                if _better(cand, best):
+                    best = cand
+        return good or unconstrained, dim
 
     stack = _seed_masks(n)
     current: _PairCounts | None = None
@@ -498,7 +478,7 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
             if stack:
                 mask = stack.pop(0)
             else:
-                mask = base | (_random_inner(rng, inner_bits) << 1)
+                mask = base | (_random_inner(rng, n - 2) << 1)
             start = _PairCounts(n, mask)
             climbable, dim = consider(start)
             if climbable:
@@ -526,7 +506,7 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
 def figure_data(n_lo: int, n_hi: int, budget: int = 10_000, seed: int = 0):
     """Best known dimension per base, for plotting against log2/log3.
 
-    Per base: exhaustive search through base 18, otherwise hill climbing
+    Per base: exhaustive search through base 24, otherwise hill climbing
     floored by the tower-chain value.  Returns (rows, exceedances)
     where rows are (n, best_dim, reference).
     """

@@ -27,6 +27,8 @@ state, so the whole question lives on the three surviving states
 itself FULL -- a greatest fixed point reached in at most three sweeps.
 The sum contains an interval iff a FULL state is reachable from the
 level-one seeding, and any unit realizing it is an interval witness.
+Each level of that search adds a state unseen before or ends it, so a
+witness, if there is one, is found at level 3 at the latest.
 
 The automaton is built as arrays.  State (x, y) gets the code 2x + y,
 so 0 is dead.  Four shifted slices of an int8 support indicator give,
@@ -56,12 +58,7 @@ __all__ = [
     "cantor_sum_dimension",
     "CantorDimension",
     "NotApplicableError",
-    "WITNESS_SEARCH_CAP",
 ]
-
-# Witness reachability is state-bounded (three states) so this cap is
-# never the binding constraint; it is reported for transparency.
-WITNESS_SEARCH_CAP = 12
 
 # State codes 2x + y.
 _DEAD, _Y, _X = 0, 1, 2
@@ -111,12 +108,12 @@ def _full_states(children) -> set[int]:
         full = keep
 
 
-def _find_full_unit(seeds, children, n, full, cap=WITNESS_SEARCH_CAP):
+def _find_full_unit(seeds, children, n, full):
     """(level, unit index) of a reachable FULL unit, rightmost first."""
     frontier = {s: j for s, j in _last_by_code(seeds).items() if s != _DEAD}
     seen = set(frontier)
     level = 1
-    while frontier and level <= cap:
+    while frontier:
         hits = [(j, s) for s, j in frontier.items() if s in full]
         if hits:
             j, _ = max(hits)
@@ -158,7 +155,6 @@ class StructureReport:
     interval_witness: tuple[Fraction, Fraction] | None
     points_dim_lower_bound: float | None
     witness_level: int | None = None
-    witness_search_cap: int = WITNESS_SEARCH_CAP
 
     def to_json_dict(self) -> dict:
         def frac(x: Fraction):
@@ -173,7 +169,6 @@ class StructureReport:
             "interval_witness": interval(self.interval_witness),
             "points_dim_lower_bound": self.points_dim_lower_bound,
             "witness_level": self.witness_level,
-            "witness_search_cap": self.witness_search_cap,
         }
 
 

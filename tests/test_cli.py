@@ -59,8 +59,7 @@ class TestStructureCmd:
 
 class TestSearchCmd:
     def test_table_rows_csv(self, capsys):
-        code, out, _ = run(capsys, "search", "-n", "9..10", "--exhaustive",
-                           "--require-very-good")
+        code, out, _ = run(capsys, "search", "-n", "9..10", "--require-very-good")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "n,digits,good,very_good,a,b,c,d,lambda,dim"
@@ -68,13 +67,13 @@ class TestSearchCmd:
         assert "0.6309297536" in lines[1]
 
     def test_infeasible_exit_code(self, capsys):
-        assert run(capsys, "search", "-n", "31", "--exhaustive")[0] == 3
+        assert run(capsys, "search", "-n", "31")[0] == 3
 
     def test_csv_out_and_manifest_determinism(self, capsys, tmp_path):
         csv1, man1 = tmp_path / "a.csv", tmp_path / "a.json"
         csv2, man2 = tmp_path / "b.csv", tmp_path / "b.json"
         for csv, man in ((csv1, man1), (csv2, man2)):
-            code, out, _ = run(capsys, "search", "-n", "9..12", "--exhaustive",
+            code, out, _ = run(capsys, "search", "-n", "9..12",
                                "--require-very-good", "--seed", "7",
                                "--csv-out", str(csv), "--manifest", str(man))
             assert code == 0
@@ -102,11 +101,6 @@ class TestTowerCmd:
         assert lines[0] == "step,n,digits,lambda,dim"
         assert lines[-1].startswith("3,458,")
         assert "0.5604799289" in lines[-1]
-
-    def test_verify_direct_line(self, capsys):
-        code, out, _ = run(capsys, "tower", "--target", "51", "--verify-direct")
-        assert code == 0
-        assert "verified: direct typing at n=51" in out
 
     def test_base_too_small(self, capsys):
         assert run(capsys, "tower", "--target", "7")[0] == 4

@@ -63,8 +63,8 @@ class TestExhaustive:
                 seen.add(rec.digits)
 
     def test_determinism_bytes(self):
-        rows1 = [r.csv_row() for r in iter_exhaustive_records(10)]
-        rows2 = [r.csv_row() for r in iter_exhaustive_records(10)]
+        rows1 = list(iter_exhaustive_records(10))
+        rows2 = list(iter_exhaustive_records(10))
         assert rows1 == rows2
 
 
@@ -213,6 +213,8 @@ class TestIncrementalPairCounts:
         from cantorsum.search import _PairCounts, _random_inner
 
         counts = _PairCounts(n, 1 | (1 << (n - 1)) | (_random_inner(rng, n - 2) << 1))
+        # np.convolve is the independent twin of the start counts too
+        assert np.array_equal(counts.cnt, np.convolve(counts.ind, counts.ind))
         added = removed = 0
         for _ in range(60):
             d = int(rng.integers(1, n - 1))
@@ -224,6 +226,7 @@ class TestIncrementalPairCounts:
             A = DigitSet(n, tuple(x for x in range(n) if (counts.mask >> x) & 1))
             profile = sumset_profile(A)
             assert np.array_equal(counts.cnt, profile.counts)
+            assert np.array_equal(counts.cnt, np.convolve(counts.ind, counts.ind))
             row = counts.row()
             assert row == eval_mask(n, counts.mask)
             good, very_good, a, b, c, d_, lam, dim = row
@@ -292,9 +295,12 @@ class TestHeuristic:
         assert h.best.dim == pytest.approx(ex.best.dim, abs=1e-12)
 
     def test_tiny_base(self):
-        res = search_heuristic(3, budget=10, seed=0)
-        assert res.best.digits == (0, 2)
-        assert res.best.dim == pytest.approx(LOG2_OVER_LOG3, abs=1e-12)
+        # at most 64 sets: the climb is the exhaustive search
+        for n in range(3, 9):
+            for kw in ({"require_good": False}, {"require_good": True},
+                       {"require_good": False, "require_very_good": True}):
+                assert search_heuristic(n, budget=10, seed=0, **kw) == \
+                    search_exhaustive(n, **kw), (n, kw)
 
     def test_deterministic_given_seed(self):
         a = search_heuristic(23, budget=3000, seed=11)
@@ -358,6 +364,11 @@ class TestFigureData:
         assert abs(best[9] - 0.6309297534) < 1e-9
         assert best[10] >= 0.4771212549 - 1e-9
         assert exceed == []
+
+    def test_exact_through_base_24(self):
+        # the default 10^4-budget climb reaches only 0.4956483270 at n = 20
+        (row,), _ = figure_data(20, 20)
+        assert row[1] == search_exhaustive(20, require_good=True).best.dim
 
 
 class TestPropertySuites:
