@@ -132,20 +132,17 @@ def tower(A: DigitSet, k: int) -> DigitSet:
 
 def _tower_step(A: DigitSet, k: int, typing: TypingProfile,
                 report: UniquenessReport):
-    if k not in (0, 1, 2):
-        raise ValueError("k must be 0, 1 or 2")
+    want_lam, out_n = tower_dim(report.lam, A.n, k)
     if not report.very_good:
         raise VeryGoodPreconditionError(f"{A} is not {A.n}-very-good")
-    n = A.n
-    shift = 2 * n - k
-    out = DigitSet(3 * n - k, A.digits + tuple(a + shift for a in A.digits))
+    shift = 2 * A.n - k
+    out = DigitSet(out_n, A.digits + tuple(a + shift for a in A.digits))
     out_typing, out_report = _typed_report(out)
     if not out_report.very_good:
         raise TowerVerificationError(
             f"tower({A}, k={k}) produced a set that is not very-good"
         )
     want_matrix = predicted_tower_matrix(typing.matrix, k)
-    want_lam = 2 * report.lam - k
     if out_typing.matrix != want_matrix or abs(out_report.lam - want_lam) > DIM_TOL:
         raise TowerVerificationError(
             f"tower({A}, k={k}): derived matrix {out_typing.matrix} / "

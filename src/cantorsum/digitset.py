@@ -43,6 +43,7 @@ __all__ = [
     "InvariantError",
     "SumsetProfile",
     "sumset_profile",
+    "pair_sum_counts",
     "is_n_good",
     "reflect",
 ]
@@ -189,23 +190,28 @@ class SumsetProfile:
 def sumset_profile(A: DigitSet) -> SumsetProfile:
     """Multiplicity table of A + A over ordered pairs.
 
-    Works in either mode.  With L = 2 * max digit + 1 table slots, a
-    sparse set bincounts its |A|^2 pair sums in chunks; a dense one
-    (|A|^2 above L*log2(L)/2 plus a fixed cost) takes the
-    self-convolution of its digit indicator by FFT, O(L log L), and
-    rounds it to integers.  Both give the same exact int64 counts: the
-    FFT path checks its rounding and raises :class:`InvariantError`
-    rather than return a count it cannot vouch for.
+    Works in either mode; the counts come from :func:`pair_sum_counts`.
     """
-    digits = np.asarray(A.digits, dtype=np.int64)
+    counts = pair_sum_counts(np.asarray(A.digits, dtype=np.int64))
+    return SumsetProfile(A.n, counts, np.flatnonzero(counts))
+
+
+def pair_sum_counts(digits: np.ndarray) -> np.ndarray:
+    """counts[s] = #{(a, a') : a + a' = s} for a sorted, distinct digit array.
+
+    With L = 2 * max digit + 1 table slots, a sparse set bincounts its
+    |A|^2 pair sums in chunks; a dense one (|A|^2 above L*log2(L)/2
+    plus a fixed cost) takes the self-convolution of its digit
+    indicator by FFT, O(L log L), and rounds it to integers.  Both give
+    the same exact int64 counts: the FFT path checks its rounding and
+    raises :class:`InvariantError` rather than return a count it cannot
+    vouch for.
+    """
     top = 2 * int(digits[-1])
     k = len(digits)
     if k * k <= (top + 1) * math.log2(top + 1) / 2 + _FFT_FIXED_PAIRS:
-        counts = _pair_counts(digits, top)
-    else:
-        counts = _fft_pair_counts(digits, top)
-    support = np.flatnonzero(counts)
-    return SumsetProfile(A.n, counts, support)
+        return _pair_counts(digits, top)
+    return _fft_pair_counts(digits, top)
 
 
 def _pair_counts(digits: np.ndarray, top: int) -> np.ndarray:

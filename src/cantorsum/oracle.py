@@ -18,10 +18,17 @@ the closed-form machinery:
 
 Start sets are kept as runs of consecutive integers, so dense covers
 cost almost nothing no matter the depth; :func:`level_set` and
-:func:`level_start_counts` share one loop.  Multiplicities (number of
-digit words producing a start, weighted by ordered-pair counts) are
-only needed saturated at 2 -- unique / not unique is all the typing
-rules consume -- and live in a flat array indexed by start.
+:func:`level_start_counts` share one loop.  A support run of length
+>= n maps each parent run to one run; shorter support runs need the
+parent starts one by one, which are taken _EXPAND_CHUNK at a time by
+slicing the cumulative run lengths, and each chunk's images are merged
+at once.  Multiplicities (number of digit words producing a start,
+weighted by ordered-pair counts) are only needed saturated at 2 --
+unique / not unique is all the typing rules consume -- and live in a
+flat array indexed by start.
+
+Both engines, the runs and the dense typing array, take the depth rule
+(m >= 1) and the start-range bound from :func:`_start_range`.
 """
 
 from __future__ import annotations
@@ -144,22 +151,6 @@ def _merge_runs(lo: np.ndarray, hi: np.ndarray, link: int) -> tuple[np.ndarray, 
     return out_lo, out_hi
 
 
-def _split_long_runs(run_lo, run_hi, cap):
-    """Split runs longer than cap so chunked expansion stays bounded."""
-    lengths = run_hi - run_lo + 1
-    if not np.any(lengths > cap):
-        return run_lo, run_hi
-    out_lo, out_hi = [], []
-    for lo, hi in zip(run_lo.tolist(), run_hi.tolist()):
-        while hi - lo + 1 > cap:
-            out_lo.append(lo)
-            out_hi.append(lo + cap - 1)
-            lo += cap
-        out_lo.append(lo)
-        out_hi.append(hi)
-    return np.array(out_lo, dtype=np.int64), np.array(out_hi, dtype=np.int64)
-
-
 def _advance_runs(run_lo, run_hi, n, b_runs):
     """Start runs of the next level: images n*S + b over all b."""
     pieces_lo: list[np.ndarray] = []
@@ -171,27 +162,22 @@ def _advance_runs(run_lo, run_hi, n, b_runs):
         pieces_lo.append(run_lo * n + p)
         pieces_hi.append(run_hi * n + q)
     if short_runs:
-        # expand parent runs to individual starts, chunked, merging each
-        # chunk immediately so peak memory stays ~chunk * len(short_runs)
-        e_lo, e_hi = _split_long_runs(run_lo, run_hi, _EXPAND_CHUNK)
-        lengths = (e_hi - e_lo + 1).astype(np.int64)
-        i = 0
-        while i < len(e_lo):
-            j = i + 1
-            cnt = int(lengths[i])
-            while j < len(e_lo) and cnt + lengths[j] <= _EXPAND_CHUNK:
-                cnt += int(lengths[j])
-                j += 1
-            seg_len = lengths[i:j]
-            offs = np.repeat(np.cumsum(seg_len) - seg_len, seg_len)
-            starts = np.repeat(e_lo[i:j], seg_len) + (np.arange(len(offs)) - offs)
-            base = starts * n
+        # expand parent runs to single starts, _EXPAND_CHUNK at a time,
+        # merging each chunk at once so peak memory stays ~chunk *
+        # len(short_runs).  The t-th start (counting across runs) lies in
+        # run r = searchsorted(ends, t, "right") and is t + shift[r].
+        lengths = run_hi - run_lo + 1
+        ends = np.cumsum(lengths)
+        shift = run_lo - (ends - lengths)
+        total = int(ends[-1])
+        for first in range(0, total, _EXPAND_CHUNK):
+            t = np.arange(first, min(first + _EXPAND_CHUNK, total), dtype=np.int64)
+            base = (t + shift[np.searchsorted(ends, t, side="right")]) * n
             c_lo = np.concatenate([base + p for p, _ in short_runs])
             c_hi = np.concatenate([base + q for _, q in short_runs])
             m_lo, m_hi = _merge_runs(c_lo, c_hi, link=1)
             pieces_lo.append(m_lo)
             pieces_hi.append(m_hi)
-            i = j
     lo = np.concatenate(pieces_lo)
     hi = np.concatenate(pieces_hi)
     return _merge_runs(lo, hi, link=1)
@@ -204,24 +190,27 @@ def _b_runs(support: np.ndarray) -> list[tuple[int, int]]:
     return [(int(support[s]), int(support[e])) for s, e in zip(starts, ends)]
 
 
-def _check_feasible(n: int, support_len: int, max_sum: int, m: int, budget: int) -> None:
-    word_bound = support_len**m
-    range_bound = max_sum * (n**m - 1) // (n - 1) + 2
-    if range_bound >= 1 << 62:
-        # starts are kept in 64-bit arrays
-        raise ValueError(f"depth {m} places starts beyond the 64-bit range")
-    if min(word_bound, range_bound) > budget:
-        raise BudgetExceededError(min(word_bound, range_bound), budget)
+def _start_range(n: int, max_sum: int, m: int) -> int:
+    """The depth and range rule of both engines: depth m must be >= 1,
+    and every depth-m start lies below the returned bound (the largest
+    is max_sum * (n^m - 1) / (n - 1))."""
+    if m < 1:
+        raise ValueError("depth must be >= 1")
+    return max_sum * (n**m - 1) // (n - 1) + 2
 
 
 def _start_runs(A: DigitSet, m: int, budget: int | None):
     """Yield the start runs (run_lo, run_hi) at depths 1..m, checking
     feasibility up front and the budget at every level."""
-    if m < 1:
-        raise ValueError("depth must be >= 1")
     budget = _budget(budget)
     support = sumset_profile(A).support.astype(np.int64)
-    _check_feasible(A.n, len(support), int(support[-1]), m, budget)
+    range_bound = _start_range(A.n, int(support[-1]), m)
+    if range_bound >= 1 << 62:
+        # starts are kept in 64-bit arrays
+        raise ValueError(f"depth {m} places starts beyond the 64-bit range")
+    required = min(len(support) ** m, range_bound)
+    if required > budget:
+        raise BudgetExceededError(required, budget)
     runs = _b_runs(support)
     run_lo = np.array([r[0] for r in runs], dtype=np.int64)
     run_hi = np.array([r[1] for r in runs], dtype=np.int64)
@@ -285,19 +274,19 @@ def typing_count_evolution(A: DigitSet, m_max: int, budget: int | None = None):
     """
     if not A.canonical:
         raise ValueError("level typing is defined for canonical digit sets only")
-    budget = _budget(budget)
-    profile = sumset_profile(A)
     n = A.n
     max_sum = 2 * n - 2
-    if max_sum * (n**m_max - 1) // (n - 1) + 2 > budget:
-        raise BudgetExceededError(max_sum * (n**m_max - 1) // (n - 1) + 2, budget)
+    budget = _budget(budget)
+    required = _start_range(n, max_sum, m_max)
+    if required > budget:
+        raise BudgetExceededError(required, budget)
+    profile = sumset_profile(A)
     support = profile.support.astype(np.int64)
     sat = np.minimum(profile.counts, 2).astype(np.int32)
     dense = sat.copy()
     for m in range(1, m_max + 1):
         if m > 1:
-            size = max_sum * (n**m - 1) // (n - 1) + 1
-            nxt = np.zeros(size, dtype=np.int32)
+            nxt = np.zeros(_start_range(n, max_sum, m) - 1, dtype=np.int32)
             for b in support:
                 cb = int(sat[b])
                 view = nxt[b : b + n * len(dense) : n]
@@ -314,10 +303,8 @@ def typing_count_evolution(A: DigitSet, m_max: int, budget: int | None = None):
 
 def level_typing_counts(A: DigitSet, m: int, budget: int | None = None) -> tuple[int, int]:
     """(L_m, R_m) at a single depth."""
-    out = (0, 0)
-    for out in typing_count_evolution(A, m, budget):
-        pass
-    return out
+    *_, last = typing_count_evolution(A, m, budget)
+    return last
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ from .constructions import (
     load_base_table,
     sqrt_good_set,
 )
-from .digitset import DigitSet, InvariantError, sumset_profile
+from .digitset import DigitSet, InvariantError, pair_sum_counts
 from .gdifs import DIM_TOL, matrix_dimension, very_good_rule
 
 __all__ = [
@@ -150,8 +150,8 @@ def _word(bits: np.ndarray) -> int:
 class _PairCounts:
     """Exact ordered pair counts of one digit set, updated digit by digit.
 
-    cnt[s] = #{(x, y) in A x A : x + y = s} for s in 0..2n-2, taken from
-    :func:`~cantorsum.digitset.sumset_profile`; ind is the digit
+    cnt[s] = #{(x, y) in A x A : x + y = s} for s in 0..2n-2, started
+    from :func:`~cantorsum.digitset.pair_sum_counts`; ind is the digit
     indicator of A.  The mask must hold digits 0 and n - 1.
     """
 
@@ -161,7 +161,7 @@ class _PairCounts:
         self.n = n
         self.mask = mask
         self.ind = _indicator(n, mask).astype(np.int64)
-        self.cnt = sumset_profile(DigitSet(n, _mask_digits(n, mask))).counts
+        self.cnt = pair_sum_counts(np.flatnonzero(self.ind))
 
     def flip(self, d: int) -> None:
         """Add or remove digit d; flipping it again undoes the change."""

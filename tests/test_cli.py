@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cantorsum.cli import main
 
 
@@ -143,6 +145,14 @@ class TestOracleCmd:
         assert code == 0
         assert "matrix_power_match: true" in out
         assert "3,27,27" in out  # counts tripling
+
+    @pytest.mark.parametrize("which", ["--em", "--typing", "--growth"])
+    def test_depth_zero_exit_code(self, capsys, which):
+        code, out, err = run(capsys, "oracle", "-n", "8", "-A", "0,2,5,7",
+                             which, "--depth", "0")
+        assert code == 2
+        assert out == ""
+        assert "depth must be >= 1" in err
 
     def test_budget_exit_code(self, capsys):
         code, _, err = run(capsys, "oracle", "-n", "12", "-A", "0,2,3,5,9,11",

@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from cantorsum import oracle
 from cantorsum.digitset import DigitSet, is_n_good, sumset_profile
 from cantorsum.gdifs import classify_intervals, uniqueness_report
 from cantorsum.oracle import (
@@ -176,6 +178,14 @@ class TestStartCounts:
             level_start_counts(A, m)
         with pytest.raises(ValueError, match="depth must be >= 1"):
             level_set(A, m)
+        # the dense typing engine keeps the same rule
+        B = DigitSet.of(8, [0, 2, 5, 7])
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            list(typing_count_evolution(B, m))
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            level_typing_counts(B, m)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            growth_check(B, m)
 
     def test_last_count_is_level_set_size(self):
         for A, depth in ((DigitSet(6, (0, 1, 5)), 5), (DigitSet.of(5, [0, 1, 7, 8]), 4),
@@ -183,3 +193,55 @@ class TestStartCounts:
             counts = level_start_counts(A, depth)
             for m in range(1, depth + 1):
                 assert level_set(A, m).n_starts == counts[m - 1]
+
+
+def brute_starts(A, m):
+    """Depth-m starts as a Python set, level by level from the sumset."""
+    sums = {a + b for a in A.digits for b in A.digits}
+    starts = set(sums)
+    for _ in range(m - 1):
+        starts = {A.n * s + b for s in starts for b in sums}
+    return starts
+
+
+def brute_union(intervals, link):
+    """Union of inclusive integer intervals; neighbors within link join."""
+    out = []
+    for lo, hi in sorted(intervals):
+        if out and lo <= out[-1][1] + link:
+            out[-1][1] = max(out[-1][1], hi)
+        else:
+            out.append([lo, hi])
+    return [tuple(r) for r in out]
+
+
+class TestChunkedExpansion:
+    """Short support runs expand parent runs start by start in chunks of
+    _EXPAND_CHUNK; any chunk size must give the same runs."""
+
+    # {0,1,2,4} base 5: support run [0, 6] (length >= n) and the short
+    # run [8, 8]; {0,2,5,7} base 8: short runs only; {0,1,7,8} base 5:
+    # general mode, short runs beyond the base
+    SETS = (DigitSet.of(5, [0, 1, 2, 4]), DigitSet.of(8, [0, 2, 5, 7]),
+            DigitSet.of(5, [0, 1, 7, 8]))
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("A", SETS, ids=str)
+    def test_small_chunks_match_default_and_brute_force(self, monkeypatch, A, chunk):
+        default = [level_set(A, m) for m in range(1, 5)]
+        default_counts = level_start_counts(A, 4)
+        monkeypatch.setattr(oracle, "_EXPAND_CHUNK", chunk)
+        counts = level_start_counts(A, 4)
+        assert counts == default_counts
+        for m in range(1, 5):
+            ls = level_set(A, m)
+            assert np.array_equal(ls.run_lo, default[m - 1].run_lo)
+            assert np.array_equal(ls.run_hi, default[m - 1].run_hi)
+            assert ls.components == default[m - 1].components
+            starts = sorted(brute_starts(A, m))
+            assert counts[m - 1] == len(starts)
+            runs = brute_union([(s, s) for s in starts], link=1)
+            assert list(zip(ls.run_lo.tolist(), ls.run_hi.tolist())) == runs
+            cover = brute_union([(s, s + ls.width) for s in starts], link=0)
+            assert list(ls.components) == cover
+
