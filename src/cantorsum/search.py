@@ -21,15 +21,17 @@ m2_L | X | m2_H, |H| + 4 vector operations.  (A sum of both L + L and
 H + H with one pair on each side would be 2l = 2h, so m1_L & m1_H adds
 nothing to m2.)  The table rows are laid out so that the
 reflection-canonical sets of any batch are one suffix of it.
-The hill climb keeps the exact pair-count array of its current set
-instead: flipping digit d moves the count of d + a by 2 for every other
-digit a and the count of 2d by 1, so one proposal costs a few vector
-operations of length 2n, and the words are the thresholds count > 0
-and count > 1.  A Python typing tail and its NumPy twin turn those
-words into rows, with lambda, dim and very-goodness from their owner,
-``gdifs``; tests hold both paths, the incremental updates, an
-independent shift-loop batch kernel and the reference interval-typing
-path to identical answers.  One batch loop, :func:`_batches`, serves
+The hill climb keeps the exact pair counts of its current set instead,
+with the threshold words W_t = {s : count >= t}, t = 1..4.  A flip of
+digit d moves the count of d + a by 2 for every other digit a and the
+count of 2d by 1, so the words of a proposal are a few big-int
+operations on W_1..W_4 (:meth:`_PairCounts.trial`); only an accepted
+flip updates the counts and rebuilds the four words.  A Python typing
+tail and its NumPy twin turn those words into rows, with lambda, dim
+and very-goodness from their owner, ``gdifs``; tests hold both paths,
+the incremental updates, the proposal words, a flip-and-retype climb,
+an independent shift-loop batch kernel and the reference
+interval-typing path to identical answers.  One batch loop, :func:`_batches`, serves
 the exhaustive search and the record stream.
 
 Every batch also checks the cheap integer invariants inline
@@ -148,20 +150,49 @@ def _word(bits: np.ndarray) -> int:
 
 
 class _PairCounts:
-    """Exact ordered pair counts of one digit set, updated digit by digit.
+    """Exact ordered pair counts of one digit set, with threshold words.
 
     cnt[s] = #{(x, y) in A x A : x + y = s} for s in 0..2n-2, started
     from :func:`~cantorsum.digitset.pair_sum_counts`; ind is the digit
-    indicator of A.  The mask must hold digits 0 and n - 1.
+    indicator of A and words[t - 1] the word of the sums with
+    cnt[s] >= t, t = 1..4.  :meth:`trial` reads a flipped set's sumset
+    words off those four words without touching the counts; only
+    :meth:`flip` updates them.  The mask must hold digits 0 and n - 1.
     """
 
-    __slots__ = ("n", "mask", "ind", "cnt")
+    __slots__ = ("n", "mask", "ind", "cnt", "words")
 
     def __init__(self, n: int, mask: int):
         self.n = n
         self.mask = mask
         self.ind = _indicator(n, mask).astype(np.int64)
         self.cnt = pair_sum_counts(np.flatnonzero(self.ind))
+        self._rebuild_words()
+
+    def _rebuild_words(self) -> None:
+        self.words = tuple(_word(self.cnt >= t) for t in (1, 2, 3, 4))
+
+    def trial(self, d: int):
+        """(mask, m1, m2) of the set with digit d flipped.
+
+        Adding d puts each cross sum a + d into both words, as in
+        :func:`_add_digit`.  Removing d takes 2 from the count of every
+        a + d, a != d, which was at least 2, so those bits of m1 and m2
+        come from the words t = 3 and 4.  The count of 2d is odd and
+        drops by 1: its m1 bit comes from t = 2, and its m2 bit from
+        t = 3, which at an odd count is the bit m2 already holds.
+        """
+        w1, w2, w3, w4 = self.words
+        bit = 1 << d
+        if not self.mask & bit:
+            cross = self.mask << d
+            return self.mask | bit, w1 | cross | 1 << 2 * d, w2 | cross
+        mask = self.mask ^ bit
+        cross = mask << d
+        keep = ~cross
+        double = 1 << 2 * d
+        m1 = (w1 & keep | w3 & cross) & ~double | w2 & double
+        return mask, m1, w2 & keep | w4 & cross
 
     def flip(self, d: int) -> None:
         """Add or remove digit d; flipping it again undoes the change."""
@@ -175,14 +206,10 @@ class _PairCounts:
             self.cnt[2 * d] += 1
             self.ind[d] = 1
         self.mask ^= 1 << d
+        self._rebuild_words()
 
     def row(self):
-        return _type_words(self.n, self.mask, _word(self.cnt > 0), _word(self.cnt > 1))
-
-
-def eval_mask(n: int, mask: int):
-    """Scalar twin of the batch kernel: pair counts, words, typing."""
-    return _PairCounts(n, mask).row()
+        return _type_words(self.n, self.mask, self.words[0], self.words[1])
 
 
 def _record(n: int, mask: int, row) -> SearchRecord:
@@ -435,8 +462,10 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
     one interior digit at a time and keeping strict improvements;
     non-good proposals are evaluated (they cost budget) but never
     climbed onto when goodness is required.  The climb carries the pair
-    counts of its current set and updates them per flip, undoing the
-    update when the proposal is rejected.  `budget` caps the number of
+    counts of its current set and their threshold words; a proposal is
+    typed from the words alone (:meth:`_PairCounts.trial`), and only an
+    accepted one updates the counts, so a rejection has nothing to
+    undo.  `budget` caps the number of
     single-set evaluations.  For n <= 8 (at most 64 sets) this is
     :func:`search_exhaustive`, and `budget` and `seed` are unused.
     """
@@ -450,18 +479,17 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
     evals = 0
     unconstrained = not (require_good or require_very_good)
 
-    def consider(counts: _PairCounts):
-        """Evaluate the counted set and count it if it matches, recording
-        it only if it can be best or exceeds; returns (climbable, dim)."""
+    def consider(mask: int, row):
+        """Count the typed set if it matches, recording it only if it can
+        be best or exceeds; returns (climbable, dim)."""
         nonlocal best, evals, matching
         evals += 1
-        row = counts.row()
         good, dim = row[0], row[7]
         if not ((require_very_good and not row[1]) or (require_good and not good)):
             matching += 1
             over = dim > _MONITOR_DIM
             if over or best is None or dim >= best.dim:
-                cand = _record(n, counts.mask, row)
+                cand = _record(n, mask, row)
                 if over:
                     exceed.append(cand)
                 if _better(cand, best):
@@ -480,20 +508,20 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
             else:
                 mask = base | (_random_inner(rng, n - 2) << 1)
             start = _PairCounts(n, mask)
-            climbable, dim = consider(start)
+            climbable, dim = consider(mask, start.row())
             if climbable:
                 current = start
                 current_dim = dim
             stuck = 0
             continue
         d = int(rng.integers(1, n - 1))
-        current.flip(d)
-        climbable, dim = consider(current)
+        mask, m1, m2 = current.trial(d)
+        climbable, dim = consider(mask, _type_words(n, mask, m1, m2))
         if climbable and dim > current_dim:
+            current.flip(d)
             current_dim = dim
             stuck = 0
         else:
-            current.flip(d)
             stuck += 1
             if stuck > max_stuck:
                 current = None

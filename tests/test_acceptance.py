@@ -22,7 +22,7 @@ from cantorsum.gdifs import classify_intervals, uniqueness_report
 from cantorsum.oracle import growth_check, is_refinement, level_set
 from cantorsum.report import analyze
 from cantorsum.search import (
-    eval_mask,
+    _PairCounts,
     iter_exhaustive_records,
     search_exhaustive,
     search_heuristic,
@@ -32,6 +32,11 @@ from cantorsum.structure import StructureCase, cantor_sum_dimension, classify_st
 from conftest import canonical_sets
 
 TOL = 1e-9
+
+
+def eval_mask(n, mask):
+    """Goodness, typing, lambda and dim of one mask from its pair counts."""
+    return _PairCounts(n, mask).row()
 
 
 def ok(num, text):

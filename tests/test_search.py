@@ -20,12 +20,17 @@ from cantorsum.search import (
     LOG2_OVER_LOG3,
     InfeasibleSearchError,
     SearchRecord,
-    eval_mask,
+    _PairCounts,
     figure_data,
     iter_exhaustive_records,
     search_exhaustive,
     search_heuristic,
 )
+
+
+def eval_mask(n, mask):
+    """Scalar twin of the batch kernel: pair counts, words, typing."""
+    return _PairCounts(n, mask).row()
 
 
 class TestExhaustive:
@@ -205,16 +210,25 @@ class TestSplitMaskKernel:
             assert search_exhaustive(n).n_enumerated == want, n
 
 
+def _threshold_words(ind):
+    """Words of the sums with at least t = 1..4 ordered pairs, from
+    np.convolve and a bit loop."""
+    cnt = np.convolve(ind, ind)
+    return tuple(sum(1 << int(s) for s in np.flatnonzero(cnt >= t)) for t in (1, 2, 3, 4))
+
+
 class TestIncrementalPairCounts:
-    """The climb's per-flip count updates against from-scratch paths."""
+    """The climb's per-flip count updates and proposal words against
+    from-scratch paths."""
 
     @pytest.mark.parametrize("n", [40, 97, 300])
     def test_random_flips_match_scratch_and_reference(self, rng, n):
-        from cantorsum.search import _PairCounts, _random_inner
+        from cantorsum.search import _random_inner
 
         counts = _PairCounts(n, 1 | (1 << (n - 1)) | (_random_inner(rng, n - 2) << 1))
         # np.convolve is the independent twin of the start counts too
         assert np.array_equal(counts.cnt, np.convolve(counts.ind, counts.ind))
+        assert counts.words == _threshold_words(counts.ind)
         added = removed = 0
         for _ in range(60):
             d = int(rng.integers(1, n - 1))
@@ -227,6 +241,7 @@ class TestIncrementalPairCounts:
             profile = sumset_profile(A)
             assert np.array_equal(counts.cnt, profile.counts)
             assert np.array_equal(counts.cnt, np.convolve(counts.ind, counts.ind))
+            assert counts.words == _threshold_words(counts.ind)
             row = counts.row()
             assert row == eval_mask(n, counts.mask)
             good, very_good, a, b, c, d_, lam, dim = row
@@ -239,17 +254,34 @@ class TestIncrementalPairCounts:
             assert very_good == rep.very_good
         assert added and removed
 
-    def test_flip_twice_restores_counts(self):
-        from cantorsum.search import _PairCounts
+    @pytest.mark.parametrize("n", [9, 40, 97, 300])
+    @pytest.mark.parametrize("density", [0.1, 0.5, 0.9])
+    def test_trial_words_match_convolution(self, rng, n, density):
+        inner = rng.random(n - 2) < density
+        ind = np.concatenate(([1], inner, [1])).astype(np.int64)
+        mask = sum(1 << int(x) for x in np.flatnonzero(ind))
+        counts = _PairCounts(n, mask)
+        before = counts.words
+        assert before == _threshold_words(ind)
+        for d in range(1, n - 1):
+            flipped = ind.copy()
+            flipped[d] ^= 1
+            w1, w2, _, _ = _threshold_words(flipped)
+            assert counts.trial(d) == (mask ^ (1 << d), w1, w2), d
+        # a trial leaves the counts and words alone
+        assert counts.mask == mask and counts.words == before
+        assert np.array_equal(counts.cnt, np.convolve(ind, ind))
 
+    def test_flip_twice_restores_counts(self):
         counts = _PairCounts(9, 0b100100101)
-        before = counts.cnt.copy(), counts.ind.copy(), counts.mask
+        before = counts.cnt.copy(), counts.ind.copy(), counts.mask, counts.words
         for d in (1, 2, 5, 7):
             counts.flip(d)
             counts.flip(d)
             assert np.array_equal(counts.cnt, before[0])
             assert np.array_equal(counts.ind, before[1])
             assert counts.mask == before[2]
+            assert counts.words == before[3]
 
 
 def _root_sum_sign_twin(p1, q1, p2, q2):
@@ -352,6 +384,89 @@ class TestHeuristic:
         res = search_heuristic(81, budget=300, seed=2)
         assert res.best is not None
         assert res.best.dim >= LOG2_OVER_LOG3 - 1e-9  # 81 = 3^4 tower seed
+
+
+def _reference_climb(n, budget, seed, require_good, require_very_good):
+    """The slow twin of :func:`search_heuristic`: flip the counts, re-type
+    the set from them, unflip on reject.  Returns the result and the
+    number of random restarts, removals and accepts."""
+    base = 1 | (1 << (n - 1))
+    best = None
+    exceed = []
+    matching = evals = 0
+    rng = np.random.default_rng(seed)
+    unconstrained = not (require_good or require_very_good)
+    events = {"restarts": 0, "removals": 0, "accepts": 0}
+
+    def consider(counts):
+        nonlocal best, evals, matching
+        evals += 1
+        row = search._type_words(n, counts.mask, search._word(counts.cnt > 0),
+                                 search._word(counts.cnt > 1))
+        good, dim = row[0], row[7]
+        if not ((require_very_good and not row[1]) or (require_good and not good)):
+            matching += 1
+            cand = search._record(n, counts.mask, row)
+            if dim > search._MONITOR_DIM:
+                exceed.append(cand)
+            if search._better(cand, best):
+                best = cand
+        return good or unconstrained, dim
+
+    stack = search._seed_masks(n)
+    current = None
+    current_dim = -1.0
+    stuck = 0
+    while evals < budget:
+        if current is None:
+            if stack:
+                mask = stack.pop(0)
+            else:
+                mask = base | (search._random_inner(rng, n - 2) << 1)
+                events["restarts"] += 1
+            start = _PairCounts(n, mask)
+            climbable, dim = consider(start)
+            if climbable:
+                current, current_dim = start, dim
+            stuck = 0
+            continue
+        d = int(rng.integers(1, n - 1))
+        events["removals"] += (current.mask >> d) & 1
+        current.flip(d)
+        climbable, dim = consider(current)
+        if climbable and dim > current_dim:
+            current_dim = dim
+            stuck = 0
+            events["accepts"] += 1
+        else:
+            current.flip(d)
+            stuck += 1
+            if stuck > 4 * n:
+                current = None
+    exceed.sort(key=lambda r: (r.n, r.digits))
+    res = search.SearchResult(best=best, n_enumerated=evals, n_matching=matching,
+                              evaluations=evals, exceedances=tuple(exceed),
+                              source="heuristic")
+    return res, events
+
+
+class TestClimbAgainstReference:
+    """Proposals typed from threshold words climb exactly like proposals
+    typed from flipped counts."""
+
+    @pytest.mark.parametrize("n,budget", [(9, 2000), (13, 2000), (50, 3000), (300, 6000)])
+    def test_same_results_as_flip_and_retype(self, n, budget):
+        total = {"restarts": 0, "removals": 0, "accepts": 0}
+        for kw in ({"require_good": False}, {"require_good": True},
+                   {"require_good": False, "require_very_good": True}):
+            for seed in range(3):
+                want, events = _reference_climb(n, budget, seed, kw["require_good"],
+                                                kw.get("require_very_good", False))
+                got = search_heuristic(n, budget=budget, seed=seed, **kw)
+                assert repr(got) == repr(want), (n, kw, seed)
+                for key in total:
+                    total[key] += events[key]
+        assert all(total.values()), total
 
 
 class TestFigureData:
