@@ -14,8 +14,11 @@ Two constructions carry the asymptotics:
   while the dimension climbs toward log(2)/log(3).
 
 Nothing here trusts the recurrences: every tower output is re-typed
-from scratch, and a mismatch with the predicted adjacency matrix or
-eigenvalue raises instead of propagating silently.
+from scratch, from its own digits, and a mismatch with the predicted
+adjacency matrix or eigenvalue raises instead of propagating silently.
+The output's pair counts are fast because :func:`sumset_profile` finds
+the doubled shape in those digits and counts the lower half; nothing
+from the parent step is passed in.
 
 A bookkeeping note on predicted matrices: with Lam = a + c and
 Rho = b + d (total L and R counts of the input typing), the output

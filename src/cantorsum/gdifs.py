@@ -99,18 +99,20 @@ def classify_intervals(P: SumsetProfile) -> TypingProfile:
     n = P.n
     if P.max_sum != 2 * n - 2:
         raise ValueError("typing requires a canonical digit set")
-    # counts padded with a leading zero so slot l holds counts[l-1].
-    counts = np.zeros(2 * n + 1, dtype=np.int64)
-    counts[1 : 1 + len(P.counts)] = P.counts
-    cur = counts[1 : 2 * n + 1]   # counts[l] for l = 0..2n-1
-    prev = counts[0 : 2 * n]      # counts[l-1]
-    types = np.zeros(2 * n, dtype=np.uint8)
-    types[(cur == 1) & (prev == 0)] = TYPE_L
-    types[(prev == 1) & (cur == 0)] = TYPE_R
-    a = int(np.count_nonzero(types[:n] == TYPE_L))
-    b = int(np.count_nonzero(types[:n] == TYPE_R))
-    c = int(np.count_nonzero(types[n:] == TYPE_L))
-    d = int(np.count_nonzero(types[n:] == TYPE_R))
+    # counts[l] for l = 0..2n-2; the sums -1 and 2n-1 count zero pairs.
+    counts = P.counts[: 2 * n - 1]
+    one, zero = counts == 1, counts == 0
+    is_l = np.zeros(2 * n, dtype=bool)
+    is_r = np.zeros(2 * n, dtype=bool)
+    is_l[0] = one[0]
+    np.logical_and(one[1:], zero[:-1], out=is_l[1:-1])
+    np.logical_and(one[:-1], zero[1:], out=is_r[1:-1])
+    is_r[-1] = one[-1]
+    types = TYPE_L * is_l.view(np.uint8) + TYPE_R * is_r.view(np.uint8)
+    a = int(np.count_nonzero(is_l[:n]))
+    b = int(np.count_nonzero(is_r[:n]))
+    c = int(np.count_nonzero(is_l[n:]))
+    d = int(np.count_nonzero(is_r[n:]))
     return TypingProfile(n, types, ((a, b), (c, d)))
 
 

@@ -138,36 +138,75 @@ def pair_twin(A):
     return counts
 
 
+def convolve_twin(A):
+    """Pair-sum histogram as the direct self-convolution of the indicator.
+
+    O(max(A)^2): the 0/1 products sum exactly in float64, which NumPy
+    convolves several times faster than int64.
+    """
+    ind = np.zeros(A.digits[-1] + 1)
+    ind[list(A.digits)] = 1.0
+    return np.rint(np.convolve(ind, ind)).astype(np.int64)
+
+
+PATHS = ("_pair_counts", "_split_pair_counts", "_fft_pair_counts")
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """Record (path, digit count) for every pair-count path in call order."""
+    calls = []
+    for name in PATHS:
+        def spy(digits, top, fn=getattr(digitset, name), name=name):
+            calls.append((name, len(digits)))
+            return fn(digits, top)
+
+        monkeypatch.setattr(digitset, name, spy)
+    return calls
+
+
+def check_counts(A, paths, convolve=True):
+    """Compare sumset_profile with the twins; return the paths it took."""
+    paths.clear()
+    p = sumset_profile(A)
+    taken = list(paths)
+    want = pair_twin(A)
+    assert p.counts.dtype == np.int64
+    assert np.array_equal(p.counts, want)
+    assert np.array_equal(p.support, np.flatnonzero(want))
+    if convolve:
+        assert np.array_equal(p.counts, convolve_twin(A))
+    return taken
+
+
+def halving(k, leaf):
+    """The split calls from k digits down to `leaf`, then the leaf path."""
+    calls = []
+    while k != leaf[1]:
+        calls.append(("_split_pair_counts", k))
+        k //= 2
+    return calls + [leaf]
+
+
 class TestSumsetAgainstPairTwin:
-    """Both sides of the bincount/FFT crossover against a row-loop twin."""
+    """Every side of the bincount/split/FFT choice against a row-loop twin."""
 
-    def _check(self, A, monkeypatch):
-        """Compare with the twin; return the name of the path taken."""
-        paths = []
-        for name in ("_pair_counts", "_fft_pair_counts"):
-            def spy(*args, fn=getattr(digitset, name), name=name):
-                paths.append(name)
-                return fn(*args)
-
-            monkeypatch.setattr(digitset, name, spy)
-        p = sumset_profile(A)
-        want = pair_twin(A)
-        assert p.counts.dtype == np.int64
-        assert np.array_equal(p.counts, want)
-        assert np.array_equal(p.support, np.flatnonzero(want))
-        return paths[0]
-
-    def test_full_digit_set_at_20000(self, monkeypatch):
+    def test_full_digit_set_at_20000(self, paths):
+        # range(20000) is range(10000) u (range(10000) + 10000); halving
+        # reaches the FFT at the odd size 625.
         n = 20_000
         A = DigitSet(n, tuple(range(n)))
-        assert self._check(A, monkeypatch) == "_fft_pair_counts"
+        taken = check_counts(A, paths, convolve=False)
+        assert taken == halving(n, ("_fft_pair_counts", 625))
         assert sumset_profile(A).counts.max() == n
 
-    def test_chain_set(self, monkeypatch):
+    def test_chain_set(self, paths):
         A = chain_to_target(10**5).final.digitset
-        assert self._check(A, monkeypatch) == "_fft_pair_counts"
+        assert A.size == 1536
+        taken = check_counts(A, paths, convolve=False)
+        assert taken == halving(1536, ("_pair_counts", 384))
 
-    def test_random_sets_both_paths(self, rng, monkeypatch):
+    def test_random_sets_both_paths(self, rng, paths):
         seen = set()
         for i in range(60):
             n = int(rng.integers(3, 3000))
@@ -179,8 +218,74 @@ class TestSumsetAgainstPairTwin:
                 A = DigitSet.general(n, {0, 1} | {int(d) for d in inner})
             else:
                 A = DigitSet.of(n, {0, n - 1} | {int(d) for d in inner if d < n})
-            seen.add(self._check(A, monkeypatch))
+            (only,) = check_counts(A, paths, convolve=False)
+            seen.add(only[0])
         assert seen == {"_pair_counts", "_fft_pair_counts"}
+
+
+class TestTranslateSplit:
+    """X = Y u (Y + h) counted from Y, against the twins and the FFT."""
+
+    @pytest.mark.parametrize("target", [458, 99999, 10**5, 10**6])
+    def test_every_chain_row(self, target, paths):
+        # direct convolution is O(n^2), so it stops at base 40,000
+        split = []
+        for row in chain_to_target(target).rows:
+            A = row.digitset
+            taken = check_counts(A, paths, convolve=A.n <= 40_000)
+            assert "_fft_pair_counts" not in dict(taken), (row.n, taken)
+            if taken[0][0] == "_split_pair_counts":
+                # a tower output halves down to a sparse ancestor row
+                assert taken == halving(A.size, taken[-1]), (row.n, taken)
+                assert taken[-1][0] == "_pair_counts"
+                split.append(row.n)
+            digits = np.asarray(A.digits, dtype=np.int64)
+            fft = digitset._fft_pair_counts(digits, 2 * A.digits[-1])
+            assert np.array_equal(sumset_profile(A).counts, fft)
+        assert (target in split) == (target >= 99999), split
+
+    @staticmethod
+    def doubled(rng, top, gap):
+        """Sorted Y u (Y + h), Y random in 0..top with 0 and top, h = top + gap."""
+        Y = np.flatnonzero(rng.random(top + 1) < rng.choice([0.4, 0.7, 0.95]))
+        Y = np.union1d(Y, [0, top])
+        return np.concatenate([Y, Y + top + gap])
+
+    @pytest.mark.parametrize("mode", ["canonical", "general"])
+    def test_random_doubled_sets(self, mode, paths):
+        # gap 1 is the tightest fit (range(n) has it); the three count
+        # ranges c_Y[s], c_Y[s-h], c_Y[s-2h] overlap until h > 2 max Y.
+        rng = np.random.default_rng(20261018)
+        for top in (500, 777, 1500):
+            for gap in (1, 2, 3, int(rng.integers(4, top)), top, top + 1, top + 2, 3 * top):
+                X = self.doubled(rng, top, gap)
+                if mode == "canonical":
+                    A = DigitSet(int(X[-1]) + 1, tuple(X.tolist()))
+                else:
+                    A = DigitSet.general(int(X[-1]) // 2 + 2, (X + 7).tolist())
+                assert A.canonical == (mode == "canonical")
+                taken = check_counts(A, paths)
+                assert taken[0] == ("_split_pair_counts", len(X)), (top, gap, taken)
+
+    def test_near_misses_do_not_split(self, paths):
+        rng = np.random.default_rng(7)
+        for top in (600, 1200):
+            X = self.doubled(rng, top, int(rng.integers(1, top)))
+            half = len(X) // 2
+            assert check_counts(DigitSet.general(3, X), paths)[0][0] == "_split_pair_counts"
+            # one upper digit moved by 1; X[-1] == X[half-1] + X[half] still holds
+            free = [i for i in range(half + 1, len(X) - 1) if X[i] + 1 < X[i + 1]]
+            moved = X.copy()
+            moved[free[len(free) // 2]] += 1
+            assert moved[-1] == moved[half - 1] + moved[half]
+            # odd length: one upper digit dropped
+            odd = np.delete(X, half + half // 2)
+            # interleaved halves: Y u (Y + h) with h below max Y
+            Y = X[:half]
+            inter = np.union1d(Y, Y + int(rng.integers(1, top)))
+            for near in (moved, odd, inter):
+                taken = check_counts(DigitSet.general(3, near), paths)
+                assert taken == [("_fft_pair_counts", len(near))], taken
 
 
 class TestFFTGuard:
