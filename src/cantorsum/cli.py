@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+from fractions import Fraction
 
 from . import __version__
 from .constructions import BaseMissingError, chain_to_target, load_base_table, sqrt_good_set
@@ -65,6 +66,17 @@ def _canonical_digitset(n: int, digits_text: str) -> DigitSet:
         raise CliError(EXIT_MALFORMED,
                        f"{A} is not canonical; only the oracle accepts general sets")
     return A
+
+
+def _budget_arg(text: str) -> int:
+    """--budget: a whole number >= 1, written as 1000 or 1e6."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or value.denominator != 1 or value < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {text!r}")
+    return int(value)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -158,7 +170,7 @@ def cmd_search(args) -> list[str]:
     exceed = []
     for n in range(lo, hi + 1):
         if args.heuristic:
-            res = search_heuristic(n, budget=int(args.budget), seed=args.seed,
+            res = search_heuristic(n, budget=args.budget, seed=args.seed,
                                    require_good=args.require_good,
                                    require_very_good=args.require_very_good)
         else:
@@ -179,7 +191,7 @@ def cmd_search(args) -> list[str]:
 
 def cmd_figure(args) -> list[str]:
     lo, hi = _parse_range(args.n)
-    rows, exceed = figure_data(lo, hi, budget=int(args.budget), seed=args.seed)
+    rows, exceed = figure_data(lo, hi, budget=args.budget, seed=args.seed)
     lines = ["n,best_dim,reference"]
     for n, best, ref in rows:
         lines.append(f"{n},{_fmt(best)},{_fmt(ref)}")
@@ -205,18 +217,17 @@ def cmd_tower(args) -> list[str]:
 
 def cmd_oracle(args) -> list[str]:
     A = _digitset(args.n, args.digits)
-    budget = int(args.budget) if args.budget is not None else None
     try:
         if args.which == "em":
-            ls = level_set(A, args.depth, budget=budget)
+            ls = level_set(A, args.depth, budget=args.budget)
             lines = ["depth,start_numerator,end_numerator,denominator"]
             for row in ls.csv_rows():
                 lines.append(",".join(map(str, row)))
             return lines
         if args.which == "typing":
-            L, R = level_typing_counts(A, args.depth, budget=budget)
+            L, R = level_typing_counts(A, args.depth, budget=args.budget)
             return [f"L={L}, R={R}"]
-        rep = growth_check(A, args.depth, budget=budget)
+        rep = growth_check(A, args.depth, budget=args.budget)
         lines = ["m,L,R,dim_estimate"]
         for m, ((L, R), est) in enumerate(zip(rep.counts, rep.dim_estimates), 1):
             lines.append(f"{m},{L},{R},{_fmt(est)}")
@@ -285,14 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heuristic", action="store_true")
     p.add_argument("--require-good", action="store_true")
     p.add_argument("--require-very-good", action="store_true")
-    p.add_argument("--budget", type=float, default=10_000)
+    p.add_argument("--budget", type=_budget_arg, default=10_000)
     p.add_argument("--csv-out", default=None)
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("figure", help="best known dimension per base, CSV")
     p.add_argument("-n", required=True, help="range a..b")
-    p.add_argument("--budget", type=float, default=10_000)
+    p.add_argument("--budget", type=_budget_arg, default=10_000)
     p.add_argument("--csv-out", default=None)
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_figure)
@@ -311,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--typing", dest="which", action="store_const", const="typing")
     g.add_argument("--growth", dest="which", action="store_const", const="growth")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--budget", type=float, default=None)
+    p.add_argument("--budget", type=_budget_arg, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_oracle)
 

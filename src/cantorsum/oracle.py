@@ -18,14 +18,18 @@ the closed-form machinery:
 
 Start sets are kept as runs of consecutive integers, so dense covers
 cost almost nothing no matter the depth; :func:`level_set` and
-:func:`level_start_counts` share one loop.  A support run of length
->= n maps each parent run to one run; shorter support runs need the
-parent starts one by one, which are taken _EXPAND_CHUNK at a time by
-slicing the cumulative run lengths, and each chunk's images are merged
-at once.  Multiplicities (number of digit words producing a start,
-weighted by ordered-pair counts) are only needed saturated at 2 --
-unique / not unique is all the typing rules consume -- and live in a
-flat array indexed by start.
+:func:`level_start_counts` share one loop.  Depth k+1 is built from
+depth k by the *leading* digit,
+
+    S_{k+1} = union over b in the sumset of (b n^k + S_k),
+
+which is exact because a depth-(k+1) start is b_1 n^k plus a depth-k
+start b_2 n^{k-1} + ... + b_{k+1}.  A translate of a run is a run, so
+each level is |B| translates of the current runs merged once; no start
+is ever visited on its own.  Multiplicities (number of digit words
+producing a start, weighted by ordered-pair counts) are only needed
+saturated at 2 -- unique / not unique is all the typing rules consume
+-- and live in a flat array indexed by start.
 
 Both engines, the runs and the dense typing array, take the depth rule
 (m >= 1) and the start-range bound from :func:`_start_range`.
@@ -56,10 +60,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**7
-
-# Piece buffers for run expansion are processed in chunks of this many
-# starts to bound peak memory.
-_EXPAND_CHUNK = 2_000_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -139,7 +139,7 @@ def _merge_runs(lo: np.ndarray, hi: np.ndarray, link: int) -> tuple[np.ndarray, 
     order = np.argsort(lo, kind="stable")
     lo = lo[order]
     hi = hi[order]
-    cm = np.maximum.accumulate(hi)
+    cm = np.maximum.accumulate(hi, out=hi)  # hi is a fresh gather
     new = np.empty(len(lo), dtype=bool)
     new[0] = True
     new[1:] = lo[1:] > cm[:-1] + link
@@ -149,45 +149,6 @@ def _merge_runs(lo: np.ndarray, hi: np.ndarray, link: int) -> tuple[np.ndarray, 
     out_hi[:-1] = cm[idx[1:] - 1]
     out_hi[-1] = cm[-1]
     return out_lo, out_hi
-
-
-def _advance_runs(run_lo, run_hi, n, b_runs):
-    """Start runs of the next level: images n*S + b over all b."""
-    pieces_lo: list[np.ndarray] = []
-    pieces_hi: list[np.ndarray] = []
-    long_runs = [(p, q) for p, q in b_runs if q - p + 1 >= n]
-    short_runs = [(p, q) for p, q in b_runs if q - p + 1 < n]
-    for p, q in long_runs:
-        # consecutive images chain into one run per parent run
-        pieces_lo.append(run_lo * n + p)
-        pieces_hi.append(run_hi * n + q)
-    if short_runs:
-        # expand parent runs to single starts, _EXPAND_CHUNK at a time,
-        # merging each chunk at once so peak memory stays ~chunk *
-        # len(short_runs).  The t-th start (counting across runs) lies in
-        # run r = searchsorted(ends, t, "right") and is t + shift[r].
-        lengths = run_hi - run_lo + 1
-        ends = np.cumsum(lengths)
-        shift = run_lo - (ends - lengths)
-        total = int(ends[-1])
-        for first in range(0, total, _EXPAND_CHUNK):
-            t = np.arange(first, min(first + _EXPAND_CHUNK, total), dtype=np.int64)
-            base = (t + shift[np.searchsorted(ends, t, side="right")]) * n
-            c_lo = np.concatenate([base + p for p, _ in short_runs])
-            c_hi = np.concatenate([base + q for _, q in short_runs])
-            m_lo, m_hi = _merge_runs(c_lo, c_hi, link=1)
-            pieces_lo.append(m_lo)
-            pieces_hi.append(m_hi)
-    lo = np.concatenate(pieces_lo)
-    hi = np.concatenate(pieces_hi)
-    return _merge_runs(lo, hi, link=1)
-
-
-def _b_runs(support: np.ndarray) -> list[tuple[int, int]]:
-    breaks = np.flatnonzero(np.diff(support) > 1)
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.concatenate([breaks, [len(support) - 1]])
-    return [(int(support[s]), int(support[e])) for s, e in zip(starts, ends)]
 
 
 def _start_range(n: int, max_sum: int, m: int) -> int:
@@ -211,12 +172,13 @@ def _start_runs(A: DigitSet, m: int, budget: int | None):
     required = min(len(support) ** m, range_bound)
     if required > budget:
         raise BudgetExceededError(required, budget)
-    runs = _b_runs(support)
-    run_lo = np.array([r[0] for r in runs], dtype=np.int64)
-    run_hi = np.array([r[1] for r in runs], dtype=np.int64)
+    run_lo, run_hi = _merge_runs(support, support, link=1)
     yield run_lo, run_hi
-    for _ in range(m - 1):
-        run_lo, run_hi = _advance_runs(run_lo, run_hi, A.n, runs)
+    for k in range(1, m):
+        # every offset and start stays below range_bound < 2^62
+        offsets = support[:, None] * A.n**k
+        run_lo, run_hi = _merge_runs((offsets + run_lo).ravel(),
+                                     (offsets + run_hi).ravel(), link=1)
         if len(run_lo) > budget:
             raise BudgetExceededError(len(run_lo), budget)
         yield run_lo, run_hi
@@ -227,7 +189,9 @@ def level_set(A: DigitSet, m: int, budget: int | None = None) -> LevelSet:
 
     Accepts canonical and general digit sets.  Raises
     :class:`BudgetExceededError` when both the word count |B|^m and the
-    start-range bound exceed the budget (default 10^7).
+    start-range bound exceed the budget (default 10^7), and when a
+    level's run count exceeds it, so one level merges at most
+    |B| x budget translated runs.
     """
     levels = _start_runs(A, m, budget)
     run_lo, run_hi = next(levels)
@@ -235,7 +199,7 @@ def level_set(A: DigitSet, m: int, budget: int | None = None) -> LevelSet:
     width = -(-int(run_hi[-1]) // (A.n - 1))
     for run_lo, run_hi in levels:  # advance to depth m
         pass
-    comp_lo, comp_hi = _merge_runs(run_lo.copy(), run_hi + width, link=0)
+    comp_lo, comp_hi = _merge_runs(run_lo, run_hi + width, link=0)
     components = tuple((int(a), int(b)) for a, b in zip(comp_lo, comp_hi))
     return LevelSet(A.n, m, width, run_lo, run_hi, components)
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cantorsum.cli import main
+from cantorsum.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -175,3 +175,25 @@ class TestFigureCmd:
         lines = out.strip().splitlines()
         assert lines[0] == "n,best_dim,reference"
         assert lines[1].startswith("3,0.6309297536,0.6309297536")
+
+
+class TestBudgetOption:
+    COMMANDS = {
+        "search": ("search", "-n", "20", "--heuristic"),
+        "figure": ("figure", "-n", "9..10"),
+        "oracle": ("oracle", "-n", "3", "-A", "0,2", "--typing", "--depth", "2"),
+    }
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "2.5", "-5", "0"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bad_budget_exits_2(self, capsys, command, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.COMMANDS[command], "--budget", value])
+        assert exc.value.code == 2
+        assert "expected a whole number >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, budget", [("1000", 1000), ("1e4", 10_000), ("1e6", 10**6)])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_integral_budget_parses_to_int(self, command, value, budget):
+        args = build_parser().parse_args([*self.COMMANDS[command], "--budget", value])
+        assert type(args.budget) is int and args.budget == budget

@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cantorsum import oracle
 from cantorsum.digitset import DigitSet, is_n_good, sumset_profile
 from cantorsum.gdifs import classify_intervals, uniqueness_report
 from cantorsum.oracle import (
@@ -216,8 +215,8 @@ def brute_union(intervals, link):
 
 
 class TestChunkedExpansion:
-    """Short support runs expand parent runs start by start in chunks of
-    _EXPAND_CHUNK; any chunk size must give the same runs."""
+    """Runs, components and counts of the run engine against brute force
+    on small sets with support runs longer and shorter than the base."""
 
     # {0,1,2,4} base 5: support run [0, 6] (length >= n) and the short
     # run [8, 8]; {0,2,5,7} base 8: short runs only; {0,1,7,8} base 5:
@@ -225,19 +224,11 @@ class TestChunkedExpansion:
     SETS = (DigitSet.of(5, [0, 1, 2, 4]), DigitSet.of(8, [0, 2, 5, 7]),
             DigitSet.of(5, [0, 1, 7, 8]))
 
-    @pytest.mark.parametrize("chunk", [1, 7])
     @pytest.mark.parametrize("A", SETS, ids=str)
-    def test_small_chunks_match_default_and_brute_force(self, monkeypatch, A, chunk):
-        default = [level_set(A, m) for m in range(1, 5)]
-        default_counts = level_start_counts(A, 4)
-        monkeypatch.setattr(oracle, "_EXPAND_CHUNK", chunk)
+    def test_small_chunks_match_default_and_brute_force(self, A):
         counts = level_start_counts(A, 4)
-        assert counts == default_counts
         for m in range(1, 5):
             ls = level_set(A, m)
-            assert np.array_equal(ls.run_lo, default[m - 1].run_lo)
-            assert np.array_equal(ls.run_hi, default[m - 1].run_hi)
-            assert ls.components == default[m - 1].components
             starts = sorted(brute_starts(A, m))
             assert counts[m - 1] == len(starts)
             runs = brute_union([(s, s) for s in starts], link=1)
@@ -245,3 +236,45 @@ class TestChunkedExpansion:
             cover = brute_union([(s, s + ls.width) for s in starts], link=0)
             assert list(ls.components) == cover
 
+
+def twin_start_levels(A, max_pieces=2_000_000, max_depth=10):
+    """Start arrays by the *trailing* digit, S' = n S + B, from the
+    digits alone; deepens while the next expansion has at most
+    max_pieces entries (max_depth keeps the starts within 64 bits)."""
+    d = np.array(A.digits, dtype=np.int64)
+    B = np.unique(np.add.outer(d, d))
+    levels = [B]
+    while len(levels) < max_depth and len(levels[-1]) * len(B) <= max_pieces:
+        levels.append(np.unique((A.n * levels[-1][:, None] + B).ravel()))
+    return levels
+
+
+def twin_sets():
+    """Seeded canonical and general sets, after two fixed ones: support
+    run [0, 9] longer than base 7, and a wide general set in base 23."""
+    rng = np.random.default_rng(20261018)
+    sets = [DigitSet.of(7, [0, 1, 2, 3, 6]), DigitSet.of(23, [0, 12, *range(16, 61, 4)])]
+    for _ in range(8):
+        n = int(rng.integers(3, 31))
+        inner = np.flatnonzero(rng.random(n - 2) < 0.4) + 1
+        sets.append(DigitSet.of(n, [0, *inner.tolist(), n - 1]))
+        top = int(rng.integers(n, 3 * n))
+        ds = rng.choice(np.arange(1, top + 1), size=int(rng.integers(1, 6)), replace=False)
+        sets.append(DigitSet.of(n, [0, *ds.tolist()]))
+    return sets
+
+
+class TestTrailingDigitTwin:
+    """The run engine grows starts by the leading digit; an independent
+    twin grows plain start arrays by the trailing digit."""
+
+    @pytest.mark.parametrize("A", twin_sets(), ids=str)
+    def test_runs_and_counts_match_twin(self, A):
+        levels = twin_start_levels(A)
+        m = len(levels)
+        assert level_start_counts(A, m, budget=10**9) == [len(S) for S in levels]
+        S = levels[-1]
+        cut = np.flatnonzero(np.diff(S) > 1)
+        ls = level_set(A, m, budget=10**9)
+        assert np.array_equal(ls.run_lo, S[np.r_[0, cut + 1]])
+        assert np.array_equal(ls.run_hi, S[np.r_[cut, len(S) - 1]])
