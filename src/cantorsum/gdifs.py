@@ -30,8 +30,9 @@ always typed L and R), integer arithmetic shows lambda is either 1 or
 at least 2; there is nothing in between.
 
 The lambda/trivial/dim formula and the very-good rule are written once,
-in :func:`matrix_dimension` and :func:`very_good_rule`; the search and
-oracle call them, and only the NumPy search kernel has a vector twin.
+in :func:`matrix_dimension` and :func:`very_good_rule` (elementwise, so
+the search types a mask and a batch by one rule); only lambda and dim
+have a vector twin, in the NumPy search kernel.
 """
 
 from __future__ import annotations
@@ -130,9 +131,10 @@ def matrix_dimension(a: int, b: int, c: int, d: int, n: int) -> tuple[float, boo
     return lam, trivial, 0.0 if trivial else math.log(lam) / math.log(n)
 
 
-def very_good_rule(good: bool, edge_digit: bool, a: int, b: int, c: int, d: int) -> bool:
-    """Very-good: good, neither 1 nor n-2 a digit, equal row or column sums."""
-    return good and not edge_digit and (a + b == c + d or a + c == b + d)
+def very_good_rule(good, edge_digit, a, b, c, d):
+    """Very-good: good, neither 1 nor n-2 a digit (edge_digit == 0), equal
+    row or column sums.  Elementwise; a Python bool on Python scalars."""
+    return good & (edge_digit == 0) & ((a + b == c + d) | (a + c == b + d))
 
 
 @dataclass(frozen=True)

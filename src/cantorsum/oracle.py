@@ -162,7 +162,9 @@ def _start_range(n: int, max_sum: int, m: int) -> int:
 
 def _start_runs(A: DigitSet, m: int, budget: int | None):
     """Yield the start runs (run_lo, run_hi) at depths 1..m, checking
-    feasibility up front and the budget at every level."""
+    feasibility and the budget once, up front: each depth-k run holds a
+    start, and for k <= m the depth-k starts are at most
+    min(|B|^m, start-range bound at m), the `required` checked here."""
     budget = _budget(budget)
     support = sumset_profile(A).support.astype(np.int64)
     range_bound = _start_range(A.n, int(support[-1]), m)
@@ -179,8 +181,6 @@ def _start_runs(A: DigitSet, m: int, budget: int | None):
         offsets = support[:, None] * A.n**k
         run_lo, run_hi = _merge_runs((offsets + run_lo).ravel(),
                                      (offsets + run_hi).ravel(), link=1)
-        if len(run_lo) > budget:
-            raise BudgetExceededError(len(run_lo), budget)
         yield run_lo, run_hi
 
 
@@ -189,8 +189,8 @@ def level_set(A: DigitSet, m: int, budget: int | None = None) -> LevelSet:
 
     Accepts canonical and general digit sets.  Raises
     :class:`BudgetExceededError` when both the word count |B|^m and the
-    start-range bound exceed the budget (default 10^7), and when a
-    level's run count exceeds it, so one level merges at most
+    start-range bound exceed the budget (default 10^7).  Every level
+    then has at most that many runs, so one level merges at most
     |B| x budget translated runs.
     """
     levels = _start_runs(A, m, budget)

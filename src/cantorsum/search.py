@@ -26,13 +26,14 @@ with the threshold words W_t = {s : count >= t}, t = 1..4.  A flip of
 digit d moves the count of d + a by 2 for every other digit a and the
 count of 2d by 1, so the words of a proposal are a few big-int
 operations on W_1..W_4 (:meth:`_PairCounts.trial`); only an accepted
-flip updates the counts and rebuilds the four words.  A Python typing
-tail and its NumPy twin turn those words into rows, with lambda, dim
-and very-goodness from their owner, ``gdifs``; tests hold both paths,
+flip updates the counts and rebuilds the four words.  One typing
+rule, :func:`_word_typing`, turns the words of a mask or of a uint64
+batch into goodness, very-goodness and a, b, c, d; lambda and dim come
+from their owner, ``gdifs``, with a NumPy twin for batches.  Tests hold
 the incremental updates, the proposal words, a flip-and-retype climb,
 an independent shift-loop batch kernel and the reference
-interval-typing path to identical answers.  One batch loop, :func:`_batches`, serves
-the exhaustive search and the record stream.
+interval-typing path to identical answers.  One batch loop,
+:func:`_batches`, serves the exhaustive search and the record stream.
 
 Every batch also checks the cheap integer invariants inline
 (eigenvalue dichotomy, lambda <= |A|, good sets need >= sqrt(n)
@@ -49,12 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constructions import (
-    BaseMissingError,
-    chain_to_target,
-    load_base_table,
-    sqrt_good_set,
-)
+from .constructions import chain_to_target, load_base_table, sqrt_good_set
 from .digitset import DigitSet, InvariantError, pair_sum_counts
 from .gdifs import DIM_TOL, matrix_dimension, very_good_rule
 
@@ -123,25 +119,32 @@ def _mask_digits(n: int, mask: int) -> tuple[int, ...]:
     return tuple(np.flatnonzero(_indicator(n, mask)).tolist())
 
 
-def _type_words(n: int, mask: int, m1: int, m2: int):
-    """Goodness, typing, lambda and dim from the sumset words of a mask.
+def _word_typing(n: int, mask, m1, m2, popcount):
+    """(good, very_good, a, b, c, d) of Python ints (popcount
+    ``int.bit_count``) or uint64 arrays (``np.bitwise_count``).
 
     Bit s of m1 (m2) is set when s has at least one (two) ordered pairs.
+    The sets hold 0 and n - 1, so a support bit followed by two clear
+    ones below 2n - 2 is two clear bits in a row.
     """
-    word_mask = (1 << (2 * n)) - 1
-    below_top = (1 << (2 * n - 2)) - 1
-    good = m1 & ~(m1 >> 1) & ~(m1 >> 2) & below_top == 0
-    unique = m1 & ~m2
-    l_word = (unique & ~(m1 << 1)) & word_mask
-    r_word = ((unique << 1) & ~m1) & word_mask
+    span = (1 << (2 * n - 2)) - 1
+    good = (m1 | m1 >> 1) & span == span
+    unique = m1 ^ m2
+    l_word = unique & ~(m1 << 1)
+    r_word = unique << 1 & ~m1
     low_mask = (1 << n) - 1
-    a = (l_word & low_mask).bit_count()
-    b = (r_word & low_mask).bit_count()
-    c = (l_word >> n).bit_count()
-    d = (r_word >> n).bit_count()
+    a = popcount(l_word & low_mask)
+    b = popcount(r_word & low_mask)
+    c = popcount(l_word >> n)
+    d = popcount(r_word >> n)
+    very_good = very_good_rule(good, mask & (2 | 1 << (n - 2)), a, b, c, d)
+    return good, very_good, a, b, c, d
+
+
+def _type_words(n: int, mask: int, m1: int, m2: int):
+    """Typing of one mask, with lambda and dim from their owner."""
+    good, very_good, a, b, c, d = _word_typing(n, mask, m1, m2, int.bit_count)
     lam, _, dim = matrix_dimension(a, b, c, d, n)
-    edge_digit = (mask >> 1) & 1 or (mask >> (n - 2)) & 1
-    very_good = very_good_rule(good, edge_digit, a, b, c, d)
     return good, very_good, a, b, c, d, lam, dim
 
 
@@ -303,25 +306,16 @@ def _low_table(n: int):
 
 def _type_batch(n: int, masks: np.ndarray, m1: np.ndarray, m2: np.ndarray):
     """Vector twin of :func:`_type_words`, with the inline invariants.
-
-    The sets hold 0 and n - 1, so m2 lies inside m1, and a support bit
-    followed by two clear ones below 2n - 2 is two clear bits in a row.
-    """
-    span = (1 << (2 * n - 2)) - 1
-    good = (m1 | m1 >> 1) & span == span
-    unique = m1 ^ m2
-    l_word = unique & ~(m1 << 1)
-    r_word = unique << 1 & ~m1
-    low_mask = (1 << n) - 1
-    a, b, c, d = (np.bitwise_count(w).astype(np.int16) for w in (
-        l_word & low_mask, r_word & low_mask, l_word >> n, r_word >> n))
+    Lambda and dim keep their own vector form: the pinned dims depend
+    on which log computed them."""
+    good, very_good, *quad = _word_typing(n, masks, m1, m2, np.bitwise_count)
+    a, b, c, d = (q.astype(np.int16) for q in quad)
     lam = ((a + d) + np.sqrt((a - d) ** 2 + 4 * b * c, dtype=np.float64)) / 2.0
     # trivial matrices have lam <= 1, so their dim comes out 0.0 as well
     trivial = (b * c == 0) & (np.maximum(a, d) <= 1)
     dim = np.log(np.maximum(lam, 1.0)) / math.log(n)
     size = np.bitwise_count(masks).astype(np.int16)
     no_edge = good & (masks & (2 | 1 << (n - 2)) == 0)
-    very_good = no_edge & ((a + b == c + d) | (a + c == b + d))
     if not np.all(trivial | (lam >= 2 - DIM_TOL)):
         raise InvariantError("eigenvalue dichotomy violated")
     if not np.all(lam <= size + DIM_TOL):
@@ -368,15 +362,7 @@ def _batches(n: int, require_good: bool, require_very_good: bool,
         yield masks, cols, keep
 
 
-def search_exhaustive(n: int, require_good: bool = False,
-                      require_very_good: bool = False) -> SearchResult:
-    """Enumerate every canonical digit set for base n (n <= 30).
-
-    Sets are deduplicated under reflection (the kept representative is
-    the one whose mask is not larger than its mirror's).  The best
-    record maximizes dim under the constraints, ties broken by the
-    lexicographically smallest digit list.
-    """
+def _check_exhaustive_base(n: int) -> None:
     if n < 3:
         raise ValueError("base must be >= 3")
     if n > EXHAUSTIVE_MAX_N:
@@ -384,6 +370,18 @@ def search_exhaustive(n: int, require_good: bool = False,
             f"2^{n - 2} digit sets is beyond exhaustive reach; "
             f"use search_heuristic"
         )
+
+
+def search_exhaustive(n: int, require_good: bool = False,
+                      require_very_good: bool = False) -> SearchResult:
+    """Enumerate every canonical digit set for base n (3 <= n <= 30).
+
+    Sets are deduplicated under reflection (the kept representative is
+    the one whose mask is not larger than its mirror's).  The best
+    record maximizes dim under the constraints, ties broken by the
+    lexicographically smallest digit list.
+    """
+    _check_exhaustive_base(n)
     best: SearchRecord | None = None
     n_enumerated = 0
     n_matching = 0
@@ -412,9 +410,8 @@ def search_exhaustive(n: int, require_good: bool = False,
 
 def iter_exhaustive_records(n: int, require_good: bool = False,
                             require_very_good: bool = False):
-    """Stream every reflection-canonical record (small n)."""
-    if n > EXHAUSTIVE_MAX_N:
-        raise InfeasibleSearchError("too many sets to stream")
+    """Stream every reflection-canonical record (3 <= n <= 30)."""
+    _check_exhaustive_base(n)
     for masks, cols, keep in _batches(n, require_good, require_very_good):
         for i in np.flatnonzero(keep)[np.argsort(masks[keep])]:
             yield _batch_record(n, masks, cols, i)
@@ -430,27 +427,17 @@ def _random_inner(rng, bits: int) -> int:
 
 
 def _seed_masks(n: int) -> list[int]:
-    """Deterministic warm starts: tower chain, table row, sqrt family."""
-    seeds = []
-    if n >= 9:
-        table = load_base_table()
-        try:
-            chain = chain_to_target(n, table)
-            seeds.append(sum(1 << d for d in chain.final.digitset.digits))
-        except BaseMissingError:
-            pass
-        if n in table:
-            seeds.append(sum(1 << d for d in table[n].digits))
-        try:
-            seeds.append(sum(1 << d for d in sqrt_good_set(n).digits))
-        except ValueError:
-            pass
+    """Deterministic warm starts: tower chain, sqrt family, full set.
+
+    For n >= 9 neither construction fails: the chain reaches every such
+    base from the bundled table of bases 9..27 (for n <= 27 it is that
+    table row), and sqrt_good_set needs only n >= 9.
+    """
+    sets = [chain_to_target(n, load_base_table()).final.digitset,
+            sqrt_good_set(n)] if n >= 9 else []
+    seeds = [sum(1 << d for d in A.digits) for A in sets]
     seeds.append((1 << n) - 1)  # the full digit set is always good
-    out = []
-    for s in seeds:
-        if s not in out:
-            out.append(s)
-    return out
+    return list(dict.fromkeys(seeds))
 
 
 def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,

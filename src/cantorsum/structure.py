@@ -26,17 +26,27 @@ state, so the whole question lives on the three surviving states
 (1,0), (0,1), (1,1).  A state is FULL when every child survives and is
 itself FULL -- a greatest fixed point reached in at most three sweeps.
 The sum contains an interval iff a FULL state is reachable from the
-level-one seeding, and any unit realizing it is an interval witness.
-Each level of that search adds a state unseen before or ends it, so a
-witness, if there is one, is found at level 3 at the latest.
+level-1 seeding.  For a non-good set that holds exactly when the FULL
+set is non-empty, as a level-1 unit then carries a FULL state; the
+rightmost such unit is the interval witness:
+
+  Units 0 and 2n-1 always seed (1,0) and (0,1), so a FULL set no
+  level-1 unit carries can only be {(1,1)}.  Then every child of (1,1)
+  is (1,1): each residue r < n has r or n+r in B, and n-1 is in B.
+  No level-1 unit is (1,1), so no two elements of B are adjacent.  The
+  residues r with r in B and those with n+r in B then cover [0, n)
+  together, neither holds two neighbours, and no r < n-1 is in both
+  (r+1 would be in neither), so they alternate from 0 in B.  That
+  makes B every even number up to 2n-2: a good set, answered before
+  the automaton is built.
 
 The automaton is built as arrays.  State (x, y) gets the code 2x + y,
 so 0 is dead.  Four shifted slices of an int8 support indicator give,
 for each live state, the child code of every residue r < n, and the
-level-1 seed code of every unit.  The fixed point, the dead-run gap
-witness and the rightmost interval witness read only which codes occur
-and the last r (or unit) giving each, so Python loops over the three
-states, never over residues.
+level-1 seed code of every unit.  The fixed point reads only which
+child codes occur, and the dead-run gap witness and the interval
+witness only the first or last unit of a seed code, so Python loops
+over the three states, never over residues.
 """
 
 from __future__ import annotations
@@ -87,49 +97,27 @@ def _last_by_code(codes: np.ndarray) -> dict[int, int]:
 
 def _automaton(support: np.ndarray, n: int):
     """Level-1 seed codes by unit j = 0..2n-1, and per live state the
-    last residue r < n giving each child code."""
+    set of child codes over the residues r < n."""
     # p[s + 1] = [s in B] for s = -1..2n-1
     p = np.zeros(2 * n + 1, dtype=np.int8)
     p[support + 1] = 1
     seeds = 2 * p[1:] + p[:-1]
     low = 2 * p[1 : n + 1] + p[:n]            # x: r in B, r-1 in B
     high = 2 * p[n + 1 :] + p[n : 2 * n]      # y: n+r in B, n+r-1 in B
-    children = {_X: _last_by_code(low), _Y: _last_by_code(high),
-                _X | _Y: _last_by_code(low | high)}
+    children = {
+        state: set(np.flatnonzero(np.bincount(codes, minlength=4)).tolist())
+        for state, codes in ((_X, low), (_Y, high), (_X | _Y, low | high))
+    }
     return seeds, children
 
 
 def _full_states(children) -> set[int]:
     full = set(_LIVE)
     while True:
-        keep = {s for s in full if set(children[s]) <= full}
+        keep = {s for s in full if children[s] <= full}
         if keep == full:
             return full
         full = keep
-
-
-def _find_full_unit(seeds, children, n, full):
-    """(level, unit index) of a reachable FULL unit, rightmost first."""
-    frontier = {s: j for s, j in _last_by_code(seeds).items() if s != _DEAD}
-    seen = set(frontier)
-    level = 1
-    while frontier:
-        hits = [(j, s) for s, j in frontier.items() if s in full]
-        if hits:
-            j, _ = max(hits)
-            return level, j
-        nxt: dict = {}
-        for s, j in frontier.items():
-            for child, r in children[s].items():
-                if child == _DEAD or child in seen:
-                    continue
-                jj = n * j + r
-                if child not in nxt or jj > nxt[child]:
-                    nxt[child] = jj
-        seen |= set(nxt)
-        frontier = nxt
-        level += 1
-    return None
 
 
 def _first_dead_run(seeds):
@@ -147,7 +135,9 @@ class StructureReport:
     """Trichotomy verdict with exact rational witnesses.
 
     Gap witnesses are open intervals disjoint from the sum; interval
-    witnesses are closed intervals contained in it.
+    witnesses are closed intervals contained in it.  `witness_level` is
+    the level m of the interval witness, a unit of width n^-m: always 1
+    for Mixed (see the module docstring), None otherwise.
     """
 
     case: StructureCase
@@ -192,22 +182,24 @@ def classify_structure(A: DigitSet, profile=None) -> StructureReport:
         raise InvariantError("a support gap >= 3 left every level-1 unit covered")
     gap = (Fraction(dead[0], n), Fraction(dead[1] + 1, n))
     full = _full_states(children)
-    hit = _find_full_unit(seeds, children, n, full) if full else None
-    if hit is None:
+    if not full:
         return StructureReport(
             case=StructureCase.CANTOR_SET,
             gap_witness=gap,
             interval_witness=None,
             points_dim_lower_bound=None,
         )
-    level, j = hit
-    den = n**level
+    last = _last_by_code(seeds)
+    carried = [last[s] for s in full if s in last]
+    if not carried:
+        raise InvariantError("no level-1 unit carries a FULL state of a non-good set")
+    j = max(carried)
     return StructureReport(
         case=StructureCase.MIXED,
         gap_witness=gap,
-        interval_witness=(Fraction(j, den), Fraction(j + 1, den)),
+        interval_witness=(Fraction(j, n), Fraction(j + 1, n)),
         points_dim_lower_bound=math.log(2) / math.log(n),
-        witness_level=level,
+        witness_level=1,
     )
 
 
@@ -253,6 +245,8 @@ def cantor_sum_dimension(A: DigitSet, depth: int = 8,
         value = math.log(len(profile.support)) / logn
         return CantorDimension(value=value, lower=value, upper=value,
                                exact=True, depth=0)
+    if depth < 2:
+        raise ValueError("a growth-rate bracket needs depth >= 2")
     counts = oracle.level_start_counts(A, depth, budget)
     per_level = [math.log(c) / (m * logn) for m, c in enumerate(counts, start=1)]
     ratios = [

@@ -58,6 +58,13 @@ class TestStructureCmd:
         assert code == 0
         assert "case: CantorSet" in out
 
+    def test_human_output_mixed_witnesses(self, capsys):
+        code, out, _ = run(capsys, "structure", "-n", "5", "-A", "0,1,4")
+        assert code == 0
+        assert "case: Mixed" in out
+        assert "interval_witness: [1, 6/5]" in out
+        assert "points_dim_lower_bound: 0.4306765581" in out
+
 
 class TestSearchCmd:
     def test_table_rows_csv(self, capsys):
@@ -109,6 +116,9 @@ class TestTowerCmd:
 
     def test_missing_base_row(self, capsys):
         assert run(capsys, "tower", "--target", "100", "--base-n", "9")[0] == 4
+
+    def test_base_below_table(self, capsys):
+        assert run(capsys, "tower", "--target", "100", "--base-n", "8")[0] == 4
 
     def test_target_in_table(self, capsys):
         code, out, _ = run(capsys, "tower", "--target", "27")

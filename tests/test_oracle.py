@@ -42,6 +42,13 @@ class TestLevelSet:
         assert any(hi <= Fraction(7, 5) for _, hi in fracs)
         assert any(lo >= Fraction(8, 5) for lo, _ in fracs)
 
+    def test_misses_open_interval_false_on_overlap(self):
+        # depth-1 components [0, 7/5] and [8/5, 2]
+        ls = level_set(DigitSet(5, (0, 1, 4)), 1)
+        assert not ls.misses_open_interval(Fraction(0), Fraction(1, 5))
+        assert not ls.misses_open_interval(Fraction(13, 10), Fraction(3, 2))
+        assert ls.misses_open_interval(Fraction(7, 5), Fraction(8, 5))
+
     def test_full_interval_single_component(self):
         A = DigitSet.of(3, [0, 2])
         for m in (1, 3, 8):

@@ -13,7 +13,7 @@ import pytest
 
 import cantorsum
 from cantorsum import search
-from cantorsum.constructions import TowerVerificationError
+from cantorsum.constructions import TowerVerificationError, chain_to_target
 from cantorsum.digitset import DigitSet, is_n_good, reflect, sumset_profile
 from cantorsum.gdifs import classify_intervals, uniqueness_report
 from cantorsum.search import (
@@ -58,6 +58,17 @@ class TestExhaustive:
     def test_refuses_beyond_31(self):
         with pytest.raises(InfeasibleSearchError):
             search_exhaustive(31)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_bases_below_3_rejected(self, n):
+        with pytest.raises(ValueError, match="base must be >= 3"):
+            search_exhaustive(n)
+        with pytest.raises(ValueError, match="base must be >= 3"):
+            list(iter_exhaustive_records(n))
+
+    def test_record_stream_refuses_beyond_30(self):
+        with pytest.raises(InfeasibleSearchError):
+            next(iter_exhaustive_records(31))
 
     def test_reflection_canonical_emission(self):
         for n in (6, 9, 11):
@@ -479,6 +490,21 @@ class TestFigureData:
         assert abs(best[9] - 0.6309297534) < 1e-9
         assert best[10] >= 0.4771212549 - 1e-9
         assert exceed == []
+
+    def test_climbs_above_base_24(self, monkeypatch):
+        calls = []
+        climb = search.search_heuristic
+        monkeypatch.setattr(search, "search_heuristic",
+                            lambda n, **kw: calls.append(n) or climb(n, **kw))
+        rows, exceed = figure_data(25, 26, budget=300)
+        assert calls == [25, 26]
+        assert [r[0] for r in rows] == [25, 26]
+        assert exceed == []
+        for n, best, _ in rows:
+            # floored by the tower chain
+            assert best >= chain_to_target(n).final.dim
+        # and never above the exact optimum over good sets
+        assert rows[0][1] <= search_exhaustive(25, require_good=True).best.dim
 
     def test_exact_through_base_24(self):
         # the default 10^4-budget climb reaches only 0.4956483270 at n = 20

@@ -244,6 +244,14 @@ class TestCantorDimension:
         assert cd.lower - 1e-3 <= truth
         assert cd.value == pytest.approx(truth, abs=1e-3)
 
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_bracket_needs_depth_two(self, depth):
+        A = DigitSet(10, (0, 5, 8, 9))  # adjacent sums: the bracket path
+        with pytest.raises(ValueError, match="depth >= 2"):
+            cantor_sum_dimension(A, depth=depth)
+        # the exact gap >= 2 branch ignores depth
+        assert cantor_sum_dimension(DigitSet.of(5, [0, 4]), depth=1).exact
+
     def test_not_applicable(self):
         with pytest.raises(NotApplicableError):
             cantor_sum_dimension(DigitSet.of(3, [0, 2]))
@@ -269,8 +277,8 @@ def _check_against_scalar(A):
     want = reference_structure(A)
     rep = classify_structure(A)
     assert _verdict(rep) == want, A
-    # three live states, one unseen state per level: found by level 3
-    assert rep.witness_level is None or rep.witness_level <= 3, A
+    # a FULL state always occurs at level 1 (structure module docstring)
+    assert rep.witness_level == (1 if rep.case is StructureCase.MIXED else None), A
     return want
 
 
