@@ -16,9 +16,15 @@ Two constructions carry the asymptotics:
 Nothing here trusts the recurrences: every tower output is re-typed
 from scratch, from its own digits, and a mismatch with the predicted
 adjacency matrix or eigenvalue raises instead of propagating silently.
-The output's pair counts are fast because :func:`sumset_profile` finds
-the doubled shape in those digits and counts the lower half; nothing
-from the parent step is passed in.
+The output is typed from its two sumset words (sums with >= 1 and
+>= 2 ordered pairs) by :func:`~cantorsum.gdifs.word_typing`, the rule
+the search uses; :func:`~cantorsum.digitset.sumset_words` finds the
+doubled shape in those digits and builds the words from the lower
+half's, so no count array of the output is built and nothing from the
+parent step is passed in.  A chain's table row and the input of
+:func:`tower` are typed from pair counts by
+:func:`~cantorsum.gdifs.classify_intervals`, so every chain checks the
+word rule against the count rule at its first step.
 
 A bookkeeping note on predicted matrices: with Lam = a + c and
 Rho = b + d (total L and R counts of the input typing), the output
@@ -41,13 +47,17 @@ from dataclasses import dataclass
 from importlib import resources
 from math import isqrt
 
-from .digitset import DigitSet, InvariantError, sumset_profile
+import numpy as np
+
+from .digitset import DigitSet, InvariantError, sumset_profile, sumset_words
 from .gdifs import (
     DIM_TOL,
     TypingProfile,
     UniquenessReport,
     classify_intervals,
+    matrix_dimension,
     uniqueness_report,
+    word_typing,
 )
 
 __all__ = [
@@ -129,29 +139,35 @@ def tower(A: DigitSet, k: int) -> DigitSet:
     very-goodness of the output from scratch.
     """
     typing, report = _typed_report(A)
-    out, _, _ = _tower_step(A, k, typing, report)
+    out, _, _ = _tower_step(A, k, typing.matrix, report)
     return out
 
 
-def _tower_step(A: DigitSet, k: int, typing: TypingProfile,
-                report: UniquenessReport):
+def _tower_step(A: DigitSet, k: int, matrix, report: UniquenessReport):
+    """(output, its matrix, its report), the output typed from its own
+    sumset words."""
     want_lam, out_n = tower_dim(report.lam, A.n, k)
     if not report.very_good:
         raise VeryGoodPreconditionError(f"{A} is not {A.n}-very-good")
     shift = 2 * A.n - k
-    out = DigitSet(out_n, A.digits + tuple(a + shift for a in A.digits))
-    out_typing, out_report = _typed_report(out)
-    if not out_report.very_good:
+    out = DigitSet(out_n, A.digits + tuple(map(shift.__add__, A.digits)))
+    m1, m2 = sumset_words(np.asarray(out.digits, dtype=np.int64))
+    good, very_good, a, b, c, d = word_typing(
+        out_n, 1 in out or out_n - 2 in out, m1, m2, int.bit_count)
+    if not very_good:
         raise TowerVerificationError(
             f"tower({A}, k={k}) produced a set that is not very-good"
         )
-    want_matrix = predicted_tower_matrix(typing.matrix, k)
-    if out_typing.matrix != want_matrix or abs(out_report.lam - want_lam) > DIM_TOL:
+    lam, trivial, dim = matrix_dimension(a, b, c, d, out_n)
+    out_matrix = ((a, b), (c, d))
+    want_matrix = predicted_tower_matrix(matrix, k)
+    if out_matrix != want_matrix or abs(lam - want_lam) > DIM_TOL:
         raise TowerVerificationError(
-            f"tower({A}, k={k}): derived matrix {out_typing.matrix} / "
-            f"lambda {out_report.lam} vs predicted {want_matrix} / {want_lam}"
+            f"tower({A}, k={k}): derived matrix {out_matrix} / "
+            f"lambda {lam} vs predicted {want_matrix} / {want_lam}"
         )
-    return out, out_typing, out_report
+    return out, out_matrix, UniquenessReport(lam=lam, dim=dim, trivial=trivial,
+                                             very_good=very_good, good=good)
 
 
 @functools.cache
@@ -252,10 +268,11 @@ def chain_to_target(n_target: int,
     typing, report = _typed_report(A)
     if not report.very_good:
         raise VeryGoodPreconditionError(f"table base {A} is not very-good")
-    rows = [ChainRow(0, None, A, typing.matrix, report.lam, report.dim)]
+    matrix = typing.matrix
+    rows = [ChainRow(0, None, A, matrix, report.lam, report.dim)]
     for i, k in enumerate(ks, start=1):
-        A, typing, report = _tower_step(A, k, typing, report)
-        rows.append(ChainRow(i, k, A, typing.matrix, report.lam, report.dim))
+        A, matrix, report = _tower_step(A, k, matrix, report)
+        rows.append(ChainRow(i, k, A, matrix, report.lam, report.dim))
     if rows[-1].n != n_target:
         raise InvariantError(f"chain ended at base {rows[-1].n}, not {n_target}")
     return TowerChain(base=rows[0].digitset, steps=tuple(ks), rows=tuple(rows))

@@ -44,6 +44,7 @@ __all__ = [
     "SumsetProfile",
     "sumset_profile",
     "pair_sum_counts",
+    "sumset_words",
     "is_n_good",
     "reflect",
 ]
@@ -95,9 +96,9 @@ class DigitSet:
         object.__setattr__(self, "digits", digits)
         if len(digits) < 2:
             raise ValueError("need at least two digits")
-        if any(d < 0 for d in digits):
+        if min(digits) < 0:
             raise ValueError("digits must be non-negative")
-        if any(digits[i] >= digits[i + 1] for i in range(len(digits) - 1)):
+        if not all(map(operator.lt, digits, digits[1:])):
             raise ValueError("digits must be strictly increasing (no duplicates)")
         if digits[0] != 0:
             raise ValueError("smallest digit must be 0 (translate the set first)")
@@ -219,12 +220,45 @@ def pair_sum_counts(digits: np.ndarray) -> np.ndarray:
     k = len(digits)
     if k * k <= (top + 1) * math.log2(top + 1) / 2 + _FFT_FIXED_PAIRS:
         return _pair_counts(digits, top)
-    half = k // 2
-    # O(1) end test first, so other dense sets skip the O(k) comparison.
-    if (k % 2 == 0 and digits[-1] == digits[half - 1] + digits[half]
-            and np.array_equal(digits[half:] - digits[half], digits[:half])):
+    if _doubling_shift(digits):
         return _split_pair_counts(digits, top)
     return _fft_pair_counts(digits, top)
+
+
+def _doubling_shift(digits: np.ndarray) -> int:
+    """h > 0 when the digits are Y u (Y + h) with Y their lower half, else 0."""
+    k = len(digits)
+    half = k // 2
+    # O(1) end test first, so other sets skip the O(k) comparison.
+    if (k % 2 == 0 and digits[-1] == digits[half - 1] + digits[half]
+            and np.array_equal(digits[half:] - digits[half], digits[:half])):
+        return int(digits[half])
+    return 0
+
+
+def sumset_words(digits: np.ndarray) -> tuple[int, int]:
+    """(m1, m2): bit s of m1 (m2) is set when s has >= 1 (>= 2) ordered pairs.
+
+    The threshold words of :func:`pair_sum_counts` for a sorted,
+    distinct digit array.  A translate-doubled X = Y u (Y + h) takes
+    them from Y's words by c_X[s] = c_Y[s] + 2 c_Y[s - h] + c_Y[s - 2h]:
+    s has a pair when any term does, and two when c_Y[s - h] >= 1,
+    c_Y[s] >= 2 or c_Y[s - 2h] >= 2.  No s has both c_Y[s] and
+    c_Y[s - 2h] non-zero, since Y + Y ends at 2 max Y < 2h.  Any other
+    set thresholds its counts.
+    """
+    h = _doubling_shift(digits)
+    if not h:
+        counts = pair_sum_counts(digits)
+        return _bits_word(counts >= 1), _bits_word(counts >= 2)
+    m1, m2 = sumset_words(digits[: len(digits) // 2])
+    mid = m1 << h
+    return m1 | mid | mid << h, mid | m2 | m2 << 2 * h
+
+
+def _bits_word(bits: np.ndarray) -> int:
+    """Entry s of a bool array as bit s of a Python int."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def _pair_counts(digits: np.ndarray, top: int) -> np.ndarray:

@@ -30,9 +30,13 @@ always typed L and R), integer arithmetic shows lambda is either 1 or
 at least 2; there is nothing in between.
 
 The lambda/trivial/dim formula and the very-good rule are written once,
-in :func:`matrix_dimension` and :func:`very_good_rule` (elementwise, so
-the search types a mask and a batch by one rule); only lambda and dim
-have a vector twin, in the NumPy search kernel.
+in :func:`matrix_dimension` and :func:`very_good_rule`.  The same
+typing read off the sumset words (bit s set when s has at least one,
+or at least two, ordered pairs) is :func:`word_typing`, elementwise, so
+the search types a mask and a batch, and the tower steps their
+outputs, by one rule; :func:`classify_intervals` stays its independent
+twin on count arrays.  Only lambda and dim have a vector twin, in the
+NumPy search kernel.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ __all__ = [
     "perron_eigenvalue",
     "matrix_dimension",
     "very_good_rule",
+    "word_typing",
 ]
 
 TYPE_O, TYPE_L, TYPE_R = 0, 1, 2
@@ -135,6 +140,29 @@ def very_good_rule(good, edge_digit, a, b, c, d):
     """Very-good: good, neither 1 nor n-2 a digit (edge_digit == 0), equal
     row or column sums.  Elementwise; a Python bool on Python scalars."""
     return good & (edge_digit == 0) & ((a + b == c + d) | (a + c == b + d))
+
+
+def word_typing(n: int, edge_digit, m1, m2, popcount):
+    """(good, very_good, a, b, c, d) from the sumset words of a canonical set.
+
+    Bit s of m1 (m2) is set when s has at least one (two) ordered pairs;
+    ``edge_digit`` is non-zero when 1 or n - 2 is a digit.  The words are
+    Python ints (popcount ``int.bit_count``) or uint64 arrays
+    (``np.bitwise_count``).  The sets hold 0 and n - 1, so a support bit
+    followed by two clear ones below 2n - 2 is two clear bits in a row;
+    the L and R words are :func:`classify_intervals` read off bits.
+    """
+    span = (1 << (2 * n - 2)) - 1
+    good = (m1 | m1 >> 1) & span == span
+    unique = m1 ^ m2
+    l_word = unique & ~(m1 << 1)
+    r_word = unique << 1 & ~m1
+    low_mask = (1 << n) - 1
+    a = popcount(l_word & low_mask)
+    b = popcount(r_word & low_mask)
+    c = popcount(l_word >> n)
+    d = popcount(r_word >> n)
+    return good, very_good_rule(good, edge_digit, a, b, c, d), a, b, c, d
 
 
 @dataclass(frozen=True)

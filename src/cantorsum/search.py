@@ -27,9 +27,10 @@ digit d moves the count of d + a by 2 for every other digit a and the
 count of 2d by 1, so the words of a proposal are a few big-int
 operations on W_1..W_4 (:meth:`_PairCounts.trial`); only an accepted
 flip updates the counts and rebuilds the four words.  One typing
-rule, :func:`_word_typing`, turns the words of a mask or of a uint64
-batch into goodness, very-goodness and a, b, c, d; lambda and dim come
-from their owner, ``gdifs``, with a NumPy twin for batches.  Tests hold
+rule, :func:`~cantorsum.gdifs.word_typing` (shared with the tower steps
+of ``constructions``), turns the words of a mask or of a uint64 batch
+into goodness, very-goodness and a, b, c, d; lambda and dim come from
+their owner, ``gdifs``, with a NumPy twin for batches.  Tests hold
 the incremental updates, the proposal words, a flip-and-retype climb,
 an independent shift-loop batch kernel and the reference
 interval-typing path to identical answers.  One batch loop,
@@ -51,8 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import chain_to_target, load_base_table, sqrt_good_set
-from .digitset import DigitSet, InvariantError, pair_sum_counts
-from .gdifs import DIM_TOL, matrix_dimension, very_good_rule
+from .digitset import DigitSet, InvariantError, _bits_word, pair_sum_counts
+from .gdifs import DIM_TOL, matrix_dimension, word_typing
 
 __all__ = [
     "SearchRecord",
@@ -119,37 +120,12 @@ def _mask_digits(n: int, mask: int) -> tuple[int, ...]:
     return tuple(np.flatnonzero(_indicator(n, mask)).tolist())
 
 
-def _word_typing(n: int, mask, m1, m2, popcount):
-    """(good, very_good, a, b, c, d) of Python ints (popcount
-    ``int.bit_count``) or uint64 arrays (``np.bitwise_count``).
-
-    Bit s of m1 (m2) is set when s has at least one (two) ordered pairs.
-    The sets hold 0 and n - 1, so a support bit followed by two clear
-    ones below 2n - 2 is two clear bits in a row.
-    """
-    span = (1 << (2 * n - 2)) - 1
-    good = (m1 | m1 >> 1) & span == span
-    unique = m1 ^ m2
-    l_word = unique & ~(m1 << 1)
-    r_word = unique << 1 & ~m1
-    low_mask = (1 << n) - 1
-    a = popcount(l_word & low_mask)
-    b = popcount(r_word & low_mask)
-    c = popcount(l_word >> n)
-    d = popcount(r_word >> n)
-    very_good = very_good_rule(good, mask & (2 | 1 << (n - 2)), a, b, c, d)
-    return good, very_good, a, b, c, d
-
-
 def _type_words(n: int, mask: int, m1: int, m2: int):
     """Typing of one mask, with lambda and dim from their owner."""
-    good, very_good, a, b, c, d = _word_typing(n, mask, m1, m2, int.bit_count)
+    edge_digit = mask & (2 | 1 << (n - 2))
+    good, very_good, a, b, c, d = word_typing(n, edge_digit, m1, m2, int.bit_count)
     lam, _, dim = matrix_dimension(a, b, c, d, n)
     return good, very_good, a, b, c, d, lam, dim
-
-
-def _word(bits: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 class _PairCounts:
@@ -173,7 +149,7 @@ class _PairCounts:
         self._rebuild_words()
 
     def _rebuild_words(self) -> None:
-        self.words = tuple(_word(self.cnt >= t) for t in (1, 2, 3, 4))
+        self.words = tuple(_bits_word(self.cnt >= t) for t in (1, 2, 3, 4))
 
     def trial(self, d: int):
         """(mask, m1, m2) of the set with digit d flipped.
@@ -308,14 +284,15 @@ def _type_batch(n: int, masks: np.ndarray, m1: np.ndarray, m2: np.ndarray):
     """Vector twin of :func:`_type_words`, with the inline invariants.
     Lambda and dim keep their own vector form: the pinned dims depend
     on which log computed them."""
-    good, very_good, *quad = _word_typing(n, masks, m1, m2, np.bitwise_count)
+    edge_digit = masks & (2 | 1 << (n - 2))
+    good, very_good, *quad = word_typing(n, edge_digit, m1, m2, np.bitwise_count)
     a, b, c, d = (q.astype(np.int16) for q in quad)
     lam = ((a + d) + np.sqrt((a - d) ** 2 + 4 * b * c, dtype=np.float64)) / 2.0
     # trivial matrices have lam <= 1, so their dim comes out 0.0 as well
     trivial = (b * c == 0) & (np.maximum(a, d) <= 1)
     dim = np.log(np.maximum(lam, 1.0)) / math.log(n)
     size = np.bitwise_count(masks).astype(np.int16)
-    no_edge = good & (masks & (2 | 1 << (n - 2)) == 0)
+    no_edge = good & (edge_digit == 0)
     if not np.all(trivial | (lam >= 2 - DIM_TOL)):
         raise InvariantError("eigenvalue dichotomy violated")
     if not np.all(lam <= size + DIM_TOL):

@@ -1,9 +1,13 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
+from cantorsum import constructions
 from cantorsum.constructions import (
     BaseMissingError,
+    TowerVerificationError,
     VeryGoodPreconditionError,
     chain_to_target,
     load_base_table,
@@ -13,8 +17,8 @@ from cantorsum.constructions import (
     tower,
     tower_dim,
 )
-from cantorsum.digitset import DigitSet, is_n_good, sumset_profile
-from cantorsum.gdifs import classify_intervals, uniqueness_report
+from cantorsum.digitset import DigitSet, is_n_good, sumset_profile, sumset_words
+from cantorsum.gdifs import classify_intervals, uniqueness_report, word_typing
 
 from conftest import canonical_sets
 
@@ -25,6 +29,13 @@ CHAIN_LAMBDAS = {
     17: 4, 51: 8, 153: 16, 458: 31, 1372: 60, 4116: 120,
     12346: 238, 37038: 476, 111112: 950, 333334: 1898, 1000000: 3794,
 }
+
+# sha256 over the rows of the chains to 458, 99999, 10^5 and 10^6 and to
+# 81 from base 9 alone, as (n, k, matrix, repr(lam), repr(dim), sha256 of
+# the digits' csv cell), then over tower(A, k) for k = 0, 1, 2 on the
+# table rows of bases 9, 17 and 27; computed when every step was still
+# typed from its pair-count array
+CHAIN_DIGEST = "18dfd892c353cf37de2ab80752ff97494b45754729828bece9a7dcb4e4f55a14"
 
 
 def direct_report(A):
@@ -98,6 +109,19 @@ class TestTower:
             tower(DigitSet.of(3, [0, 1, 2]), 0)  # 1 is a digit
         with pytest.raises(VeryGoodPreconditionError):
             tower(DigitSet.of(4, [0, 3]), 1)  # not even good
+
+    def test_verification_errors(self, monkeypatch):
+        A = load_base_table()[9]
+        with monkeypatch.context() as m:
+            # words of a 27-digit set whose sumset is only {0, 52}: not good
+            m.setattr(constructions, "sumset_words", lambda digits: (1 | 1 << 52, 0))
+            with pytest.raises(TowerVerificationError, match="not very-good"):
+                tower(A, 0)
+        monkeypatch.setattr(constructions, "predicted_tower_matrix",
+                            lambda matrix, k: ((0, 0), (0, 0)))
+        with pytest.raises(TowerVerificationError,
+                           match=r"derived matrix .* vs predicted \(\(0, 0\), \(0, 0\)\)"):
+            tower(A, 0)
 
     def test_asymmetric_matrix_bookkeeping(self):
         # unequal off-diagonals: the seam removes one L and one R from
@@ -208,6 +232,33 @@ class TestChain:
             chain_to_target(8)
         with pytest.raises(BaseMissingError):
             chain_to_target(100, base_table={9: load_base_table()[9]})
+
+    def test_pinned_digest(self):
+        table = load_base_table()
+        chains = [chain_to_target(t) for t in (458, 99999, 10**5, 10**6)]
+        chains.append(chain_to_target(81, {9: table[9]}))
+        h = hashlib.sha256()
+        for chain in chains:
+            for r in chain.rows:
+                cell = hashlib.sha256(r.digitset.csv_cell().encode()).hexdigest()
+                h.update(repr((r.n, r.k, r.matrix, repr(r.lam), repr(r.dim), cell)).encode())
+        for n in (9, 17, 27):
+            for k in (0, 1, 2):
+                out = tower(table[n], k)
+                h.update(repr((out.n, out.digits)).encode())
+        assert h.hexdigest() == CHAIN_DIGEST
+
+    @pytest.mark.parametrize("target", [458, 99999, 10**5, 10**6])
+    def test_word_typing_matches_interval_typing(self, target):
+        for row in chain_to_target(target).rows:
+            A = row.digitset
+            t, rep = direct_report(A)
+            words = sumset_words(np.asarray(A.digits, dtype=np.int64))
+            good, very_good, a, b, c, d = word_typing(
+                A.n, 1 in A or A.n - 2 in A, *words, int.bit_count)
+            assert row.matrix == ((a, b), (c, d)) == t.matrix, row.n
+            assert (good, very_good) == (rep.good, rep.very_good) == (True, True), row.n
+            assert (row.lam, row.dim) == (rep.lam, rep.dim), row.n
 
     def test_custom_base_table(self):
         # substituting a better base is supported; base 9 reaches 81

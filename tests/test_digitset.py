@@ -41,6 +41,22 @@ class TestDigitSet:
         with pytest.raises(ValueError):
             DigitSet.of(5, [0, 3, 3, 4])
 
+    @pytest.mark.parametrize("n,digits,message", [
+        (2, (0, 1), "base must be an integer >= 3"),
+        (5, (0,), "need at least two digits"),
+        (5, (-2, 0, 4), "digits must be non-negative"),
+        # unsorted and negative: the sign is reported first
+        (5, (0, 4, -1), "digits must be non-negative"),
+        (5, (0, 4, 2), "digits must be strictly increasing"),
+        (5, (0, 2, 2, 4), "digits must be strictly increasing"),
+        # unsorted without 0 first: the order is reported first
+        (5, (4, 0), "digits must be strictly increasing"),
+        (5, (1, 4), "smallest digit must be 0"),
+    ])
+    def test_validation_messages(self, n, digits, message):
+        with pytest.raises(ValueError, match=message):
+            DigitSet(n, digits)
+
     def test_numpy_integers_accepted(self):
         A = DigitSet(np.int64(10), (np.int64(0), np.int32(4), 9))
         assert A == DigitSet(10, (0, 4, 9))
@@ -356,3 +372,61 @@ class TestReflect:
     @settings(max_examples=60, deadline=None)
     def test_involution(self, A):
         assert reflect(reflect(A)) == A
+
+
+def threshold_word(counts, t):
+    """Bit s set when counts[s] >= t, built from a '0'/'1' string."""
+    bits = (counts[::-1] >= t).astype(np.uint8) + ord("0")
+    return int(bits.tobytes(), 2)
+
+
+def check_words(digits):
+    """sumset_words against the thresholded row-loop counts."""
+    A = DigitSet.general(3, digits)
+    counts = pair_twin(A)
+    want = threshold_word(counts, 1), threshold_word(counts, 2)
+    assert digitset.sumset_words(np.asarray(A.digits, dtype=np.int64)) == want
+
+
+class TestSumsetWords:
+    """The doubled-word recurrence against thresholded pair counts."""
+
+    @pytest.mark.parametrize("target", [458, 99999, 10**5, 10**6])
+    def test_every_chain_row(self, target):
+        rows = chain_to_target(target).rows
+        for prev, row in zip((None,) + rows, rows):
+            digits = np.asarray(row.digitset.digits, dtype=np.int64)
+            if prev is not None:
+                assert digitset._doubling_shift(digits) == 2 * prev.n - row.k
+            check_words(digits)
+
+    def test_nested_doubled_sets(self):
+        # h from max + 1 (Y and Y + h abut) to 3 max + 1; up to 2 max the
+        # ranges of c_Y[s] and c_Y[s - h] overlap
+        rng = np.random.default_rng(20261018)
+        for _ in range(300):
+            top = int(rng.integers(1, 200))
+            X = np.union1d(np.flatnonzero(rng.random(top + 1) < rng.random()), [0, top])
+            for _ in range(int(rng.integers(1, 5))):
+                top = int(X[-1])
+                h = int(rng.choice([top + 1, 2 * top, 2 * top + 1, 3 * top + 1,
+                                    int(rng.integers(top + 1, 3 * top + 2))]))
+                X = np.concatenate([X, X + h])
+                assert digitset._doubling_shift(X) == h
+            check_words(X)
+
+    def test_leaf_sets(self):
+        rng = np.random.default_rng(11)
+        leaves = 0
+        for _ in range(200):
+            top = int(rng.integers(1, 400))
+            X = np.union1d(np.flatnonzero(rng.random(top + 1) < rng.random()), [0, top])
+            if digitset._doubling_shift(X):  # the few doubled draws are not leaves
+                continue
+            check_words(X)
+            leaves += 1
+        assert leaves > 150
+        # odd counts, and upper halves that are no translate of the lower
+        for X in ([0, 1, 2], [0, 2, 3, 4], [0, 1, 3, 7]):
+            assert digitset._doubling_shift(np.array(X)) == 0
+            check_words(X)

@@ -14,7 +14,7 @@ import pytest
 import cantorsum
 from cantorsum import search
 from cantorsum.constructions import TowerVerificationError, chain_to_target
-from cantorsum.digitset import DigitSet, is_n_good, reflect, sumset_profile
+from cantorsum.digitset import DigitSet, _bits_word, is_n_good, reflect, sumset_profile
 from cantorsum.gdifs import classify_intervals, uniqueness_report
 from cantorsum.search import (
     LOG2_OVER_LOG3,
@@ -412,8 +412,8 @@ def _reference_climb(n, budget, seed, require_good, require_very_good):
     def consider(counts):
         nonlocal best, evals, matching
         evals += 1
-        row = search._type_words(n, counts.mask, search._word(counts.cnt > 0),
-                                 search._word(counts.cnt > 1))
+        row = search._type_words(n, counts.mask, _bits_word(counts.cnt > 0),
+                                 _bits_word(counts.cnt > 1))
         good, dim = row[0], row[7]
         if not ((require_very_good and not row[1]) or (require_good and not good)):
             matching += 1
