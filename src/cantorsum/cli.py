@@ -68,18 +68,22 @@ def _canonical_digitset(n: int, digits_text: str) -> DigitSet:
     return A
 
 
-def _budget_arg(text: str) -> int:
-    """--budget: a whole number >= 1, written as 1000 or 1e6."""
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        value = None
-    if value is None or value.denominator != 1 or value < 1:
-        raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {text!r}")
-    return int(value)
+def _whole_number(minimum: int):
+    """An argparse type: a whole number >= minimum, written as 1000 or 1e6."""
+    def parse(text: str) -> int:
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if value is None or value.denominator != 1 or value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected a whole number >= {minimum}, got {text!r}")
+        return int(value)
+    return parse
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _parse_bases(text: str) -> tuple[int, int]:
+    """-n of search and figure: a base or a range a..b, bases >= 3."""
     try:
         if ".." in text:
             lo, hi = text.split("..")
@@ -90,6 +94,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise CliError(EXIT_MALFORMED, f"bad range {text!r}") from exc
     if lo > hi:
         raise CliError(EXIT_MALFORMED, f"empty range {text!r}")
+    if lo < 3:
+        raise CliError(EXIT_MALFORMED, "base must be >= 3")
     return lo, hi
 
 
@@ -165,7 +171,7 @@ def _monitor_warnings(exceedances) -> None:
 
 
 def cmd_search(args) -> list[str]:
-    lo, hi = _parse_range(args.n)
+    lo, hi = _parse_bases(args.n)
     lines = [_SEARCH_CSV_HEADER]
     exceed = []
     for n in range(lo, hi + 1):
@@ -190,7 +196,7 @@ def cmd_search(args) -> list[str]:
 
 
 def cmd_figure(args) -> list[str]:
-    lo, hi = _parse_range(args.n)
+    lo, hi = _parse_bases(args.n)
     rows, exceed = figure_data(lo, hi, budget=args.budget, seed=args.seed)
     lines = ["n,best_dim,reference"]
     for n, best, ref in rows:
@@ -260,7 +266,8 @@ def _write_manifest(path: str, command: str, params: dict, seed,
 def _add_common(p, seed=False):
     p.add_argument("--manifest", default=None, help="write a run manifest JSON here")
     if seed:
-        p.add_argument("--seed", type=int, default=0, help="64-bit search seed")
+        p.add_argument("--seed", type=_whole_number(0), default=0,
+                       help="search seed, a whole number >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,14 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heuristic", action="store_true")
     p.add_argument("--require-good", action="store_true")
     p.add_argument("--require-very-good", action="store_true")
-    p.add_argument("--budget", type=_budget_arg, default=10_000)
+    p.add_argument("--budget", type=_whole_number(1), default=10_000)
     p.add_argument("--csv-out", default=None)
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("figure", help="best known dimension per base, CSV")
     p.add_argument("-n", required=True, help="range a..b")
-    p.add_argument("--budget", type=_budget_arg, default=10_000)
+    p.add_argument("--budget", type=_whole_number(1), default=10_000)
     p.add_argument("--csv-out", default=None)
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_figure)
@@ -322,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--typing", dest="which", action="store_const", const="typing")
     g.add_argument("--growth", dest="which", action="store_const", const="growth")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--budget", type=_budget_arg, default=None)
+    p.add_argument("--budget", type=_whole_number(1), default=None)
     _add_common(p)
     p.set_defaults(func=cmd_oracle)
 

@@ -36,12 +36,19 @@ an independent shift-loop batch kernel and the reference
 interval-typing path to identical answers.  One batch loop,
 :func:`_batches`, serves the exhaustive search and the record stream.
 
-Every batch also checks the cheap integer invariants inline
-(eigenvalue dichotomy, lambda <= |A|, good sets need >= sqrt(n)
-digits, the missing-edge-digit bound) and raises
-:class:`~cantorsum.digitset.InvariantError` on a violation; any record
-whose dimension exceeds log(2)/log(3) + DIM_TOL is collected for the
-conjecture monitor rather than silently kept.
+A batch stays in integers: besides a, b, c, d it carries s = a + d and
+q = (a - d)^2 + 4bc, so that 2 lambda = s + sqrt(q).  It checks the
+cheap invariants inline in exact integer form (eigenvalue dichotomy,
+lambda <= |A|, good sets need >= sqrt(n) digits, the missing-edge-digit
+bound), with one count of violations per batch, and raises
+:class:`~cantorsum.digitset.InvariantError` on one.  Integers decide
+the ranking: a float32 s + sqrt(q) only picks the rows near the batch
+top, and :func:`_root_sum_sign` orders them exactly.  Floats are for
+display: lambda and dim are computed only for those rows, for rows
+near the conjecture monitor's threshold (which keeps its float dim
+test) and for the streamed records.
+Any record whose dimension exceeds log(2)/log(3) + DIM_TOL is
+collected for the monitor rather than silently kept.
 """
 
 from __future__ import annotations
@@ -72,6 +79,13 @@ _MONITOR_DIM = LOG2_OVER_LOG3 + DIM_TOL
 EXHAUSTIVE_MAX_N = 30
 _FIGURE_EXHAUSTIVE_MAX_N = 24
 _TABLE_DIGITS = 15  # inner digits in the low-part table: 2^15 rows, 1 MB
+# A batch prefilters its rows by v = s + sqrt(q) = 2 lambda in float32,
+# whose error is < _V_ERROR for v <= 60 (lambda <= |A| <= 30).  Every
+# row within _RANK_WINDOW of the batch's top v is ranked exactly, so a
+# row with the top exact lambda is never left out, and a batch whose top
+# v is more than _RANK_WINDOW below the best's cannot hold a better row.
+_V_ERROR = 1e-5
+_RANK_WINDOW = 1e-3
 
 
 class InfeasibleSearchError(ValueError):
@@ -200,9 +214,13 @@ def _record(n: int, mask: int, row) -> SearchRecord:
     )
 
 
-def _batch_record(n: int, masks: np.ndarray, cols, i: int) -> SearchRecord:
-    """The record of row i of a kernel batch."""
-    return _record(n, int(masks[i]), tuple(col[i] for col in cols))
+def _batch_records(n: int, masks: np.ndarray, cols, rows) -> list[SearchRecord]:
+    """The records of the given rows of a kernel batch; lambda and dim
+    are computed for those rows alone."""
+    good, very_good, a, b, c, d, s, q = (col[rows] for col in cols)
+    lam, dim = _lam_dim(n, s, q)
+    return [_record(n, int(mask), row) for mask, row in
+            zip(masks[rows], zip(good, very_good, a, b, c, d, lam, dim))]
 
 
 def _root_sum_sign(p1: int, q1: int, p2: int, q2: int) -> int:
@@ -280,28 +298,55 @@ def _low_table(n: int):
     return k, len(canonical) - int(np.count_nonzero(canonical)), (mask, m1, m2)
 
 
+def _signed_square(x):
+    """x * |x|: for integer x and q >= 0, sqrt(q) < x <=> q < x|x| and
+    sqrt(q) > x <=> q > x|x|."""
+    return x * np.abs(x)
+
+
 def _type_batch(n: int, masks: np.ndarray, m1: np.ndarray, m2: np.ndarray):
-    """Vector twin of :func:`_type_words`, with the inline invariants.
-    Lambda and dim keep their own vector form: the pinned dims depend
-    on which log computed them."""
+    """Vector twin of :func:`_type_words` in integers, with the inline
+    invariants: (good, very_good, a, b, c, d, s, q), where 2 lambda =
+    s + sqrt(q), s = a + d and q = (a - d)^2 + 4bc; a..d, s and q are
+    int16 (q <= 4n^2 <= 3600, since a + b and c + d are at most n).
+
+    The four invariants are tested in exact integer form and checked by
+    one count of their violations; only a batch with a violation looks
+    for the first message in the order of the checks.  lambda >= 2 is
+    sqrt(q) >= 4 - s, and lambda <= |A| is sqrt(q) <= 2|A| - s.  These
+    equal the DIM_TOL float forms: for an integer t and a q <= 3600 that
+    is not a square, sqrt(q) lies at least 1/(2 sqrt(q) + 1) > 0.008
+    from t, and a square q gives an exact half-integer lambda, so no
+    margin of 1e-9 moves a comparison.
+    """
     edge_digit = masks & (2 | 1 << (n - 2))
     good, very_good, *quad = word_typing(n, edge_digit, m1, m2, np.bitwise_count)
-    a, b, c, d = (q.astype(np.int16) for q in quad)
-    lam = ((a + d) + np.sqrt((a - d) ** 2 + 4 * b * c, dtype=np.float64)) / 2.0
-    # trivial matrices have lam <= 1, so their dim comes out 0.0 as well
-    trivial = (b * c == 0) & (np.maximum(a, d) <= 1)
-    dim = np.log(np.maximum(lam, 1.0)) / math.log(n)
+    a, b, c, d = (x.astype(np.int16) for x in quad)
+    s = a + d
+    bc = b * c
+    q = (a - d) ** 2 + 4 * bc
     size = np.bitwise_count(masks).astype(np.int16)
-    no_edge = good & (edge_digit == 0)
-    if not np.all(trivial | (lam >= 2 - DIM_TOL)):
-        raise InvariantError("eigenvalue dichotomy violated")
-    if not np.all(lam <= size + DIM_TOL):
-        raise InvariantError("lambda exceeded |A|")
-    if not np.all(~good | (size * size >= n)):
-        raise InvariantError("good set smaller than sqrt(n)")
-    if not np.all(~no_edge | (lam >= 2 - DIM_TOL)):
-        raise InvariantError("missing-edge-digit bound violated")
-    return good, very_good, a, b, c, d, lam, dim
+    # lambda < 2; with bc = 0 lambda is max(a, d), so such a row is
+    # trivial exactly when bc = 0
+    below_2 = q < _signed_square(4 - s)
+    checks = (
+        ("eigenvalue dichotomy violated", below_2 & (bc != 0)),
+        ("lambda exceeded |A|", q > _signed_square(2 * size - s)),
+        ("good set smaller than sqrt(n)", good & (size * size < n)),
+        ("missing-edge-digit bound violated", below_2 & good & (edge_digit == 0)),
+    )
+    if np.count_nonzero(checks[0][1] | checks[1][1] | checks[2][1] | checks[3][1]):
+        raise InvariantError(next(message for message, hit in checks if hit.any()))
+    return good, very_good, a, b, c, d, s, q
+
+
+def _lam_dim(n: int, s: np.ndarray, q: np.ndarray):
+    """lambda and dim of batch rows, the vector twin of
+    :func:`~cantorsum.gdifs.matrix_dimension`: the pinned dims depend on
+    which log computed them.  Trivial matrices have lam <= 1, so their
+    dim comes out 0.0 as well."""
+    lam = (s + np.sqrt(q, dtype=np.float64)) / 2.0
+    return lam, np.log(np.maximum(lam, 1.0)) / math.log(n)
 
 
 def _batches(n: int, require_good: bool, require_very_good: bool,
@@ -360,25 +405,36 @@ def search_exhaustive(n: int, require_good: bool = False,
     """
     _check_exhaustive_base(n)
     best: SearchRecord | None = None
+    best_v = 0.0
     n_enumerated = 0
     n_matching = 0
     exceed: list[SearchRecord] = []
+    # v at dim _MONITOR_DIM, lowered by more than v's error (2 n^dim >= 4);
+    # the rows above it take the float dim test that flags them
+    monitor_v = 2 * n ** _MONITOR_DIM * (1 - _V_ERROR)
     for masks, cols, keep in _batches(n, require_good, require_very_good):
-        dim = cols[7]
         n_enumerated += len(masks)
-        n_matching += int(np.count_nonzero(keep))
-        for i in np.flatnonzero(keep & (dim > _MONITOR_DIM)):
-            exceed.append(_batch_record(n, masks, cols, i))
-        if not np.any(keep):
+        matching = int(np.count_nonzero(keep))
+        n_matching += matching
+        if not matching:
             continue
-        dims = np.where(keep, dim, -1.0)
-        top = dims.max()
-        if best is not None and top < best.dim:
+        s, q = cols[6:]
+        v = np.sqrt(q, dtype=np.float32)
+        v += s
+        # a matching row has v >= s >= 2 (a, d >= 1 for canonical sets), so
+        # the rows that do not match, at 0, never come near the top
+        v *= keep
+        top = float(v.max())
+        if top > monitor_v:
+            exceed.extend(rec for rec in _batch_records(
+                n, masks, cols, np.flatnonzero(v > monitor_v))
+                if rec.dim > _MONITOR_DIM)
+        if best is not None and top < best_v - _RANK_WINDOW:
             continue
-        for i in np.flatnonzero(dims == top):
-            cand = _batch_record(n, masks, cols, i)
+        rows = np.flatnonzero(v >= top - _RANK_WINDOW)
+        for cand, cand_v in zip(_batch_records(n, masks, cols, rows), v[rows]):
             if _better(cand, best):
-                best = cand
+                best, best_v = cand, float(cand_v)
     exceed.sort(key=lambda r: (r.n, r.digits))
     return SearchResult(best=best, n_enumerated=n_enumerated,
                         n_matching=n_matching, evaluations=n_enumerated,
@@ -390,8 +446,8 @@ def iter_exhaustive_records(n: int, require_good: bool = False,
     """Stream every reflection-canonical record (3 <= n <= 30)."""
     _check_exhaustive_base(n)
     for masks, cols, keep in _batches(n, require_good, require_very_good):
-        for i in np.flatnonzero(keep)[np.argsort(masks[keep])]:
-            yield _batch_record(n, masks, cols, i)
+        rows = np.flatnonzero(keep)
+        yield from _batch_records(n, masks, cols, rows[np.argsort(masks[rows])])
 
 
 def _random_inner(rng, bits: int) -> int:

@@ -187,6 +187,41 @@ class TestFigureCmd:
         assert lines[1].startswith("3,0.6309297536,0.6309297536")
 
 
+class TestBaseBelowThree:
+    @pytest.mark.parametrize("argv", [
+        ("search", "-n", "2"),
+        ("search", "-n", "0..3"),
+        ("search", "-n", "2", "--heuristic"),
+        ("figure", "-n", "2..4"),
+    ])
+    def test_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: base must be >= 3\n"
+
+
+class TestSeedOption:
+    COMMANDS = {
+        "search": ("search", "-n", "20", "--heuristic", "--budget", "200"),
+        "figure": ("figure", "-n", "9..10", "--budget", "200"),
+    }
+
+    @pytest.mark.parametrize("value", ["-1", "2.5", "nan", "x"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bad_seed_exits_2(self, capsys, command, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.COMMANDS[command], "--seed", value])
+        assert exc.value.code == 2
+        assert "expected a whole number >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, seed", [("0", 0), ("7", 7), ("1e3", 1000)])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_whole_seed_parses_to_int(self, command, value, seed):
+        args = build_parser().parse_args([*self.COMMANDS[command], "--seed", value])
+        assert type(args.seed) is int and args.seed == seed
+
+
 class TestBudgetOption:
     COMMANDS = {
         "search": ("search", "-n", "20", "--heuristic"),

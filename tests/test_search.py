@@ -14,8 +14,8 @@ import pytest
 import cantorsum
 from cantorsum import search
 from cantorsum.constructions import TowerVerificationError, chain_to_target
-from cantorsum.digitset import DigitSet, _bits_word, is_n_good, reflect, sumset_profile
-from cantorsum.gdifs import classify_intervals, uniqueness_report
+from cantorsum.digitset import DigitSet, InvariantError, _bits_word, is_n_good, reflect, sumset_profile
+from cantorsum.gdifs import DIM_TOL, classify_intervals, uniqueness_report
 from cantorsum.search import (
     LOG2_OVER_LOG3,
     InfeasibleSearchError,
@@ -78,6 +78,12 @@ class TestExhaustive:
                 assert refl not in seen or refl == rec.digits
                 seen.add(rec.digits)
 
+    @pytest.mark.parametrize("n", [12, 17])
+    def test_stream_in_mask_order(self, n):
+        # n = 17 spans four batches, and the high digits grow with the batch
+        masks = [sum(1 << d for d in rec.digits) for rec in iter_exhaustive_records(n)]
+        assert masks == sorted(masks) and len(set(masks)) == len(masks)
+
     def test_determinism_bytes(self):
         rows1 = list(iter_exhaustive_records(10))
         rows2 = list(iter_exhaustive_records(10))
@@ -103,13 +109,16 @@ class TestKernelAgainstReference:
     def test_batch_kernel_matches_scalar(self, rng):
         for n in (5, 9, 13, 20):
             for masks, batch, _ in search._batches(n, False, False):
+                lam, _ = search._lam_dim(n, *batch[6:])
                 idx = rng.integers(0, len(masks), size=50 if n < 20 else 5)
                 for i in idx:
                     row = eval_mask(n, int(masks[i]))
                     got = tuple(col[i] for col in batch)
                     assert row[0] == got[0] and row[1] == got[1]
                     assert row[2:6] == tuple(int(x) for x in got[2:6])
-                    assert row[6] == pytest.approx(float(got[6]), abs=1e-12)
+                    a, b, c, d = row[2:6]
+                    assert got[6:] == (a + d, (a - d) ** 2 + 4 * b * c)
+                    assert row[6] == pytest.approx(float(lam[i]), abs=1e-12)
 
 
 # The shift-loop batch kernel that the split-mask kernel replaced, kept as
@@ -168,12 +177,16 @@ def _reference_rows(n, lo, hi):
 
 
 def _split_rows(n, tops=None):
-    """The split-mask batches of the high parts `tops`, ordered by mask."""
+    """The split-mask batches of the high parts `tops`, ordered by mask,
+    with lambda and dim from the on-demand helper applied to every row."""
     parts = list(search._batches(n, False, False, tops))
     masks = np.concatenate([m for m, _, _ in parts])
     order = np.argsort(masks)
     cols = [np.concatenate([c[j] for _, c, _ in parts])[order] for j in range(8)]
-    return masks[order], cols
+    good, very_good, a, b, c, d, s, q = cols
+    assert np.array_equal(s, a + d)
+    assert np.array_equal(q, (a - d) ** 2 + 4 * b * c)
+    return masks[order], [good, very_good, a, b, c, d, *search._lam_dim(n, s, q)]
 
 
 def _assert_same_rows(got, want):
@@ -194,7 +207,7 @@ class TestSplitMaskKernel:
         # up to n = 14 the sets fit one batch
         _assert_same_rows(_split_rows(n), _reference_rows(n, 0, 1 << (n - 2)))
 
-    @pytest.mark.parametrize("n", [23, 25])
+    @pytest.mark.parametrize("n", [23, 25, 28, 30])
     def test_first_last_and_random_high_part(self, n, rng):
         k = search._low_table(n)[0]
         last = (1 << (n - 2 - k)) - 1
@@ -212,13 +225,79 @@ class TestSplitMaskKernel:
         want = search._type_words(n, mask, m1, 0)
         assert want[2:6] == (15, 15, 15, 15)
         got = tuple(col[0] for col in cols)
-        assert got[:7] == want[:7]
-        assert got[7] == pytest.approx(want[7], abs=1e-15)
+        assert got[:6] == want[:6]
+        assert got[6:] == (30, 900)
+        lam, dim = search._lam_dim(n, *cols[6:])
+        assert lam[0] == want[6]
+        assert dim[0] == pytest.approx(want[7], abs=1e-15)
 
     def test_enumerated_count_closed_form(self):
         for n in range(3, 25):
             want = ((1 << (n - 2)) + (1 << -(-(n - 2) // 2))) // 2
             assert search_exhaustive(n).n_enumerated == want, n
+
+
+class TestBatchInvariants:
+    """Each inline invariant of the batch tail raises its own message on
+    crafted words (base 5: sums 0..8, lower half l < 5), placed behind a
+    valid row, the full digit set, whose sums 0 and 8 are unique.  A row
+    that breaks two invariants reports the one checked first."""
+
+    FULL = (0b11111, (1 << 9) - 1, (1 << 8) - 2)
+
+    @pytest.mark.parametrize("message,row", [
+        # no digits; sums 0 and 6 unique, 7 twice: a = b = c = 1, d = 0,
+        # not trivial, lambda = (1 + sqrt 5) / 2 below 2 and above |A|
+        ("eigenvalue dichotomy violated", (0, 0b11000001, 0b10000000)),
+        # digits 0 and 4, good words with a = 2, b = c = 1, d = 0: lambda =
+        # 1 + sqrt 2 exceeds |A| = 2 by less than 1/2; also good with 2^2 < 5
+        ("lambda exceeded |A|", (0b10001, 0b110111010, 0b100100000)),
+        # two digits whose words claim every sum twice: good, 2^2 < 5, and
+        # lambda = 0 < 2 without the edge digits 1 and 3
+        ("good set smaller than sqrt(n)", (0b10001, (1 << 9) - 1, (1 << 9) - 1)),
+        # the full set's words without the edge digits 1 and 3: good,
+        # a = d = 1, b = c = 0, so lambda = 1 < 2
+        ("missing-edge-digit bound violated", (0b10101, (1 << 9) - 1, (1 << 8) - 2)),
+    ])
+    def test_crafted_words_raise(self, message, row):
+        masks, m1, m2 = (np.array(col, dtype=np.uint64) for col in zip(self.FULL, row))
+        search._type_batch(5, masks[:1], m1[:1], m2[:1])  # the valid row alone passes
+        with pytest.raises(InvariantError) as exc:
+            search._type_batch(5, masks, m1, m2)
+        assert str(exc.value) == message
+
+
+class TestExactInvariantForms:
+    """The batch tail's integer forms of lambda >= 2 and lambda <= |A|
+    against the float forms with DIM_TOL that they replace."""
+
+    def test_agree_on_every_canonical_set_to_14(self):
+        for n in range(3, 15):
+            masks, (_, _, a, b, c, d, lam, _) = _reference_rows(n, 0, 1 << (n - 2))
+            a, b, c, d = (x.astype(np.int16) for x in (a, b, c, d))
+            s, q = a + d, (a - d) ** 2 + 4 * b * c
+            size = np.bitwise_count(masks).astype(np.int16)
+            below_2 = q < search._signed_square(4 - s)
+            assert np.array_equal(below_2, ~(lam >= 2 - DIM_TOL))
+            over_size = q > search._signed_square(2 * size - s)
+            assert np.array_equal(over_size, ~(lam <= size + DIM_TOL))
+            # both sides of 2: trivial rows and rows with lambda >= 2
+            assert below_2.any() and not below_2.all()
+            # lambda against every half-integer, so each side is seen
+            for t in range(0, 2 * n + 1):
+                ss = search._signed_square(t - s)
+                assert np.array_equal(q < ss, lam < t / 2 - DIM_TOL), (n, t)
+                assert np.array_equal(q > ss, lam > t / 2 + DIM_TOL), (n, t)
+
+    def test_agree_on_every_small_matrix(self):
+        # every s <= 60 and q <= 4 * 30^2 against every t <= 60: sqrt(q)
+        # is never within 1e-9 of an integer it does not equal
+        s, q = np.meshgrid(np.arange(61, dtype=np.int16), np.arange(3601, dtype=np.int16))
+        two_lam = s + np.sqrt(q, dtype=np.float64)
+        for t in range(61):
+            ss = search._signed_square(np.int16(t) - s)
+            assert np.array_equal(q < ss, two_lam < t - 2 * DIM_TOL), t
+            assert np.array_equal(q > ss, two_lam > t + 2 * DIM_TOL), t
 
 
 def _threshold_words(ind):
@@ -322,6 +401,22 @@ class TestExactRanking:
         small = self._record((0, 1, 22), (2, 0, 0, 4), 0.2)
         assert search._better(big, small)
         assert not search._better(small, big)
+
+    @pytest.mark.parametrize("n", [15, 16, 17])
+    def test_best_is_the_exact_argmax_of_the_stream(self, n):
+        # at n = 17 (no constraint) the best lambda occurs in two batches,
+        # and the later one holds the smaller digit list
+        for kw in ({}, {"require_good": True}, {"require_very_good": True}):
+            recs = list(iter_exhaustive_records(n, **kw))
+            two_lam = {}
+            with localcontext() as ctx:
+                ctx.prec = 60
+                for r in recs:
+                    s, q = r.a + r.d, (r.a - r.d) ** 2 + 4 * r.b * r.c
+                    two_lam[r.digits] = Decimal(s) + Decimal(q).sqrt()
+            top = max(two_lam.values())
+            want = min(k for k, v in two_lam.items() if top - v < Decimal("1e-40"))
+            assert search_exhaustive(n, **kw).best.digits == want, (n, kw)
 
     def test_root_sum_sign_against_decimal(self, rng):
         ties = [(5, 0, 3, 4), (4, 9, 6, 1), (2, 8, 2, 8), (0, 0, 0, 0), (7, 1, 8, 0)]
@@ -556,6 +651,20 @@ class TestConjectureMonitor:
         for n in range(3, 19):
             res = search_exhaustive(n)
             assert res.exceedances == ()
+
+    def test_flags_exactly_the_rows_above_the_threshold(self, monkeypatch):
+        # at n = 9 the threshold dim log 2/log 3 is lambda = 4: a crafted
+        # batch with lambda 5, lambda 4 (dim equal to log 2/log 3, within
+        # DIM_TOL, so not flagged although it passes the prefilter) and 2
+        a, b, c, d = np.array([(5, 0, 0, 5), (4, 0, 0, 4), (1, 1, 1, 1)], dtype=np.int16).T
+        masks = np.array([0b100000111, 0b100001011, 0b100000101], dtype=np.uint64)
+        keep = np.ones(3, dtype=bool)
+        cols = (keep, keep, a, b, c, d, a + d, (a - d) ** 2 + 4 * b * c)
+        monkeypatch.setattr(search, "_batches", lambda *args: iter([(masks, cols, keep)]))
+        res = search_exhaustive(9)
+        assert [r.digits for r in res.exceedances] == [(0, 1, 2, 8)]
+        assert res.exceedances[0].dim == math.log(5) / math.log(9)
+        assert res.best == res.exceedances[0]
 
     def test_monitor_reports_rather_than_asserts(self):
         # the mechanism itself: records above the threshold are carried
