@@ -35,8 +35,9 @@ typing read off the sumset words (bit s set when s has at least one,
 or at least two, ordered pairs) is :func:`word_typing`, elementwise, so
 the search types a mask and a batch, and the tower steps their
 outputs, by one rule; :func:`classify_intervals` stays its independent
-twin on count arrays.  Only lambda and dim have a vector twin, in the
-NumPy search kernel.
+twin on count arrays.  The search kernel ranks batch rows by a float32
+2 lambda key, but every lambda and dim it reports comes from
+:func:`matrix_dimension`.
 """
 
 from __future__ import annotations

@@ -32,7 +32,8 @@ saturated at 2 -- unique / not unique is all the typing rules consume
 -- and live in a flat array indexed by start.
 
 Both engines, the runs and the dense typing array, take the depth rule
-(m >= 1) and the start-range bound from :func:`_start_range`.
+(m >= 1), the start-range bound and its 64-bit limit from
+:func:`_start_range`.
 """
 
 from __future__ import annotations
@@ -154,10 +155,14 @@ def _merge_runs(lo: np.ndarray, hi: np.ndarray, link: int) -> tuple[np.ndarray, 
 def _start_range(n: int, max_sum: int, m: int) -> int:
     """The depth and range rule of both engines: depth m must be >= 1,
     and every depth-m start lies below the returned bound (the largest
-    is max_sum * (n^m - 1) / (n - 1))."""
+    is max_sum * (n^m - 1) / (n - 1)), which must stay below 2^62."""
     if m < 1:
         raise ValueError("depth must be >= 1")
-    return max_sum * (n**m - 1) // (n - 1) + 2
+    bound = max_sum * (n**m - 1) // (n - 1) + 2
+    if bound >= 1 << 62:
+        # starts are kept in 64-bit arrays
+        raise ValueError(f"depth {m} places starts beyond the 64-bit range")
+    return bound
 
 
 def _start_runs(A: DigitSet, m: int, budget: int | None):
@@ -168,9 +173,6 @@ def _start_runs(A: DigitSet, m: int, budget: int | None):
     budget = _budget(budget)
     support = sumset_profile(A).support.astype(np.int64)
     range_bound = _start_range(A.n, int(support[-1]), m)
-    if range_bound >= 1 << 62:
-        # starts are kept in 64-bit arrays
-        raise ValueError(f"depth {m} places starts beyond the 64-bit range")
     required = min(len(support) ** m, range_bound)
     if required > budget:
         raise BudgetExceededError(required, budget)

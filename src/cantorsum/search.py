@@ -29,26 +29,27 @@ operations on W_1..W_4 (:meth:`_PairCounts.trial`); only an accepted
 flip updates the counts and rebuilds the four words.  One typing
 rule, :func:`~cantorsum.gdifs.word_typing` (shared with the tower steps
 of ``constructions``), turns the words of a mask or of a uint64 batch
-into goodness, very-goodness and a, b, c, d; lambda and dim come from
-their owner, ``gdifs``, with a NumPy twin for batches.  Tests hold
-the incremental updates, the proposal words, a flip-and-retype climb,
-an independent shift-loop batch kernel and the reference
-interval-typing path to identical answers.  One batch loop,
-:func:`_batches`, serves the exhaustive search and the record stream.
+into goodness, very-goodness and a, b, c, d.  Tests hold the
+incremental updates, the proposal words, a flip-and-retype climb, an
+independent shift-loop batch kernel and the reference interval-typing
+path to identical answers.  One batch loop, :func:`_batches`, serves
+the exhaustive search and the record stream.
 
-A batch stays in integers: besides a, b, c, d it carries s = a + d and
-q = (a - d)^2 + 4bc, so that 2 lambda = s + sqrt(q).  It checks the
-cheap invariants inline in exact integer form (eigenvalue dichotomy,
-lambda <= |A|, good sets need >= sqrt(n) digits, the missing-edge-digit
-bound), with one count of violations per batch, and raises
-:class:`~cantorsum.digitset.InvariantError` on one.  Integers decide
-the ranking: a float32 s + sqrt(q) only picks the rows near the batch
-top, and :func:`_root_sum_sign` orders them exactly.  Floats are for
-display: lambda and dim are computed only for those rows, for rows
-near the conjecture monitor's threshold (which keeps its float dim
-test) and for the streamed records.
-Any record whose dimension exceeds log(2)/log(3) + DIM_TOL is
-collected for the monitor rather than silently kept.
+A batch row carries one key besides a, b, c, d: v = 2 lambda =
+(a + d) + sqrt((a - d)^2 + 4bc) in float32 (:func:`_two_lambda`).  On
+every matrix of a base <= 32 (a + b <= n, c + d <= n) v is exact: it
+orders and ties matrices as their Perron eigenvalues do and compares
+with integers as 2 lambda does, which the tests check on that whole
+domain.  So v checks the cheap invariants inline (eigenvalue
+dichotomy, lambda <= |A|, good sets need >= sqrt(n) digits, the
+missing-edge-digit bound; one count of violations per batch,
+:class:`~cantorsum.digitset.InvariantError` on one) and ranks the rows.
+lambda and dim come from :func:`~cantorsum.gdifs.matrix_dimension`, as
+``analyze``'s do, for the rows at a batch's top v, for rows near the
+conjecture monitor's threshold (which keeps its float dim test) and
+for the streamed records.  Any record whose dimension exceeds
+log(2)/log(3) + DIM_TOL is collected for the monitor rather than
+silently kept.
 """
 
 from __future__ import annotations
@@ -79,13 +80,9 @@ _MONITOR_DIM = LOG2_OVER_LOG3 + DIM_TOL
 EXHAUSTIVE_MAX_N = 30
 _FIGURE_EXHAUSTIVE_MAX_N = 24
 _TABLE_DIGITS = 15  # inner digits in the low-part table: 2^15 rows, 1 MB
-# A batch prefilters its rows by v = s + sqrt(q) = 2 lambda in float32,
-# whose error is < _V_ERROR for v <= 60 (lambda <= |A| <= 30).  Every
-# row within _RANK_WINDOW of the batch's top v is ranked exactly, so a
-# row with the top exact lambda is never left out, and a batch whose top
-# v is more than _RANK_WINDOW below the best's cannot hold a better row.
+# The float32 key v = 2 lambda of a batch row is within _V_ERROR of the
+# exact value for v <= 64 (lambda <= |A| <= 32)
 _V_ERROR = 1e-5
-_RANK_WINDOW = 1e-3
 
 
 class InfeasibleSearchError(ValueError):
@@ -215,12 +212,13 @@ def _record(n: int, mask: int, row) -> SearchRecord:
 
 
 def _batch_records(n: int, masks: np.ndarray, cols, rows) -> list[SearchRecord]:
-    """The records of the given rows of a kernel batch; lambda and dim
-    are computed for those rows alone."""
-    good, very_good, a, b, c, d, s, q = (col[rows] for col in cols)
-    lam, dim = _lam_dim(n, s, q)
-    return [_record(n, int(mask), row) for mask, row in
-            zip(masks[rows], zip(good, very_good, a, b, c, d, lam, dim))]
+    """The records of the given rows of a kernel batch, with lambda and
+    dim from :func:`~cantorsum.gdifs.matrix_dimension`."""
+    records = []
+    for mask, *row in zip(masks[rows].tolist(), *(col[rows].tolist() for col in cols[:6])):
+        lam, _, dim = matrix_dimension(*row[2:], n)
+        records.append(_record(n, mask, (*row, lam, dim)))
+    return records
 
 
 def _root_sum_sign(p1: int, q1: int, p2: int, q2: int) -> int:
@@ -241,8 +239,7 @@ def _better(cand: SearchRecord, best: SearchRecord | None) -> bool:
 
     Within one base dim orders as lambda, and 2 lambda =
     (a + d) + sqrt((a - d)^2 + 4bc) is compared exactly from the
-    integer matrix, so the float dims (whose last bit depends on which
-    log computed them) only serve for display.
+    integer matrix, so the float dims only serve for display.
     """
     if best is None:
         return True
@@ -298,55 +295,40 @@ def _low_table(n: int):
     return k, len(canonical) - int(np.count_nonzero(canonical)), (mask, m1, m2)
 
 
-def _signed_square(x):
-    """x * |x|: for integer x and q >= 0, sqrt(q) < x <=> q < x|x| and
-    sqrt(q) > x <=> q > x|x|."""
-    return x * np.abs(x)
+def _two_lambda(a, b, c, d):
+    """v = 2 lambda = (a + d) + sqrt((a - d)^2 + 4bc) in float32, from
+    int16 columns: exact while a + b and c + d are at most 32."""
+    v = np.sqrt((a - d) ** 2 + 4 * b * c, dtype=np.float32)
+    v += a + d
+    return v
 
 
 def _type_batch(n: int, masks: np.ndarray, m1: np.ndarray, m2: np.ndarray):
-    """Vector twin of :func:`_type_words` in integers, with the inline
-    invariants: (good, very_good, a, b, c, d, s, q), where 2 lambda =
-    s + sqrt(q), s = a + d and q = (a - d)^2 + 4bc; a..d, s and q are
-    int16 (q <= 4n^2 <= 3600, since a + b and c + d are at most n).
+    """Vector twin of :func:`_type_words` with the inline invariants:
+    (good, very_good, a, b, c, d, v), a..d int16 and v = 2 lambda from
+    :func:`_two_lambda`.
 
-    The four invariants are tested in exact integer form and checked by
-    one count of their violations; only a batch with a violation looks
-    for the first message in the order of the checks.  lambda >= 2 is
-    sqrt(q) >= 4 - s, and lambda <= |A| is sqrt(q) <= 2|A| - s.  These
-    equal the DIM_TOL float forms: for an integer t and a q <= 3600 that
-    is not a square, sqrt(q) lies at least 1/(2 sqrt(q) + 1) > 0.008
-    from t, and a square q gives an exact half-integer lambda, so no
-    margin of 1e-9 moves a comparison.
+    The four invariants read v, which compares with integers exactly, and
+    are checked by one count of their violations; only a batch with a
+    violation looks for the first message in the order of the checks.
     """
     edge_digit = masks & (2 | 1 << (n - 2))
     good, very_good, *quad = word_typing(n, edge_digit, m1, m2, np.bitwise_count)
     a, b, c, d = (x.astype(np.int16) for x in quad)
-    s = a + d
-    bc = b * c
-    q = (a - d) ** 2 + 4 * bc
+    v = _two_lambda(a, b, c, d)
     size = np.bitwise_count(masks).astype(np.int16)
     # lambda < 2; with bc = 0 lambda is max(a, d), so such a row is
     # trivial exactly when bc = 0
-    below_2 = q < _signed_square(4 - s)
+    below_2 = v < 4
     checks = (
-        ("eigenvalue dichotomy violated", below_2 & (bc != 0)),
-        ("lambda exceeded |A|", q > _signed_square(2 * size - s)),
+        ("eigenvalue dichotomy violated", below_2 & (b * c != 0)),
+        ("lambda exceeded |A|", v > 2 * size),
         ("good set smaller than sqrt(n)", good & (size * size < n)),
         ("missing-edge-digit bound violated", below_2 & good & (edge_digit == 0)),
     )
     if np.count_nonzero(checks[0][1] | checks[1][1] | checks[2][1] | checks[3][1]):
         raise InvariantError(next(message for message, hit in checks if hit.any()))
-    return good, very_good, a, b, c, d, s, q
-
-
-def _lam_dim(n: int, s: np.ndarray, q: np.ndarray):
-    """lambda and dim of batch rows, the vector twin of
-    :func:`~cantorsum.gdifs.matrix_dimension`: the pinned dims depend on
-    which log computed them.  Trivial matrices have lam <= 1, so their
-    dim comes out 0.0 as well."""
-    lam = (s + np.sqrt(q, dtype=np.float64)) / 2.0
-    return lam, np.log(np.maximum(lam, 1.0)) / math.log(n)
+    return good, very_good, a, b, c, d, v
 
 
 def _batches(n: int, require_good: bool, require_very_good: bool,
@@ -401,7 +383,8 @@ def search_exhaustive(n: int, require_good: bool = False,
     Sets are deduplicated under reflection (the kept representative is
     the one whose mask is not larger than its mirror's).  The best
     record maximizes dim under the constraints, ties broken by the
-    lexicographically smallest digit list.
+    lexicographically smallest digit list; both are decided by the
+    exact key v = 2 lambda of the batch rows.
     """
     _check_exhaustive_base(n)
     best: SearchRecord | None = None
@@ -418,23 +401,20 @@ def search_exhaustive(n: int, require_good: bool = False,
         n_matching += matching
         if not matching:
             continue
-        s, q = cols[6:]
-        v = np.sqrt(q, dtype=np.float32)
-        v += s
-        # a matching row has v >= s >= 2 (a, d >= 1 for canonical sets), so
-        # the rows that do not match, at 0, never come near the top
-        v *= keep
+        # a matching row has v >= 2 (a, d >= 1 for canonical sets), so the
+        # rows that do not match, at 0, never reach the top
+        v = cols[6] * keep
         top = float(v.max())
         if top > monitor_v:
             exceed.extend(rec for rec in _batch_records(
                 n, masks, cols, np.flatnonzero(v > monitor_v))
                 if rec.dim > _MONITOR_DIM)
-        if best is not None and top < best_v - _RANK_WINDOW:
+        if best is not None and top < best_v:
             continue
-        rows = np.flatnonzero(v >= top - _RANK_WINDOW)
-        for cand, cand_v in zip(_batch_records(n, masks, cols, rows), v[rows]):
-            if _better(cand, best):
-                best, best_v = cand, float(cand_v)
+        cand = min(_batch_records(n, masks, cols, np.flatnonzero(v == top)),
+                   key=lambda rec: rec.digits)
+        if best is None or top > best_v or cand.digits < best.digits:
+            best, best_v = cand, top
     exceed.sort(key=lambda r: (r.n, r.digits))
     return SearchResult(best=best, n_enumerated=n_enumerated,
                         n_matching=n_matching, evaluations=n_enumerated,

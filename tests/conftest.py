@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cantorsum.digitset import DigitSet, sumset_profile
+from cantorsum.search import _PairCounts
 
 
 def canonical_sets(n):
@@ -9,6 +10,12 @@ def canonical_sets(n):
     for inner in range(1 << (n - 2)):
         digits = [0] + [d for d in range(1, n - 1) if (inner >> (d - 1)) & 1] + [n - 1]
         yield DigitSet(n, tuple(digits))
+
+
+def eval_mask(n, mask):
+    """Scalar twin of the batch kernel: goodness, typing, lambda and dim
+    of one mask from its pair counts and sumset words."""
+    return _PairCounts(n, mask).row()
 
 
 def feasible_oracle_depth(A, cap, budget=10**7):

@@ -21,22 +21,12 @@ from cantorsum.digitset import DigitSet, is_n_good, sumset_profile
 from cantorsum.gdifs import classify_intervals, uniqueness_report
 from cantorsum.oracle import growth_check, is_refinement, level_set
 from cantorsum.report import analyze
-from cantorsum.search import (
-    _PairCounts,
-    iter_exhaustive_records,
-    search_exhaustive,
-    search_heuristic,
-)
+from cantorsum.search import iter_exhaustive_records, search_exhaustive, search_heuristic
 from cantorsum.structure import StructureCase, cantor_sum_dimension, classify_structure
 
-from conftest import canonical_sets
+from conftest import canonical_sets, eval_mask
 
 TOL = 1e-9
-
-
-def eval_mask(n, mask):
-    """Goodness, typing, lambda and dim of one mask from its pair counts."""
-    return _PairCounts(n, mask).row()
 
 
 def ok(num, text):

@@ -164,6 +164,15 @@ class TestOracleCmd:
         assert out == ""
         assert "depth must be >= 1" in err
 
+    @pytest.mark.parametrize("budget", [(), ("--budget", "1e40")])
+    def test_depth_beyond_word_range_exit_code(self, capsys, budget):
+        # refused for the 64-bit range before the budget is consulted
+        code, out, err = run(capsys, "oracle", "-n", "5", "-A", "0,1,4",
+                             "--typing", "--depth", "40", *budget)
+        assert code == 2
+        assert out == ""
+        assert "64-bit range" in err
+
     def test_budget_exit_code(self, capsys):
         code, _, err = run(capsys, "oracle", "-n", "12", "-A", "0,2,3,5,9,11",
                            "--typing", "--depth", "9")

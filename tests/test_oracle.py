@@ -111,6 +111,15 @@ class TestTypingCounts:
         with pytest.raises(BudgetExceededError):
             level_typing_counts(DigitSet.of(12, [0, 2, 3, 5, 9, 11]), 9)
 
+    def test_depth_beyond_word_range_rejected(self):
+        # the dense engine takes the runs' 64-bit rule too, so a raised
+        # budget cannot let it allocate a start array past 2^62 entries
+        A = DigitSet.of(5, [0, 1, 4])
+        with pytest.raises(ValueError, match="64-bit range"):
+            level_typing_counts(A, 40, budget=10**40)
+        with pytest.raises(ValueError, match="64-bit range"):
+            growth_check(A, 40, budget=10**40)
+
 
 class TestGrowthCheck:
     def test_base8_triples_each_level(self):

@@ -15,7 +15,8 @@ import cantorsum
 from cantorsum import search
 from cantorsum.constructions import TowerVerificationError, chain_to_target
 from cantorsum.digitset import DigitSet, InvariantError, _bits_word, is_n_good, reflect, sumset_profile
-from cantorsum.gdifs import DIM_TOL, classify_intervals, uniqueness_report
+from cantorsum.gdifs import classify_intervals, uniqueness_report
+from cantorsum.report import analyze
 from cantorsum.search import (
     LOG2_OVER_LOG3,
     InfeasibleSearchError,
@@ -27,10 +28,7 @@ from cantorsum.search import (
     search_heuristic,
 )
 
-
-def eval_mask(n, mask):
-    """Scalar twin of the batch kernel: pair counts, words, typing."""
-    return _PairCounts(n, mask).row()
+from conftest import eval_mask
 
 
 class TestExhaustive:
@@ -45,7 +43,7 @@ class TestExhaustive:
         # the listed set attains the same maximum
         A = DigitSet.of(12, [0, 2, 3, 5, 9, 11])
         t = classify_intervals(sumset_profile(A))
-        assert abs(uniqueness_report(t, A).dim - res.best.dim) < 1e-12
+        assert uniqueness_report(t, A).dim == res.best.dim
 
     def test_base4_good_brute_force(self):
         # only {0,1,3}/{0,2,3}/{0,1,2,3} are 4-good, all trivial
@@ -89,6 +87,18 @@ class TestExhaustive:
         rows2 = list(iter_exhaustive_records(10))
         assert rows1 == rows2
 
+    def test_records_equal_analyze_bit_for_bit(self):
+        # lambda and dim of a record come from gdifs.matrix_dimension, as
+        # analyze's do, so they are equal and not merely close
+        bests = [search_exhaustive(n, **kw).best for n in range(3, 25)
+                 for kw in ({}, {"require_good": True}, {"require_very_good": True})]
+        assert bests.count(None) == 1  # base 4 has no very-good set
+        recs = [rec for n in range(3, 13) for rec in iter_exhaustive_records(n)]
+        assert len(recs) == 1085
+        for rec in recs + [best for best in bests if best]:
+            uniq = analyze(rec.digitset).uniqueness
+            assert (rec.lam, rec.dim) == (uniq.lam, uniq.dim), rec
+
 
 class TestKernelAgainstReference:
     def test_matches_interval_typing_path(self, rng):
@@ -109,16 +119,15 @@ class TestKernelAgainstReference:
     def test_batch_kernel_matches_scalar(self, rng):
         for n in (5, 9, 13, 20):
             for masks, batch, _ in search._batches(n, False, False):
-                lam, _ = search._lam_dim(n, *batch[6:])
                 idx = rng.integers(0, len(masks), size=50 if n < 20 else 5)
                 for i in idx:
                     row = eval_mask(n, int(masks[i]))
                     got = tuple(col[i] for col in batch)
                     assert row[0] == got[0] and row[1] == got[1]
                     assert row[2:6] == tuple(int(x) for x in got[2:6])
-                    a, b, c, d = row[2:6]
-                    assert got[6:] == (a + d, (a - d) ** 2 + 4 * b * c)
-                    assert row[6] == pytest.approx(float(lam[i]), abs=1e-12)
+                    # the float32 key against the scalar's float64 lambda
+                    assert got[6].dtype == np.float32
+                    assert abs(float(got[6]) - 2 * row[6]) < search._V_ERROR
 
 
 # The shift-loop batch kernel that the split-mask kernel replaced, kept as
@@ -159,13 +168,12 @@ def _shift_loop_kernel(n, masks):
     b = np.bitwise_count(r_word & low_mask).astype(np.int64)
     c = np.bitwise_count(l_word >> np.uint64(n)).astype(np.int64)
     d = np.bitwise_count(r_word >> np.uint64(n)).astype(np.int64)
-    lam = ((a + d) + np.sqrt((a - d) ** 2 + 4 * b * c)) / 2.0
-    trivial = (b * c == 0) & (np.maximum(a, d) <= 1)
-    dim = np.where(trivial, 0.0, np.log(np.maximum(lam, 1.0)) / math.log(n))
+    # 2 lambda in float32: the root and the sum each rounded once
+    v = np.sqrt(((a - d) ** 2 + 4 * b * c).astype(np.float32)) + (a + d).astype(np.float32)
     bit1 = ((masks >> one) & one).astype(bool)
     bitn2 = ((masks >> np.uint64(n - 2)) & one).astype(bool)
     very_good = good & ~bit1 & ~bitn2 & ((a + b == c + d) | (a + c == b + d))
-    return good, very_good, a, b, c, d, lam, dim
+    return good, very_good, a, b, c, d, v
 
 
 def _reference_rows(n, lo, hi):
@@ -177,25 +185,22 @@ def _reference_rows(n, lo, hi):
 
 
 def _split_rows(n, tops=None):
-    """The split-mask batches of the high parts `tops`, ordered by mask,
-    with lambda and dim from the on-demand helper applied to every row."""
+    """The split-mask batches of the high parts `tops`, ordered by mask."""
     parts = list(search._batches(n, False, False, tops))
     masks = np.concatenate([m for m, _, _ in parts])
     order = np.argsort(masks)
-    cols = [np.concatenate([c[j] for _, c, _ in parts])[order] for j in range(8)]
-    good, very_good, a, b, c, d, s, q = cols
-    assert np.array_equal(s, a + d)
-    assert np.array_equal(q, (a - d) ** 2 + 4 * b * c)
-    return masks[order], [good, very_good, a, b, c, d, *search._lam_dim(n, s, q)]
+    return masks[order], [np.concatenate([c[j] for _, c, _ in parts])[order] for j in range(7)]
 
 
 def _assert_same_rows(got, want):
     masks, cols = got
     ref_masks, ref_cols = want
     assert np.array_equal(masks, ref_masks)
+    assert len(cols) == len(ref_cols)
     for j, (col, ref) in enumerate(zip(cols, ref_cols)):
         if col.dtype.kind == "f":  # bit for bit, not just equal
-            col, ref = col.view(np.uint64), ref.view(np.uint64)
+            assert col.dtype == ref.dtype, ("column", j)
+            col, ref = col.view(f"u{col.itemsize}"), ref.view(f"u{ref.itemsize}")
         assert np.array_equal(col, ref), ("column", j)
 
 
@@ -226,10 +231,9 @@ class TestSplitMaskKernel:
         assert want[2:6] == (15, 15, 15, 15)
         got = tuple(col[0] for col in cols)
         assert got[:6] == want[:6]
-        assert got[6:] == (30, 900)
-        lam, dim = search._lam_dim(n, *cols[6:])
-        assert lam[0] == want[6]
-        assert dim[0] == pytest.approx(want[7], abs=1e-15)
+        assert got[6] == 60.0 == 2 * want[6]
+        rec = search._batch_records(n, np.array([mask], dtype=np.uint64), cols, [0])[0]
+        assert (rec.lam, rec.dim) == want[6:]
 
     def test_enumerated_count_closed_form(self):
         for n in range(3, 25):
@@ -267,37 +271,53 @@ class TestBatchInvariants:
         assert str(exc.value) == message
 
 
-class TestExactInvariantForms:
-    """The batch tail's integer forms of lambda >= 2 and lambda <= |A|
-    against the float forms with DIM_TOL that they replace."""
+class TestExactKey:
+    """The batch key v = 2 lambda in float32 against exact comparisons, on
+    every quadrant matrix a base <= 32 can produce: a + b <= 32 and
+    c + d <= 32 (the L's and R's of each half), as (s, q) with
+    2 lambda = s + sqrt(q), s = a + d and q = (a - d)^2 + 4bc."""
 
-    def test_agree_on_every_canonical_set_to_14(self):
-        for n in range(3, 15):
-            masks, (_, _, a, b, c, d, lam, _) = _reference_rows(n, 0, 1 << (n - 2))
-            a, b, c, d = (x.astype(np.int16) for x in (a, b, c, d))
-            s, q = a + d, (a - d) ** 2 + 4 * b * c
-            size = np.bitwise_count(masks).astype(np.int16)
-            below_2 = q < search._signed_square(4 - s)
-            assert np.array_equal(below_2, ~(lam >= 2 - DIM_TOL))
-            over_size = q > search._signed_square(2 * size - s)
-            assert np.array_equal(over_size, ~(lam <= size + DIM_TOL))
-            # both sides of 2: trivial rows and rows with lambda >= 2
-            assert below_2.any() and not below_2.all()
-            # lambda against every half-integer, so each side is seen
-            for t in range(0, 2 * n + 1):
-                ss = search._signed_square(t - s)
-                assert np.array_equal(q < ss, lam < t / 2 - DIM_TOL), (n, t)
-                assert np.array_equal(q > ss, lam > t / 2 + DIM_TOL), (n, t)
+    N = 32
 
-    def test_agree_on_every_small_matrix(self):
-        # every s <= 60 and q <= 4 * 30^2 against every t <= 60: sqrt(q)
-        # is never within 1e-9 of an integer it does not equal
-        s, q = np.meshgrid(np.arange(61, dtype=np.int16), np.arange(3601, dtype=np.int16))
-        two_lam = s + np.sqrt(q, dtype=np.float64)
-        for t in range(61):
-            ss = search._signed_square(np.int16(t) - s)
-            assert np.array_equal(q < ss, two_lam < t - 2 * DIM_TOL), t
-            assert np.array_equal(q > ss, two_lam > t + 2 * DIM_TOL), t
+    @pytest.fixture(scope="class")
+    def domain(self):
+        pairs = np.array([(x, y) for x in range(self.N + 1) for y in range(self.N + 1 - x)],
+                         dtype=np.int16)
+        low, high = (idx.ravel() for idx in np.indices((len(pairs), len(pairs))))
+        (a, b), (c, d) = pairs[low].T, pairs[high].T
+        v = search._two_lambda(a, b, c, d)
+        s = (a + d).astype(np.int64)
+        q = (a.astype(np.int64) - d) ** 2 + 4 * b.astype(np.int64) * c
+        # v is one value per (s, q), the eigenvalue's integer form
+        sq, first, inverse = np.unique(np.stack([s, q], axis=1), axis=0,
+                                       return_index=True, return_inverse=True)
+        assert len(sq) == 18_417
+        assert np.array_equal(v, v[first][inverse.ravel()])
+        return sq[:, 0], sq[:, 1], v[first]
+
+    def test_covers_the_exhaustive_bases(self):
+        assert search.EXHAUSTIVE_MAX_N <= self.N
+
+    def test_orders_and_ties_as_the_exact_eigenvalue(self, domain):
+        s, q, v = domain
+        assert v.dtype == np.float32
+        order = np.argsort(v, kind="stable")
+        ties = 0
+        for i, j in zip(order[:-1].tolist(), order[1:].tolist()):
+            exact = search._root_sum_sign(int(s[j]), int(q[j]), int(s[i]), int(q[i]))
+            assert exact == (v[j] > v[i]), (s[i], q[i], s[j], q[j])
+            ties += exact == 0
+        # distinct (s, q) can share an eigenvalue, e.g. 4 + sqrt(0) = 2 + sqrt(4)
+        assert ties > 0
+
+    def test_compares_with_every_integer_exactly(self, domain):
+        s, q, v = domain
+        # and lies within the conjecture monitor's margin of 2 lambda
+        assert np.abs(v - (s + np.sqrt(q))).max() < search._V_ERROR
+        for t in range(2 * self.N + 1):
+            x = t - s  # s + sqrt(q) against t is sqrt(q) against x
+            assert np.array_equal(np.sign(v - np.float32(t)),
+                                  np.sign(q - x * np.abs(x))), t
 
 
 def _threshold_words(ind):
@@ -659,7 +679,7 @@ class TestConjectureMonitor:
         a, b, c, d = np.array([(5, 0, 0, 5), (4, 0, 0, 4), (1, 1, 1, 1)], dtype=np.int16).T
         masks = np.array([0b100000111, 0b100001011, 0b100000101], dtype=np.uint64)
         keep = np.ones(3, dtype=bool)
-        cols = (keep, keep, a, b, c, d, a + d, (a - d) ** 2 + 4 * b * c)
+        cols = (keep, keep, a, b, c, d, search._two_lambda(a, b, c, d))
         monkeypatch.setattr(search, "_batches", lambda *args: iter([(masks, cols, keep)]))
         res = search_exhaustive(9)
         assert [r.digits for r in res.exceedances] == [(0, 1, 2, 8)]
