@@ -17,12 +17,12 @@ Nothing here trusts the recurrences: every tower output is re-typed
 from scratch, from its own digits, and a mismatch with the predicted
 adjacency matrix or eigenvalue raises instead of propagating silently.
 The output is typed from its two sumset words (sums with >= 1 and
->= 2 ordered pairs) by :func:`~cantorsum.gdifs.word_typing`, the rule
-the search uses; :func:`~cantorsum.digitset.sumset_words` finds the
-doubled shape in those digits and builds the words from the lower
-half's, so no count array of the output is built and nothing from the
-parent step is passed in.  A chain's table row and the input of
-:func:`tower` are typed from pair counts by
+>= 2 ordered pairs) by :func:`~cantorsum.gdifs.word_report`, the word
+rule of the search and of ``analyze``; :func:`~cantorsum.digitset.sumset_words`
+finds the doubled shape in those digits and builds the words from the
+lower half's, so no count array of the output is built and nothing
+from the parent step is passed in.  A chain's table row and the input
+of :func:`tower` are typed from pair counts by
 :func:`~cantorsum.gdifs.classify_intervals`, so every chain checks the
 word rule against the count rule at its first step.
 
@@ -55,9 +55,8 @@ from .gdifs import (
     TypingProfile,
     UniquenessReport,
     classify_intervals,
-    matrix_dimension,
     uniqueness_report,
-    word_typing,
+    word_report,
 )
 
 __all__ = [
@@ -151,23 +150,20 @@ def _tower_step(A: DigitSet, k: int, matrix, report: UniquenessReport):
         raise VeryGoodPreconditionError(f"{A} is not {A.n}-very-good")
     shift = 2 * A.n - k
     out = DigitSet(out_n, A.digits + tuple(map(shift.__add__, A.digits)))
-    m1, m2 = sumset_words(np.asarray(out.digits, dtype=np.int64))
-    good, very_good, a, b, c, d = word_typing(
-        out_n, 1 in out or out_n - 2 in out, m1, m2, int.bit_count)
-    if not very_good:
+    out_matrix, out_report, _ = word_report(
+        out_n, 1 in out or out_n - 2 in out,
+        *sumset_words(np.asarray(out.digits, dtype=np.int64)))
+    if not out_report.very_good:
         raise TowerVerificationError(
             f"tower({A}, k={k}) produced a set that is not very-good"
         )
-    lam, trivial, dim = matrix_dimension(a, b, c, d, out_n)
-    out_matrix = ((a, b), (c, d))
     want_matrix = predicted_tower_matrix(matrix, k)
-    if out_matrix != want_matrix or abs(lam - want_lam) > DIM_TOL:
+    if out_matrix != want_matrix or abs(out_report.lam - want_lam) > DIM_TOL:
         raise TowerVerificationError(
             f"tower({A}, k={k}): derived matrix {out_matrix} / "
-            f"lambda {lam} vs predicted {want_matrix} / {want_lam}"
+            f"lambda {out_report.lam} vs predicted {want_matrix} / {want_lam}"
         )
-    return out, out_matrix, UniquenessReport(lam=lam, dim=dim, trivial=trivial,
-                                             very_good=very_good, good=good)
+    return out, out_matrix, out_report
 
 
 @functools.cache

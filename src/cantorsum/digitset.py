@@ -23,8 +23,8 @@ the maps of the sumset IFS cover intervals of length 2/n placed at the
 support elements; the union is all of [0, 2] exactly when consecutive
 support elements are at most 2 apart, and an invariant interval equals
 the attractor.  Hence goodness is the integer gap condition
-:attr:`SumsetProfile.good`, the one place that rule is written; every
-caller reads it there.  The finite-depth oracle cross-validates it.
+:attr:`SumsetProfile.good` on counts, and in :mod:`~cantorsum.gdifs`
+on the support word.  The finite-depth oracle cross-validates it.
 """
 
 from __future__ import annotations
@@ -259,6 +259,12 @@ def sumset_words(digits: np.ndarray) -> tuple[int, int]:
 def _bits_word(bits: np.ndarray) -> int:
     """Entry s of a bool array as bit s of a Python int."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _word_bits(word: int, length: int) -> np.ndarray:
+    """Bits 0..length-1 of a Python int as a uint8 0/1 array."""
+    raw = np.frombuffer(word.to_bytes((length + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=length, bitorder="little")
 
 
 def _pair_counts(digits: np.ndarray, top: int) -> np.ndarray:

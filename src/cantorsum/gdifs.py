@@ -33,11 +33,10 @@ The lambda/trivial/dim formula and the very-good rule are written once,
 in :func:`matrix_dimension` and :func:`very_good_rule`.  The same
 typing read off the sumset words (bit s set when s has at least one,
 or at least two, ordered pairs) is :func:`word_typing`, elementwise, so
-the search types a mask and a batch, and the tower steps their
-outputs, by one rule; :func:`classify_intervals` stays its independent
-twin on count arrays.  The search kernel ranks batch rows by a float32
-2 lambda key, but every lambda and dim it reports comes from
-:func:`matrix_dimension`.
+the search, the tower steps and ``analyze`` type by one rule;
+:func:`classify_intervals` stays its independent twin on count arrays.
+The search kernel ranks batch rows by a float32 2 lambda key, but
+every lambda and dim it reports comes from :func:`matrix_dimension`.
 """
 
 from __future__ import annotations
@@ -61,7 +60,9 @@ __all__ = [
     "perron_eigenvalue",
     "matrix_dimension",
     "very_good_rule",
+    "word_good",
     "word_typing",
+    "word_report",
 ]
 
 TYPE_O, TYPE_L, TYPE_R = 0, 1, 2
@@ -143,8 +144,15 @@ def very_good_rule(good, edge_digit, a, b, c, d):
     return good & (edge_digit == 0) & ((a + b == c + d) | (a + c == b + d))
 
 
+def word_good(n: int, m1):
+    """:func:`word_typing`'s goodness, from the support word alone."""
+    span = (1 << (2 * n - 2)) - 1
+    return (m1 | m1 >> 1) & span == span
+
+
 def word_typing(n: int, edge_digit, m1, m2, popcount):
-    """(good, very_good, a, b, c, d) from the sumset words of a canonical set.
+    """(good, very_good, a, b, c, d, L word, R word) from the sumset
+    words of a canonical set.
 
     Bit s of m1 (m2) is set when s has at least one (two) ordered pairs;
     ``edge_digit`` is non-zero when 1 or n - 2 is a digit.  The words are
@@ -163,7 +171,7 @@ def word_typing(n: int, edge_digit, m1, m2, popcount):
     b = popcount(r_word & low_mask)
     c = popcount(l_word >> n)
     d = popcount(r_word >> n)
-    return good, very_good_rule(good, edge_digit, a, b, c, d), a, b, c, d
+    return good, very_good_rule(good, edge_digit, a, b, c, d), a, b, c, d, l_word, r_word
 
 
 @dataclass(frozen=True)
@@ -180,6 +188,16 @@ class UniquenessReport:
     trivial: bool
     very_good: bool
     good: bool
+
+
+def word_report(n: int, edge_digit: bool, m1: int, m2: int):
+    """(matrix, :class:`UniquenessReport`, (L word, R word)) from sumset
+    words: :func:`word_typing`, then :func:`matrix_dimension`."""
+    good, very_good, a, b, c, d, *lr = word_typing(n, edge_digit, m1, m2, int.bit_count)
+    lam, trivial, dim = matrix_dimension(a, b, c, d, n)
+    report = UniquenessReport(lam=lam, dim=dim, trivial=trivial,
+                              very_good=very_good, good=good)
+    return ((a, b), (c, d)), report, lr
 
 
 def uniqueness_report(T: TypingProfile, A: DigitSet,

@@ -171,8 +171,8 @@ def _start_runs(A: DigitSet, m: int, budget: int | None):
     start, and for k <= m the depth-k starts are at most
     min(|B|^m, start-range bound at m), the `required` checked here."""
     budget = _budget(budget)
+    range_bound = _start_range(A.n, 2 * A.digits[-1], m)  # max sum: no profile yet
     support = sumset_profile(A).support.astype(np.int64)
-    range_bound = _start_range(A.n, int(support[-1]), m)
     required = min(len(support) ** m, range_bound)
     if required > budget:
         raise BudgetExceededError(required, budget)

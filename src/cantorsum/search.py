@@ -4,11 +4,8 @@ Digit sets live in machine words: bit d of a mask means digit d is
 present.  Everything the typing rules need is two sumset words: m1
 marks the sums s with at least one ordered pair (a, a') in A x A,
 a + a' = s, and m2 the sums with at least two, so m1 & ~m2 marks the
-unique sums.  From those words:
-
-* Goodness is "support dilated by two shifts covers 0..2n-2".
-* L/R interval words follow from the unique and support words, and the
-  quadrant counts a, b, c, d are four popcounts.
+unique sums.  Goodness and the L/R interval words are a few shifts of
+them, and the quadrant counts a, b, c, d four popcounts.
 
 The words are built two ways.  The exhaustive kernel splits each set
 into a low part L (digit 0 and the inner digits up to k <= 15) and
@@ -28,7 +25,7 @@ count of 2d by 1, so the words of a proposal are a few big-int
 operations on W_1..W_4 (:meth:`_PairCounts.trial`); only an accepted
 flip updates the counts and rebuilds the four words.  One typing
 rule, :func:`~cantorsum.gdifs.word_typing` (shared with the tower steps
-of ``constructions``), turns the words of a mask or of a uint64 batch
+and ``analyze``), turns the words of a mask or of a uint64 batch
 into goodness, very-goodness and a, b, c, d.  Tests hold the
 incremental updates, the proposal words, a flip-and-retype climb, an
 independent shift-loop batch kernel and the reference interval-typing
@@ -60,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import chain_to_target, load_base_table, sqrt_good_set
-from .digitset import DigitSet, InvariantError, _bits_word, pair_sum_counts
+from .digitset import DigitSet, InvariantError, _bits_word, _word_bits, pair_sum_counts
 from .gdifs import DIM_TOL, matrix_dimension, word_typing
 
 __all__ = [
@@ -121,20 +118,10 @@ class SearchResult:
     source: str
 
 
-def _indicator(n: int, mask: int) -> np.ndarray:
-    """Bit d of the mask as entry d of a 0/1 array of length n."""
-    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n]
-
-
-def _mask_digits(n: int, mask: int) -> tuple[int, ...]:
-    return tuple(np.flatnonzero(_indicator(n, mask)).tolist())
-
-
 def _type_words(n: int, mask: int, m1: int, m2: int):
     """Typing of one mask, with lambda and dim from their owner."""
     edge_digit = mask & (2 | 1 << (n - 2))
-    good, very_good, a, b, c, d = word_typing(n, edge_digit, m1, m2, int.bit_count)
+    good, very_good, a, b, c, d, _, _ = word_typing(n, edge_digit, m1, m2, int.bit_count)
     lam, _, dim = matrix_dimension(a, b, c, d, n)
     return good, very_good, a, b, c, d, lam, dim
 
@@ -155,7 +142,7 @@ class _PairCounts:
     def __init__(self, n: int, mask: int):
         self.n = n
         self.mask = mask
-        self.ind = _indicator(n, mask).astype(np.int64)
+        self.ind = _word_bits(mask, n).astype(np.int64)
         self.cnt = pair_sum_counts(np.flatnonzero(self.ind))
         self._rebuild_words()
 
@@ -205,7 +192,7 @@ class _PairCounts:
 def _record(n: int, mask: int, row) -> SearchRecord:
     good, very_good, a, b, c, d, lam, dim = row
     return SearchRecord(
-        n=n, digits=_mask_digits(n, mask), good=bool(good),
+        n=n, digits=tuple(np.flatnonzero(_word_bits(mask, n)).tolist()), good=bool(good),
         very_good=bool(very_good), a=int(a), b=int(b), c=int(c), d=int(d),
         lam=float(lam), dim=float(dim),
     )
@@ -313,7 +300,7 @@ def _type_batch(n: int, masks: np.ndarray, m1: np.ndarray, m2: np.ndarray):
     violation looks for the first message in the order of the checks.
     """
     edge_digit = masks & (2 | 1 << (n - 2))
-    good, very_good, *quad = word_typing(n, edge_digit, m1, m2, np.bitwise_count)
+    good, very_good, *quad = word_typing(n, edge_digit, m1, m2, np.bitwise_count)[:6]
     a, b, c, d = (x.astype(np.int16) for x in quad)
     v = _two_lambda(a, b, c, d)
     size = np.bitwise_count(masks).astype(np.int16)

@@ -40,13 +40,13 @@ rightmost such unit is the interval witness:
   makes B every even number up to 2n-2: a good set, answered before
   the automaton is built.
 
-The automaton is built as arrays.  State (x, y) gets the code 2x + y,
-so 0 is dead.  Four shifted slices of an int8 support indicator give,
-for each live state, the child code of every residue r < n, and the
-level-1 seed code of every unit.  The fixed point reads only which
-child codes occur, and the dead-run gap witness and the interval
-witness only the first or last unit of a seed code, so Python loops
-over the three states, never over residues.
+The automaton runs on the support word m1 (bit s set when s is in B).
+State (x, y) gets the code 2x + y, so 0 is dead.  The seed codes of the
+units j < 2n are the bit pairs of (m1, m1 << 1); the child codes over
+the residues r < n are those of (m1, m1 << 1) for (1,0), of (m1 >> n,
+m1 >> n-1) for (0,1) and of their ORs for (1,1).  Masked tests, a
+lowest set bit and a bit_length replace every loop over units or
+residues.
 """
 
 from __future__ import annotations
@@ -58,8 +58,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .digitset import DigitSet, InvariantError, sumset_profile
+from .digitset import DigitSet, InvariantError, sumset_words
+from .gdifs import word_good
 from . import oracle
+
+# Unused; bench/layers.py wraps it here until it wraps the word path.
+from .digitset import sumset_profile  # noqa: F401
 
 __all__ = [
     "StructureCase",
@@ -85,49 +89,28 @@ class NotApplicableError(ValueError):
     """Raised when an operation does not apply to this structure case."""
 
 
-def _last_by_code(codes: np.ndarray) -> dict[int, int]:
-    """{code: last index holding it} for the state codes that occur."""
-    out = {}
-    for code in range(4):
-        hit = np.flatnonzero(codes == code)
-        if len(hit):
-            out[code] = int(hit[-1])
-    return out
+def _code_words(x: int, y: int) -> tuple[int, int, int, int]:
+    """Positions of state codes 0..3 (2x + y) as words; code 0's is negative."""
+    return ~(x | y), ~x & y, x & ~y, x & y
 
 
-def _automaton(support: np.ndarray, n: int):
-    """Level-1 seed codes by unit j = 0..2n-1, and per live state the
-    set of child codes over the residues r < n."""
-    # p[s + 1] = [s in B] for s = -1..2n-1
-    p = np.zeros(2 * n + 1, dtype=np.int8)
-    p[support + 1] = 1
-    seeds = 2 * p[1:] + p[:-1]
-    low = 2 * p[1 : n + 1] + p[:n]            # x: r in B, r-1 in B
-    high = 2 * p[n + 1 :] + p[n : 2 * n]      # y: n+r in B, n+r-1 in B
+def _full_states(n: int, m1: int) -> set[int]:
+    """The FULL states: the largest set of live states whose child codes
+    over the residues r < n all lie in it."""
+    low = (1 << n) - 1
+    lo_x, lo_y = m1 & low, m1 << 1 & low  # r in B, r-1 in B
+    hi_x, hi_y = m1 >> n & low, m1 >> n - 1 & low  # n+r in B, n+r-1 in B
     children = {
-        state: set(np.flatnonzero(np.bincount(codes, minlength=4)).tolist())
-        for state, codes in ((_X, low), (_Y, high), (_X | _Y, low | high))
+        state: {code for code, word in enumerate(_code_words(x, y)) if word & low}
+        for state, x, y in ((_X, lo_x, lo_y), (_Y, hi_x, hi_y),
+                            (_X | _Y, lo_x | hi_x, lo_y | hi_y))
     }
-    return seeds, children
-
-
-def _full_states(children) -> set[int]:
     full = set(_LIVE)
     while True:
         keep = {s for s in full if children[s] <= full}
         if keep == full:
             return full
         full = keep
-
-
-def _first_dead_run(seeds):
-    """Leftmost maximal run of uncovered level-1 units, or None."""
-    dead = np.flatnonzero(seeds == _DEAD)
-    if not len(dead):
-        return None
-    j = int(dead[0])
-    live = np.flatnonzero(seeds[j:])
-    return j, (j + int(live[0]) - 1 if len(live) else len(seeds) - 1)
 
 
 @dataclass(frozen=True)
@@ -162,26 +145,29 @@ class StructureReport:
         }
 
 
-def classify_structure(A: DigitSet, profile=None) -> StructureReport:
-    """Decide FullInterval / CantorSet / Mixed for a canonical set."""
+def classify_structure(A: DigitSet, m1: int | None = None) -> StructureReport:
+    """Decide FullInterval / CantorSet / Mixed for a canonical set from
+    the support word m1 of A + A (built when not given)."""
     if not A.canonical:
         raise ValueError("structure classification needs a canonical digit set")
-    if profile is None:
-        profile = sumset_profile(A)
-    if profile.good:
+    n = A.n
+    if m1 is None:
+        m1, _ = sumset_words(np.asarray(A.digits, dtype=np.int64))
+    if word_good(n, m1):
         return StructureReport(
             case=StructureCase.FULL_INTERVAL,
             gap_witness=None,
             interval_witness=(Fraction(0), Fraction(2)),
             points_dim_lower_bound=None,
         )
-    n = A.n
-    seeds, children = _automaton(profile.support, n)
-    dead = _first_dead_run(seeds)
-    if dead is None:
+    seeds = _code_words(m1, m1 << 1)
+    dead = seeds[_DEAD] & ((1 << 2 * n) - 1)
+    if not dead:
         raise InvariantError("a support gap >= 3 left every level-1 unit covered")
-    gap = (Fraction(dead[0], n), Fraction(dead[1] + 1, n))
-    full = _full_states(children)
+    j = (dead & -dead).bit_length() - 1
+    live = ~dead >> j  # its lowest bit is the first live unit after the run
+    gap = (Fraction(j, n), Fraction(j + (live & -live).bit_length() - 1, n))
+    full = _full_states(n, m1)
     if not full:
         return StructureReport(
             case=StructureCase.CANTOR_SET,
@@ -189,11 +175,11 @@ def classify_structure(A: DigitSet, profile=None) -> StructureReport:
             interval_witness=None,
             points_dim_lower_bound=None,
         )
-    last = _last_by_code(seeds)
-    carried = [last[s] for s in full if s in last]
+    # each unit holds one code, so the seed words are disjoint: sum is OR
+    carried = sum(seeds[state] for state in full)
     if not carried:
         raise InvariantError("no level-1 unit carries a FULL state of a non-good set")
-    j = max(carried)
+    j = carried.bit_length() - 1
     return StructureReport(
         case=StructureCase.MIXED,
         gap_witness=gap,
@@ -236,25 +222,20 @@ def cantor_sum_dimension(A: DigitSet, depth: int = 8,
 
     Raises :class:`NotApplicableError` for FullInterval or Mixed sets.
     """
-    profile = sumset_profile(A)
-    report = classify_structure(A, profile=profile)
+    m1, _ = sumset_words(np.asarray(A.digits, dtype=np.int64))
+    report = classify_structure(A, m1)
     if report.case is not StructureCase.CANTOR_SET:
         raise NotApplicableError(f"sum is {report.case.value}, not a Cantor set")
     logn = math.log(A.n)
-    if bool(np.all(profile.gaps >= 2)):
-        value = math.log(len(profile.support)) / logn
+    if m1 & m1 >> 1 == 0:  # no two adjacent sums: every support gap >= 2
+        value = math.log(m1.bit_count()) / logn
         return CantorDimension(value=value, lower=value, upper=value,
                                exact=True, depth=0)
     if depth < 2:
         raise ValueError("a growth-rate bracket needs depth >= 2")
     counts = oracle.level_start_counts(A, depth, budget)
     per_level = [math.log(c) / (m * logn) for m, c in enumerate(counts, start=1)]
-    ratios = [
-        math.log(counts[i] / counts[i - 1]) / logn for i in range(1, len(counts))
-    ]
-    upper = min(per_level)
-    tail = ratios[-3:] if len(ratios) >= 3 else ratios
+    ratios = [math.log(c / prev) / logn for prev, c in zip(counts, counts[1:])]
     value = ratios[-1]
-    lower = min(tail + [value])
-    return CantorDimension(value=value, lower=lower, upper=max(upper, value),
-                           exact=False, depth=depth)
+    return CantorDimension(value=value, lower=min(ratios[-3:]),
+                           upper=max(min(per_level), value), exact=False, depth=depth)

@@ -1,6 +1,10 @@
+import random
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from cantorsum import digitset
 from cantorsum.digitset import DigitSet, sumset_profile
 from cantorsum.search import _PairCounts
 
@@ -33,3 +37,51 @@ def feasible_oracle_depth(A, cap, budget=10**7):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260810)
+
+
+def count_path(A):
+    """The path pair_sum_counts takes for A's counts: "bincount",
+    "split" (translate-doubled) or "fft", seen by spying on the last two."""
+    digits = np.asarray(A.digits, dtype=np.int64)
+    with mock.patch.object(digitset, "_split_pair_counts",
+                           wraps=digitset._split_pair_counts) as split, \
+            mock.patch.object(digitset, "_fft_pair_counts",
+                              wraps=digitset._fft_pair_counts) as fft:
+        digitset.pair_sum_counts(digits)
+    # split recurses into its lower half; FFT and bincount never recurse
+    return "split" if split.called else "fft" if fft.called else "bincount"
+
+
+def count_path_sets(seed, per_path=16, max_n=5000):
+    """{path: sets}: seeded canonical sets at bases 3..max_n, per_path
+    for each pair_sum_counts path, each family (sparse, dense, dense
+    with a removed block, translate-doubled) feeding every path it
+    reaches."""
+    rnd = random.Random(seed)
+    out = {"bincount": [], "split": [], "fft": []}
+    while min(map(len, out.values())) < per_path:
+        family = rnd.randrange(4)
+        if family == 3:  # Y u (Y + h): digit 0 and max(Y) in Y, h > max(Y)
+            top = rnd.randrange(2, max_n // 2)
+            p = rnd.uniform(0.3, 0.95)
+            low = {0, top} | {d for d in range(1, top) if rnd.random() < p}
+            h = top + rnd.randrange(1, 4)
+            A = DigitSet.of(h + top + 1, low | {d + h for d in low})
+        else:
+            n = rnd.randrange(3, max_n + 1)
+            inner = range(1, n - 1)
+            if family == 0:
+                k = min(rnd.randrange(2 * int(n ** 0.5) + 1), n - 2)
+                digits = set(rnd.sample(inner, k))
+            else:
+                p = rnd.uniform(0.2, 0.95)
+                digits = {d for d in inner if rnd.random() < p}
+                if family == 2:
+                    lo = rnd.randrange(1, max(2, n - 1))
+                    width = rnd.randrange(1, n // 3 + 2)
+                    digits = {d for d in digits if not lo <= d < lo + width}
+            A = DigitSet.of(n, digits | {0, n - 1})
+        group = out[count_path(A)]
+        if len(group) < per_path:
+            group.append(A)
+    return out

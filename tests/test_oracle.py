@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cantorsum import oracle
 from cantorsum.digitset import DigitSet, is_n_good, sumset_profile
 from cantorsum.gdifs import classify_intervals, uniqueness_report
 from cantorsum.oracle import (
@@ -201,6 +202,22 @@ class TestStartCounts:
             level_typing_counts(B, m)
         with pytest.raises(ValueError, match="depth must be >= 1"):
             growth_check(B, m)
+
+    def test_range_refusal_builds_no_profile(self, monkeypatch):
+        # the 64-bit bound needs only max(A), so a refused depth costs no
+        # pair counts; depth and budget errors keep their precedence
+        def no_profile(A):
+            raise AssertionError("built a sumset profile")
+
+        monkeypatch.setattr(oracle, "sumset_profile", no_profile)
+        A = DigitSet.of(5000, [0, 1, 4999])
+        for fn in (level_start_counts, level_set):
+            with pytest.raises(ValueError, match="64-bit range"):
+                fn(A, 8)
+            with pytest.raises(ValueError, match="depth must be >= 1"):
+                fn(A, 0, budget=10**40)
+            with pytest.raises(ValueError):
+                fn(A, 8, budget="many")
 
     def test_last_count_is_level_set_size(self):
         for A, depth in ((DigitSet(6, (0, 1, 5)), 5), (DigitSet.of(5, [0, 1, 7, 8]), 4),

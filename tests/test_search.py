@@ -696,11 +696,10 @@ class TestConjectureMonitor:
 class TestChecksSurviveOptimize:
     SCRIPT = textwrap.dedent("""
         import json
-        from types import SimpleNamespace
 
         import numpy as np
 
-        from cantorsum import constructions, search
+        from cantorsum import constructions, search, structure
         from cantorsum.digitset import DigitSet, InvariantError, sumset_profile
         from cantorsum.structure import classify_structure
 
@@ -718,9 +717,9 @@ class TestChecksSurviveOptimize:
         full = np.full(1, (1 << 5) - 1, dtype=np.uint64)
         out["kernel"] = raised(lambda: search._type_batch(
             3, np.zeros(1, dtype=np.uint64), full, full))
-        # a profile claiming a gap >= 3 over a support with no dead unit
-        fake = SimpleNamespace(good=False, support=np.arange(9))
-        out["structure"] = raised(lambda: classify_structure(DigitSet(5, (0, 4)), fake))
+        # goodness denied over a support word (sums 0..8) with no dead unit
+        structure.word_good = lambda n, m1: False
+        out["structure"] = raised(lambda: classify_structure(DigitSet(5, (0, 4)), (1 << 9) - 1))
         constructions._tower_step = lambda A, k, typing, report: (A, typing, report)
         out["chain"] = raised(lambda: constructions.chain_to_target(100))
         # FFT pair counts 0.4 off every integer, on a dense set that is not

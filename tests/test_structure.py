@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorsum import structure
-from cantorsum.digitset import DigitSet, sumset_profile
+from cantorsum.digitset import DigitSet, _bits_word, sumset_profile, sumset_words
 from cantorsum.oracle import level_set
 from cantorsum.structure import (
     NotApplicableError,
@@ -16,12 +16,12 @@ from cantorsum.structure import (
     classify_structure,
 )
 
-from conftest import canonical_sets, feasible_oracle_depth
+from conftest import canonical_sets, count_path_sets, feasible_oracle_depth
 
 
 # Reference covering automaton: states are (x, y) pairs of booleans and
 # every transition is a frozenset lookup per residue, the scalar twin of
-# the array automaton in structure.py.
+# the automaton on bit-words in structure.py.
 _DEAD = (False, False)
 _LIVE = {(True, False), (False, True), (True, True)}
 
@@ -151,7 +151,8 @@ class TestTrichotomyExhaustive:
         for n in range(3, 13):
             for A in canonical_sets(n):
                 profile = sumset_profile(A)
-                rep = classify_structure(A, profile=profile)
+                # the automaton on the count path's support word
+                rep = classify_structure(A, _bits_word(profile.counts > 0))
                 seen[rep.case] += 1
                 good = bool(np.all(profile.gaps <= 2))
                 assert (rep.case is StructureCase.FULL_INTERVAL) == good
@@ -295,6 +296,14 @@ class TestArrayAutomatonAgainstScalar:
             seen[_check_against_scalar(_random_set(rng, n, i % 3))[0]] += 1
         assert all(v >= 5 for v in seen.values()), seen
 
+    def test_bases_from_1000_on_every_count_path(self):
+        seen = {case: 0 for case in StructureCase}
+        for sets in count_path_sets(1000, per_path=12).values():
+            for A in sets:
+                if A.n >= 1000:
+                    seen[_check_against_scalar(A)[0]] += 1
+        assert all(v >= 3 for v in seen.values()), seen
+
     def test_every_set_up_to_base_10(self):
         for n in range(3, 11):
             for A in canonical_sets(n):
@@ -303,13 +312,18 @@ class TestArrayAutomatonAgainstScalar:
 
 class TestProfileBuiltOnce:
     def test_cantor_sum_dimension_builds_one_profile(self, monkeypatch):
+        # one pair of sumset words per call, and no count profile; the
+        # oracle behind the bracket builds its own
         calls = []
 
-        def counting(A):
-            calls.append(A)
-            return sumset_profile(A)
+        def counting(digits):
+            calls.append(tuple(digits.tolist()))
+            return sumset_words(digits)
 
-        monkeypatch.setattr(structure, "sumset_profile", counting)
-        A = DigitSet.of(7, [0, 1, 6])
-        cantor_sum_dimension(A)
-        assert calls == [A]
+        monkeypatch.setattr(structure, "sumset_words", counting)
+        monkeypatch.setattr(structure, "sumset_profile", None)
+        for digits in ([0, 1, 6], [0, 6]):  # bracket path, exact path
+            calls.clear()
+            A = DigitSet.of(7, digits)
+            cantor_sum_dimension(A)
+            assert calls == [A.digits]
