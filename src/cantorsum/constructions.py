@@ -16,12 +16,18 @@ Two constructions carry the asymptotics:
 Nothing here trusts the recurrences: every tower output is re-typed
 from scratch, from its own digits, and a mismatch with the predicted
 adjacency matrix or eigenvalue raises instead of propagating silently.
-The output is typed from its two sumset words (sums with >= 1 and
->= 2 ordered pairs) by :func:`~cantorsum.gdifs.word_report`, the word
-rule of the search and of ``analyze``; :func:`~cantorsum.digitset.sumset_words`
-finds the doubled shape in those digits and builds the words from the
-lower half's, so no count array of the output is built and nothing
-from the parent step is passed in.  A chain's table row and the input
+A chain carries each row's digits as one int64 array d, and a step's
+output is ``np.concatenate((d, d + shift))``.  Its :class:`DigitSet`
+skips the constructor's walk over every digit, since a sorted set
+followed by a translate past its maximum is sorted; O(1) end tests
+(first digit 0, last n - 1, the seam max(d) < shift) still raise
+:class:`~cantorsum.digitset.InvariantError` under ``python -O``.  The
+output is typed from its two sumset words (sums with >= 1 and >= 2
+ordered pairs) by :func:`~cantorsum.gdifs.word_report`, the word rule
+of the search and of ``analyze``; :func:`~cantorsum.digitset.sumset_words`
+finds the doubled shape in the output array and builds the words from
+the lower half's, so no count array of the output is built and no words
+or counts pass from the parent step.  A chain's table row and the input
 of :func:`tower` are typed from pair counts by
 :func:`~cantorsum.gdifs.classify_intervals`, so every chain checks the
 word rule against the count rule at its first step.
@@ -49,10 +55,9 @@ from math import isqrt
 
 import numpy as np
 
-from .digitset import DigitSet, InvariantError, sumset_profile, sumset_words
+from .digitset import DigitSet, InvariantError, _doubled_digitset, sumset_profile, sumset_words
 from .gdifs import (
     DIM_TOL,
-    TypingProfile,
     UniquenessReport,
     classify_intervals,
     uniqueness_report,
@@ -124,10 +129,15 @@ def predicted_tower_matrix(matrix, k: int):
     raise ValueError("k must be 0, 1 or 2")
 
 
-def _typed_report(A: DigitSet) -> tuple[TypingProfile, UniquenessReport]:
+def _very_good_input(A: DigitSet):
+    """(int64 digits, matrix, report) of A, typed from its pair counts;
+    raises :class:`VeryGoodPreconditionError` unless A is very-good."""
     profile = sumset_profile(A)
     typing = classify_intervals(profile)
-    return typing, uniqueness_report(typing, A, good=profile.good)
+    report = uniqueness_report(typing, A, good=profile.good)
+    if not report.very_good:
+        raise VeryGoodPreconditionError(f"{A} is not {A.n}-very-good")
+    return np.asarray(A.digits, dtype=np.int64), typing.matrix, report
 
 
 def tower(A: DigitSet, k: int) -> DigitSet:
@@ -137,22 +147,19 @@ def tower(A: DigitSet, k: int) -> DigitSet:
     :class:`VeryGoodPreconditionError` otherwise) and re-derives
     very-goodness of the output from scratch.
     """
-    typing, report = _typed_report(A)
-    out, _, _ = _tower_step(A, k, typing.matrix, report)
-    return out
+    digits, matrix, report = _very_good_input(A)
+    return _tower_step(A, digits, k, matrix, report)[0]
 
 
-def _tower_step(A: DigitSet, k: int, matrix, report: UniquenessReport):
-    """(output, its matrix, its report), the output typed from its own
-    sumset words."""
+def _tower_step(A: DigitSet, digits: np.ndarray, k: int, matrix, report: UniquenessReport):
+    """(output, its int64 digits, its matrix, its report) of a step on the
+    very-good A with int64 digits ``digits``; the output is typed from its
+    own sumset words."""
     want_lam, out_n = tower_dim(report.lam, A.n, k)
-    if not report.very_good:
-        raise VeryGoodPreconditionError(f"{A} is not {A.n}-very-good")
-    shift = 2 * A.n - k
-    out = DigitSet(out_n, A.digits + tuple(map(shift.__add__, A.digits)))
+    out_digits = np.concatenate((digits, digits + (2 * A.n - k)))
+    out = _doubled_digitset(out_n, out_digits)
     out_matrix, out_report, _ = word_report(
-        out_n, 1 in out or out_n - 2 in out,
-        *sumset_words(np.asarray(out.digits, dtype=np.int64)))
+        out_n, 1 in out or out_n - 2 in out, *sumset_words(out_digits))
     if not out_report.very_good:
         raise TowerVerificationError(
             f"tower({A}, k={k}) produced a set that is not very-good"
@@ -163,7 +170,7 @@ def _tower_step(A: DigitSet, k: int, matrix, report: UniquenessReport):
             f"tower({A}, k={k}): derived matrix {out_matrix} / "
             f"lambda {out_report.lam} vs predicted {want_matrix} / {want_lam}"
         )
-    return out, out_matrix, out_report
+    return out, out_digits, out_matrix, out_report
 
 
 @functools.cache
@@ -261,13 +268,10 @@ def chain_to_target(n_target: int,
         raise BaseMissingError(f"chain reduction reached base {n}, not in table")
     ks.reverse()
     A = base_table[n]
-    typing, report = _typed_report(A)
-    if not report.very_good:
-        raise VeryGoodPreconditionError(f"table base {A} is not very-good")
-    matrix = typing.matrix
+    digits, matrix, report = _very_good_input(A)
     rows = [ChainRow(0, None, A, matrix, report.lam, report.dim)]
     for i, k in enumerate(ks, start=1):
-        A, matrix, report = _tower_step(A, k, matrix, report)
+        A, digits, matrix, report = _tower_step(A, digits, k, matrix, report)
         rows.append(ChainRow(i, k, A, matrix, report.lam, report.dim))
     if rows[-1].n != n_target:
         raise InvariantError(f"chain ended at base {rows[-1].n}, not {n_target}")

@@ -155,6 +155,26 @@ class DigitSet:
         return f"{{{','.join(map(str, self.digits))}}} base {self.n}"
 
 
+def _doubled_digitset(n: int, digits: np.ndarray) -> DigitSet:
+    """The canonical set of a tower output Y u (Y + h) from its int64
+    digits, without :class:`DigitSet`'s walk over every digit.
+
+    The caller guarantees that Y is the digits of a :class:`DigitSet`,
+    so the union is sorted and distinct exactly when the seam max Y < h
+    holds.  The seam, first digit 0 and last digit n - 1 are O(1) tests
+    raising :class:`InvariantError`, on under ``python -O`` too.
+    """
+    half = len(digits) // 2
+    if not (digits[0] == 0 and digits[-1] == n - 1 and digits[half - 1] < digits[half]):
+        raise InvariantError(
+            f"doubled digits in base {n} must start at 0, end at {n - 1} and "
+            f"rise across the seam: {digits[[0, half - 1, half, -1]].tolist()}")
+    out = object.__new__(DigitSet)
+    object.__setattr__(out, "n", n)
+    object.__setattr__(out, "digits", tuple(digits.tolist()))
+    return out
+
+
 @dataclass(frozen=True)
 class SumsetProfile:
     """Ordered-pair multiplicity table of A + A.

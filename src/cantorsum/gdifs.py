@@ -66,7 +66,8 @@ __all__ = [
 ]
 
 TYPE_O, TYPE_L, TYPE_R = 0, 1, 2
-_TYPE_CHARS = np.array(["O", "L", "R"])
+# Byte table from the type codes to their labels.
+_TYPE_LABELS = bytes.maketrans(bytes([TYPE_O, TYPE_L, TYPE_R]), b"OLR")
 
 # All floating-point comparisons of eigenvalues/dimensions use this.
 DIM_TOL = 1e-9
@@ -98,8 +99,8 @@ class TypingProfile:
 
     def typing_string(self) -> str:
         """The 2n labels, lower and upper halves separated by a space."""
-        chars = _TYPE_CHARS[self.types]
-        return "".join(chars[: self.n]) + " " + "".join(chars[self.n :])
+        labels = self.types.tobytes().translate(_TYPE_LABELS).decode("ascii")
+        return labels[: self.n] + " " + labels[self.n :]
 
 
 def classify_intervals(P: SumsetProfile) -> TypingProfile:

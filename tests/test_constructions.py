@@ -17,7 +17,14 @@ from cantorsum.constructions import (
     tower,
     tower_dim,
 )
-from cantorsum.digitset import DigitSet, is_n_good, sumset_profile, sumset_words
+from cantorsum.digitset import (
+    DigitSet,
+    InvariantError,
+    _doubled_digitset,
+    is_n_good,
+    sumset_profile,
+    sumset_words,
+)
 from cantorsum.gdifs import classify_intervals, uniqueness_report, word_typing
 
 from conftest import canonical_sets
@@ -160,6 +167,44 @@ class TestTower:
         assert checked >= 40
 
 
+class TestTrustedOutputs:
+    """Tower outputs skip DigitSet's digit walk; they must not differ."""
+
+    @staticmethod
+    def assert_checked(A):
+        assert A == DigitSet(A.n, A.digits)
+        assert all(type(d) is int for d in A.digits)
+        assert type(A.n) is int
+
+    @pytest.mark.parametrize("target", [458, 99999, 10**6])
+    def test_chain_rows(self, target):
+        for row in chain_to_target(target).rows:
+            self.assert_checked(row.digitset)
+
+    def test_tower_on_every_table_row(self):
+        for A in load_base_table().values():
+            for k in (0, 1, 2):
+                self.assert_checked(tower(A, k))
+
+    @pytest.mark.parametrize("digits,n", [
+        ([0, 3, 2, 5], 6),  # the seam falls: 3 > 2
+        ([0, 2, 2, 4], 5),  # the seam repeats a digit
+        ([1, 2, 4, 5], 6),  # no digit 0
+        ([0, 2, 4, 6], 8),  # last digit below n - 1
+    ])
+    def test_end_tests_raise(self, digits, n):
+        # InvariantError, not assert: this holds under python -O too
+        with pytest.raises(InvariantError, match="must start at 0"):
+            _doubled_digitset(n, np.array(digits, dtype=np.int64))
+
+    def test_step_on_foreign_digits(self):
+        # A's digits end at 8, these at 18: the output ends at 36, not 26
+        A = load_base_table()[9]
+        t, rep = direct_report(A)
+        with pytest.raises(InvariantError, match="end at 26"):
+            constructions._tower_step(A, np.array([0, 2, 6, 18]), 0, t.matrix, rep)
+
+
 class TestBaseTable:
     def test_all_rows_very_good_with_listed_dim(self):
         table = load_base_table()
@@ -259,6 +304,10 @@ class TestChain:
             assert row.matrix == ((a, b), (c, d)) == t.matrix, row.n
             assert (good, very_good) == (rep.good, rep.very_good) == (True, True), row.n
             assert (row.lam, row.dim) == (rep.lam, rep.dim), row.n
+
+    def test_table_base_must_be_very_good(self):
+        with pytest.raises(VeryGoodPreconditionError, match="is not 27-very-good"):
+            chain_to_target(81, base_table={27: DigitSet.of(27, [0, 1, 26])})
 
     def test_custom_base_table(self):
         # substituting a better base is supported; base 9 reaches 81

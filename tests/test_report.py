@@ -68,6 +68,20 @@ class TestPinnedAnswers:
         assert h.hexdigest() == ANSWERS_DIGEST
 
 
+class TestTypingString:
+    @staticmethod
+    def joined(typing):
+        """The labels by a NumPy string array and two joins: the twin."""
+        chars = np.array(["O", "L", "R"])[typing.types]
+        return "".join(chars[: typing.n]) + " " + "".join(chars[typing.n :])
+
+    def test_equals_join_twin(self):
+        sets = _pinned_sets() + [r.digitset for r in chain_to_target(10**5).rows]
+        for A in sets:
+            typing = analyze(A).typing
+            assert typing.typing_string() == self.joined(typing), A.n
+
+
 def _assert_matches_counts(A):
     """analyze's word path against the count path, field by field."""
     rep = analyze(A)

@@ -720,7 +720,7 @@ class TestChecksSurviveOptimize:
         # goodness denied over a support word (sums 0..8) with no dead unit
         structure.word_good = lambda n, m1: False
         out["structure"] = raised(lambda: classify_structure(DigitSet(5, (0, 4)), (1 << 9) - 1))
-        constructions._tower_step = lambda A, k, typing, report: (A, typing, report)
+        constructions._tower_step = lambda A, digits, k, matrix, report: (A, digits, matrix, report)
         out["chain"] = raised(lambda: constructions.chain_to_target(100))
         # FFT pair counts 0.4 off every integer, on a dense set that is not
         # translate-doubled (digit 500 dropped), so the FFT path runs
