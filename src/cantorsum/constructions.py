@@ -158,8 +158,7 @@ def _tower_step(A: DigitSet, digits: np.ndarray, k: int, matrix, report: Uniquen
     want_lam, out_n = tower_dim(report.lam, A.n, k)
     out_digits = np.concatenate((digits, digits + (2 * A.n - k)))
     out = _doubled_digitset(out_n, out_digits)
-    out_matrix, out_report, _ = word_report(
-        out_n, 1 in out or out_n - 2 in out, *sumset_words(out_digits))
+    out_matrix, out_report, _ = word_report(out_n, *sumset_words(out_digits))
     if not out_report.very_good:
         raise TowerVerificationError(
             f"tower({A}, k={k}) produced a set that is not very-good"

@@ -31,12 +31,14 @@ at least 2; there is nothing in between.
 
 The lambda/trivial/dim formula and the very-good rule are written once,
 in :func:`matrix_dimension` and :func:`very_good_rule`.  The same
-typing read off the sumset words (bit s set when s has at least one,
-or at least two, ordered pairs) is :func:`word_typing`, elementwise, so
-the search, the tower steps and ``analyze`` type by one rule;
-:func:`classify_intervals` stays its independent twin on count arrays.
-The search kernel ranks batch rows by a float32 2 lambda key, but
-every lambda and dim it reports comes from :func:`matrix_dimension`.
+typing read off the sumset words m1, m2 (bit s set when s has at least
+one, or two, ordered pairs) is ``word_typing(n, m1, m2, popcount)``,
+elementwise: the search, the tower steps and ``analyze`` type by one
+rule from (n, m1, m2) alone, the edge digits 1 and n - 2 included
+(:func:`word_edge_digit`).  :func:`classify_intervals` and
+:func:`uniqueness_report` stay the independent twin on counts and
+digits.  The search kernel ranks batch rows by a float32 2 lambda key,
+but every lambda and dim it reports comes from :func:`matrix_dimension`.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ __all__ = [
     "matrix_dimension",
     "very_good_rule",
     "word_good",
+    "word_edge_digit",
     "word_typing",
     "word_report",
 ]
@@ -151,28 +154,35 @@ def word_good(n: int, m1):
     return (m1 | m1 >> 1) & span == span
 
 
-def word_typing(n: int, edge_digit, m1, m2, popcount):
+def word_edge_digit(n: int, m1):
+    """Non-zero when 1 or n - 2 is a digit of the canonical set with
+    support word m1: only 0 + 1 sums to 1 and only (n - 2) + (n - 1) to
+    2n - 3.  A shift, not a 2n-bit mask, which costs more on Python ints."""
+    return (m1 | m1 >> (2 * n - 4)) & 2
+
+
+def word_typing(n: int, m1, m2, popcount):
     """(good, very_good, a, b, c, d, L word, R word) from the sumset
     words of a canonical set.
 
-    Bit s of m1 (m2) is set when s has at least one (two) ordered pairs;
-    ``edge_digit`` is non-zero when 1 or n - 2 is a digit.  The words are
-    Python ints (popcount ``int.bit_count``) or uint64 arrays
-    (``np.bitwise_count``).  The sets hold 0 and n - 1, so a support bit
-    followed by two clear ones below 2n - 2 is two clear bits in a row;
-    the L and R words are :func:`classify_intervals` read off bits.
+    Bit s of m1 (m2) is set when s has at least one (two) ordered pairs.
+    The words are Python ints (popcount ``int.bit_count``) or uint64
+    arrays (``np.bitwise_count``).  The sets hold 0 and n - 1, so a
+    support bit followed by two clear ones below 2n - 2 is two clear
+    bits in a row; the L and R words are :func:`classify_intervals` read
+    off bits.
     """
-    span = (1 << (2 * n - 2)) - 1
-    good = (m1 | m1 >> 1) & span == span
+    good = word_good(n, m1)
     unique = m1 ^ m2
     l_word = unique & ~(m1 << 1)
     r_word = unique << 1 & ~m1
     low_mask = (1 << n) - 1
     a = popcount(l_word & low_mask)
     b = popcount(r_word & low_mask)
-    c = popcount(l_word >> n)
-    d = popcount(r_word >> n)
-    return good, very_good_rule(good, edge_digit, a, b, c, d), a, b, c, d, l_word, r_word
+    c = popcount(l_word) - a
+    d = popcount(r_word) - b
+    very_good = very_good_rule(good, word_edge_digit(n, m1), a, b, c, d)
+    return good, very_good, a, b, c, d, l_word, r_word
 
 
 @dataclass(frozen=True)
@@ -191,10 +201,10 @@ class UniquenessReport:
     good: bool
 
 
-def word_report(n: int, edge_digit: bool, m1: int, m2: int):
+def word_report(n: int, m1: int, m2: int):
     """(matrix, :class:`UniquenessReport`, (L word, R word)) from sumset
     words: :func:`word_typing`, then :func:`matrix_dimension`."""
-    good, very_good, a, b, c, d, *lr = word_typing(n, edge_digit, m1, m2, int.bit_count)
+    good, very_good, a, b, c, d, *lr = word_typing(n, m1, m2, int.bit_count)
     lam, trivial, dim = matrix_dimension(a, b, c, d, n)
     report = UniquenessReport(lam=lam, dim=dim, trivial=trivial,
                               very_good=very_good, good=good)

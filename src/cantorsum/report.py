@@ -48,7 +48,7 @@ def analyze(A: DigitSet) -> AnalysisReport:
         raise ValueError("typing requires a canonical digit set")
     n = A.n
     m1, m2 = sumset_words(np.asarray(A.digits, dtype=np.int64))
-    matrix, uniq, (l_word, r_word) = word_report(n, 1 in A or n - 2 in A, m1, m2)
+    matrix, uniq, (l_word, r_word) = word_report(n, m1, m2)
     types = TYPE_L * _word_bits(l_word, 2 * n) + TYPE_R * _word_bits(r_word, 2 * n)
     struct = classify_structure(A, m1)
     return AnalysisReport(digitset=A, good=uniq.good, typing=TypingProfile(n, types, matrix),

@@ -25,8 +25,8 @@ count of 2d by 1, so the words of a proposal are a few big-int
 operations on W_1..W_4 (:meth:`_PairCounts.trial`); only an accepted
 flip updates the counts and rebuilds the four words.  One typing
 rule, :func:`~cantorsum.gdifs.word_typing` (shared with the tower steps
-and ``analyze``), turns the words of a mask or of a uint64 batch
-into goodness, very-goodness and a, b, c, d.  Tests hold the
+and ``analyze``), turns the two words alone, of one set or of a uint64
+batch, into goodness, very-goodness and a, b, c, d.  Tests hold the
 incremental updates, the proposal words, a flip-and-retype climb, an
 independent shift-loop batch kernel and the reference interval-typing
 path to identical answers.  One batch loop, :func:`_batches`, serves
@@ -58,7 +58,7 @@ import numpy as np
 
 from .constructions import chain_to_target, load_base_table, sqrt_good_set
 from .digitset import DigitSet, InvariantError, _bits_word, _word_bits, pair_sum_counts
-from .gdifs import DIM_TOL, matrix_dimension, word_typing
+from .gdifs import DIM_TOL, matrix_dimension, word_edge_digit, word_typing
 
 __all__ = [
     "SearchRecord",
@@ -118,10 +118,9 @@ class SearchResult:
     source: str
 
 
-def _type_words(n: int, mask: int, m1: int, m2: int):
-    """Typing of one mask, with lambda and dim from their owner."""
-    edge_digit = mask & (2 | 1 << (n - 2))
-    good, very_good, a, b, c, d, _, _ = word_typing(n, edge_digit, m1, m2, int.bit_count)
+def _type_words(n: int, m1: int, m2: int):
+    """Typing of one set's words, with lambda and dim from their owner."""
+    good, very_good, a, b, c, d, _, _ = word_typing(n, m1, m2, int.bit_count)
     lam, _, dim = matrix_dimension(a, b, c, d, n)
     return good, very_good, a, b, c, d, lam, dim
 
@@ -152,18 +151,16 @@ class _PairCounts:
     def trial(self, d: int):
         """(mask, m1, m2) of the set with digit d flipped.
 
-        Adding d puts each cross sum a + d into both words, as in
-        :func:`_add_digit`.  Removing d takes 2 from the count of every
-        a + d, a != d, which was at least 2, so those bits of m1 and m2
-        come from the words t = 3 and 4.  The count of 2d is odd and
+        Adding d is :func:`_add_digit`.  Removing d takes 2 from the count
+        of every a + d, a != d, which was at least 2, so those bits of m1
+        and m2 come from the words t = 3 and 4.  The count of 2d is odd and
         drops by 1: its m1 bit comes from t = 2, and its m2 bit from
         t = 3, which at an odd count is the bit m2 already holds.
         """
         w1, w2, w3, w4 = self.words
         bit = 1 << d
         if not self.mask & bit:
-            cross = self.mask << d
-            return self.mask | bit, w1 | cross | 1 << 2 * d, w2 | cross
+            return _add_digit(d, self.mask, w1, w2)
         mask = self.mask ^ bit
         cross = mask << d
         keep = ~cross
@@ -184,9 +181,6 @@ class _PairCounts:
             self.ind[d] = 1
         self.mask ^= 1 << d
         self._rebuild_words()
-
-    def row(self):
-        return _type_words(self.n, self.mask, self.words[0], self.words[1])
 
 
 def _record(n: int, mask: int, row) -> SearchRecord:
@@ -239,8 +233,8 @@ def _better(cand: SearchRecord, best: SearchRecord | None) -> bool:
     return cand.digits < best.digits
 
 
-def _add_digit(n: int, j: int, mask, mirror, m1, m2):
-    """Mask, mirror and sumset words with digit j added to sets without it.
+def _add_digit(j: int, mask, m1, m2):
+    """Mask and sumset words with digit j added to sets without it.
 
     Each new sum a + j (a in A) has the two ordered pairs (a, j) and
     (j, a).  2j gains the pair (j, j); any earlier pair of 2j is some
@@ -248,8 +242,7 @@ def _add_digit(n: int, j: int, mask, mirror, m1, m2):
     uint64 arrays alike.
     """
     cross = mask << j
-    return (mask | 1 << j, mirror | 1 << (n - 1 - j),
-            m1 | cross | 1 << 2 * j, m2 | cross)
+    return mask | 1 << j, m1 | cross | 1 << 2 * j, m2 | cross
 
 
 def _low_table(n: int):
@@ -267,19 +260,20 @@ def _low_table(n: int):
     # (n + 10) // 2 keeps the 2^(2k+2-n) rows partitioned per call <= 2^12
     k = min(n - 2, _TABLE_DIGITS, (n + 10) // 2)
     p = n - 2 - k
-    table = np.zeros((4, 1 << k), dtype=np.uint64)
+    table = np.zeros((3, 1 << k), dtype=np.uint64)
+    mirror = np.zeros(1 << (k - p), dtype=np.uint64)
     for j in range(p + 1, k + 1):
         half = 1 << (j - p - 1)
-        table[:, half:2 * half] = _add_digit(n, j, *table[:, :half])
+        table[:, half:2 * half] = _add_digit(j, *table[:, :half])
+        mirror[half:2 * half] = mirror[:half] | 1 << (n - 1 - j)
     own = table[:, :1 << (k - p)]
-    canonical = own[1] >= own[0]
+    canonical = mirror >= own[0]
     own[:] = np.take(own, np.argsort(canonical, kind="stable"), axis=1)
-    own[:] = _add_digit(n, 0, *own)
+    own[:] = _add_digit(0, *own)
     for i in range(p, 0, -1):
         half = 1 << (k - i)
-        table[:, half:2 * half] = _add_digit(n, i, *table[:, :half])
-    mask, _, m1, m2 = table
-    return k, len(canonical) - int(np.count_nonzero(canonical)), (mask, m1, m2)
+        table[:, half:2 * half] = _add_digit(i, *table[:, :half])
+    return k, len(canonical) - int(np.count_nonzero(canonical)), tuple(table)
 
 
 def _two_lambda(a, b, c, d):
@@ -299,8 +293,7 @@ def _type_batch(n: int, masks: np.ndarray, m1: np.ndarray, m2: np.ndarray):
     are checked by one count of their violations; only a batch with a
     violation looks for the first message in the order of the checks.
     """
-    edge_digit = masks & (2 | 1 << (n - 2))
-    good, very_good, *quad = word_typing(n, edge_digit, m1, m2, np.bitwise_count)[:6]
+    good, very_good, *quad = word_typing(n, m1, m2, np.bitwise_count)[:6]
     a, b, c, d = (x.astype(np.int16) for x in quad)
     v = _two_lambda(a, b, c, d)
     size = np.bitwise_count(masks).astype(np.int16)
@@ -311,7 +304,8 @@ def _type_batch(n: int, masks: np.ndarray, m1: np.ndarray, m2: np.ndarray):
         ("eigenvalue dichotomy violated", below_2 & (b * c != 0)),
         ("lambda exceeded |A|", v > 2 * size),
         ("good set smaller than sqrt(n)", good & (size * size < n)),
-        ("missing-edge-digit bound violated", below_2 & good & (edge_digit == 0)),
+        ("missing-edge-digit bound violated",
+         below_2 & good & (word_edge_digit(n, m1) == 0)),
     )
     if np.count_nonzero(checks[0][1] | checks[1][1] | checks[2][1] | checks[3][1]):
         raise InvariantError(next(message for message, hit in checks if hit.any()))
@@ -337,7 +331,7 @@ def _batches(n: int, require_good: bool, require_very_good: bool,
         high.append(n - 1)
         mask_h = m1_h = m2_h = 0
         for j in high:
-            mask_h, _, m1_h, m2_h = _add_digit(n, j, mask_h, 0, m1_h, m2_h)
+            mask_h, m1_h, m2_h = _add_digit(j, mask_h, m1_h, m2_h)
         low = mask_l[start:]
         masks = low | mask_h
         cross = low << high[0]
@@ -483,35 +477,27 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
                     best = cand
         return good or unconstrained, dim
 
-    stack = _seed_masks(n)
-    current: _PairCounts | None = None
-    current_dim = -1.0
-    stuck = 0
+    def starts():
+        yield from _seed_masks(n)
+        while True:
+            yield base | _random_inner(rng, n - 2) << 1
+
+    start_masks = starts()
     max_stuck = 4 * n
     while evals < budget:
-        if current is None:
-            if stack:
-                mask = stack.pop(0)
-            else:
-                mask = base | (_random_inner(rng, n - 2) << 1)
-            start = _PairCounts(n, mask)
-            climbable, dim = consider(mask, start.row())
-            if climbable:
-                current = start
+        current = _PairCounts(n, next(start_masks))
+        climbable, current_dim = consider(current.mask, _type_words(n, *current.words[:2]))
+        stuck = 0
+        while climbable and evals < budget and stuck <= max_stuck:
+            d = int(rng.integers(1, n - 1))
+            mask, m1, m2 = current.trial(d)
+            ok, dim = consider(mask, _type_words(n, m1, m2))
+            if ok and dim > current_dim:
+                current.flip(d)
                 current_dim = dim
-            stuck = 0
-            continue
-        d = int(rng.integers(1, n - 1))
-        mask, m1, m2 = current.trial(d)
-        climbable, dim = consider(mask, _type_words(n, mask, m1, m2))
-        if climbable and dim > current_dim:
-            current.flip(d)
-            current_dim = dim
-            stuck = 0
-        else:
-            stuck += 1
-            if stuck > max_stuck:
-                current = None
+                stuck = 0
+            else:
+                stuck += 1
     exceed.sort(key=lambda r: (r.n, r.digits))
     return SearchResult(best=best, n_enumerated=evals, n_matching=matching,
                         evaluations=evals, exceedances=tuple(exceed),

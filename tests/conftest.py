@@ -6,7 +6,7 @@ import pytest
 
 from cantorsum import digitset
 from cantorsum.digitset import DigitSet, sumset_profile
-from cantorsum.search import _PairCounts
+from cantorsum.search import _PairCounts, _type_words
 
 
 def canonical_sets(n):
@@ -19,7 +19,7 @@ def canonical_sets(n):
 def eval_mask(n, mask):
     """Scalar twin of the batch kernel: goodness, typing, lambda and dim
     of one mask from its pair counts and sumset words."""
-    return _PairCounts(n, mask).row()
+    return _type_words(n, *_PairCounts(n, mask).words[:2])
 
 
 def feasible_oracle_depth(A, cap, budget=10**7):

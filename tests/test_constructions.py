@@ -299,8 +299,7 @@ class TestChain:
             A = row.digitset
             t, rep = direct_report(A)
             words = sumset_words(np.asarray(A.digits, dtype=np.int64))
-            good, very_good, a, b, c, d, _, _ = word_typing(
-                A.n, 1 in A or A.n - 2 in A, *words, int.bit_count)
+            good, very_good, a, b, c, d, _, _ = word_typing(A.n, *words, int.bit_count)
             assert row.matrix == ((a, b), (c, d)) == t.matrix, row.n
             assert (good, very_good) == (rep.good, rep.very_good) == (True, True), row.n
             assert (row.lam, row.dim) == (rep.lam, rep.dim), row.n

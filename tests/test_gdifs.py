@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorsum.digitset import DigitSet, reflect, sumset_profile
+from cantorsum.digitset import DigitSet, reflect, sumset_profile, sumset_words
 from cantorsum.gdifs import (
     TypingProfile,
     classify_intervals,
     edge_digit_dimension_bound,
     perron_eigenvalue,
     uniqueness_report,
+    word_edge_digit,
+    word_report,
 )
 
 from conftest import canonical_sets
@@ -139,3 +141,32 @@ class TestEdgeDigitBound:
                 r = uniqueness_report(t, A)
                 if r.good:
                     assert edge_digit_dimension_bound(A, r), A
+
+
+class TestWordEdgeDigit:
+    """The word path reads the edge digits 1 and n - 2 off the support
+    word; the count path reads them off the digits."""
+
+    def test_identity_every_canonical_set(self):
+        for n in range(3, 17):
+            words, want = [], []
+            for A in canonical_sets(n):
+                mask = sum(1 << d for d in A.digits)
+                m1 = 0
+                for d in A.digits:
+                    m1 |= mask << d
+                words.append(m1)
+                want.append(1 in A or n - 2 in A)
+            got = [word_edge_digit(n, m1) != 0 for m1 in words]
+            assert got == want, n
+            vector = word_edge_digit(n, np.array(words, dtype=np.uint64)) != 0
+            assert vector.tolist() == want, n
+
+    def test_word_very_good_matches_uniqueness_report(self):
+        for n in range(3, 13):
+            for A in canonical_sets(n):
+                profile = sumset_profile(A)
+                rep = uniqueness_report(classify_intervals(profile), A)
+                words = sumset_words(np.asarray(A.digits, dtype=np.int64))
+                _, word_rep, _ = word_report(n, *words)
+                assert (word_rep.good, word_rep.very_good) == (rep.good, rep.very_good), A

@@ -227,7 +227,7 @@ class TestSplitMaskKernel:
         cols = search._type_batch(n, np.array([mask], dtype=np.uint64),
                                   np.array([m1], dtype=np.uint64),
                                   np.zeros(1, dtype=np.uint64))
-        want = search._type_words(n, mask, m1, 0)
+        want = search._type_words(n, m1, 0)
         assert want[2:6] == (15, 15, 15, 15)
         got = tuple(col[0] for col in cols)
         assert got[:6] == want[:6]
@@ -256,12 +256,11 @@ class TestBatchInvariants:
         # digits 0 and 4, good words with a = 2, b = c = 1, d = 0: lambda =
         # 1 + sqrt 2 exceeds |A| = 2 by less than 1/2; also good with 2^2 < 5
         ("lambda exceeded |A|", (0b10001, 0b110111010, 0b100100000)),
-        # two digits whose words claim every sum twice: good, 2^2 < 5, and
-        # lambda = 0 < 2 without the edge digits 1 and 3
+        # two digits whose words claim every sum twice: good, 2^2 < 5
         ("good set smaller than sqrt(n)", (0b10001, (1 << 9) - 1, (1 << 9) - 1)),
-        # the full set's words without the edge digits 1 and 3: good,
-        # a = d = 1, b = c = 0, so lambda = 1 < 2
-        ("missing-edge-digit bound violated", (0b10101, (1 << 9) - 1, (1 << 8) - 2)),
+        # words with every sum but 1 and 7 (no edge digit 1 or 3), each
+        # twice: good, a = b = c = d = 0, so lambda = 0 < 2
+        ("missing-edge-digit bound violated", (0b10101, 0b101111101, 0b101111101)),
     ])
     def test_crafted_words_raise(self, message, row):
         masks, m1, m2 = (np.array(col, dtype=np.uint64) for col in zip(self.FULL, row))
@@ -352,7 +351,7 @@ class TestIncrementalPairCounts:
             assert np.array_equal(counts.cnt, profile.counts)
             assert np.array_equal(counts.cnt, np.convolve(counts.ind, counts.ind))
             assert counts.words == _threshold_words(counts.ind)
-            row = counts.row()
+            row = search._type_words(n, *counts.words[:2])
             assert row == eval_mask(n, counts.mask)
             good, very_good, a, b, c, d_, lam, dim = row
             t = classify_intervals(profile)
@@ -527,8 +526,7 @@ def _reference_climb(n, budget, seed, require_good, require_very_good):
     def consider(counts):
         nonlocal best, evals, matching
         evals += 1
-        row = search._type_words(n, counts.mask, _bits_word(counts.cnt > 0),
-                                 _bits_word(counts.cnt > 1))
+        row = search._type_words(n, _bits_word(counts.cnt > 0), _bits_word(counts.cnt > 1))
         good, dim = row[0], row[7]
         if not ((require_very_good and not row[1]) or (require_good and not good)):
             matching += 1
