@@ -16,7 +16,9 @@ The central object downstream is the sumset A + A with ordered-pair
 multiplicities: counts[s] = #{(a, a') in A x A : a + a' = s}.  The sum
 of two copies of the Cantor set equals the Cantor set of the sumset in
 the same base, so questions about C_A + C_A reduce to questions about
-the sumset's support and multiplicities.
+the sumset's support and multiplicities, or only its words m1, m2 of
+the sums with >= 1 and >= 2 ordered pairs.  :func:`sumset_words` builds
+those of a dense set with few runs of consecutive digits from the runs.
 
 A canonical A is called *good* when C_A + C_A = [0, 2].  At level one
 the maps of the sumset IFS cover intervals of length 2/n placed at the
@@ -59,6 +61,13 @@ _PAIR_CHUNK = 4_000_000
 # about one unit of L*log2(L)/2, and an rfft/irfft pair has a fixed cost
 # of about 2^14 pairs.  The split costs O(L) and needs no such constant.
 _FFT_FIXED_PAIRS = 1 << 14
+
+# sumset_words builds the words of a set past the bincount bound from
+# its maximal digit runs when it has fewer than this many, at O(log run
+# length) L-bit shift-ORs a run.  On the same VM, at n = 1000 / 3000 /
+# 10^4, 31 runs take 104 / 187 / 436 us and the FFT words 113 / 233 /
+# 726 us; at 64 runs the FFT wins (measurements/analyze_words.json).
+_RUN_WORDS_MAX = 32
 
 # A count read off the inverse FFT must lie this close to an integer.
 _FFT_MAX_RESIDUAL = 0.25
@@ -237,12 +246,17 @@ def pair_sum_counts(digits: np.ndarray) -> np.ndarray:
     count it cannot vouch for.
     """
     top = 2 * int(digits[-1])
-    k = len(digits)
-    if k * k <= (top + 1) * math.log2(top + 1) / 2 + _FFT_FIXED_PAIRS:
+    if _bincounted(digits):
         return _pair_counts(digits, top)
     if _doubling_shift(digits):
         return _split_pair_counts(digits, top)
     return _fft_pair_counts(digits, top)
+
+
+def _bincounted(digits: np.ndarray) -> bool:
+    """|A|^2 within the bincount bound L*log2(L)/2 + _FFT_FIXED_PAIRS."""
+    slots = 2 * int(digits[-1]) + 1
+    return len(digits) ** 2 <= slots * math.log2(slots) / 2 + _FFT_FIXED_PAIRS
 
 
 def _doubling_shift(digits: np.ndarray) -> int:
@@ -264,16 +278,42 @@ def sumset_words(digits: np.ndarray) -> tuple[int, int]:
     them from Y's words by c_X[s] = c_Y[s] + 2 c_Y[s - h] + c_Y[s - 2h]:
     s has a pair when any term does, and two when c_Y[s - h] >= 1,
     c_Y[s] >= 2 or c_Y[s - 2h] >= 2.  No s has both c_Y[s] and
-    c_Y[s - 2h] non-zero, since Y + Y ends at 2 max Y < 2h.  Any other
-    set thresholds its counts.
+    c_Y[s - 2h] non-zero, since Y + Y ends at 2 max Y < 2h.  Past the
+    bincount bound, fewer than _RUN_WORDS_MAX maximal runs of digits
+    give them with no count array (:func:`_run_words`).  Any other set
+    thresholds its counts.
     """
     h = _doubling_shift(digits)
     if not h:
+        if not _bincounted(digits):
+            breaks = (digits[1:] - digits[:-1] != 1).nonzero()[0]
+            if len(breaks) < _RUN_WORDS_MAX:
+                return _run_words(digits, breaks.tolist())
         counts = pair_sum_counts(digits)
         return _bits_word(counts >= 1), _bits_word(counts >= 2)
     m1, m2 = sumset_words(digits[: len(digits) // 2])
     mid = m1 << h
     return m1 | mid | mid << h, mid | m2 | m2 << 2 * h
+
+
+def _run_words(digits: np.ndarray, breaks: list[int]) -> tuple[int, int]:
+    """(m1, m2) from the digit runs [lo, hi], a new one after each index
+    in `breaks`.  m2, the sums a + b with a < b, is per run the earlier
+    digits' word dilated by [lo, hi] and [2 lo + 1, 2 hi - 1]; m1 adds
+    the sums 2a, of which only 2 lo and 2 hi can miss m2."""
+    m1 = m2 = below = start = 0
+    for stop in breaks + [len(digits) - 1]:
+        lo, length = int(digits[start]), stop - start + 1
+        hi, start = lo + length - 1, stop + 1
+        cross, covered = below << lo, 1  # below shifted by lo .. lo + covered - 1
+        while covered < length:
+            cross |= cross << min(covered, length - covered)
+            covered *= 2
+        edge = 1 << 2 * lo | 1 << 2 * hi
+        m2 |= cross | ((1 << 2 * hi + 1) - (1 << 2 * lo)) ^ edge
+        m1 |= edge
+        below |= (1 << hi + 1) - (1 << lo)
+    return m1 | m2, m2
 
 
 def _bits_word(bits: np.ndarray) -> int:

@@ -149,9 +149,8 @@ def very_good_rule(good, edge_digit, a, b, c, d):
 
 
 def word_good(n: int, m1):
-    """:func:`word_typing`'s goodness, from the support word alone."""
-    span = (1 << (2 * n - 2)) - 1
-    return (m1 | m1 >> 1) & span == span
+    """Goodness: m1 | m1 >> 1 is all ones, as m1 ends at bit 2n - 2."""
+    return m1 | m1 >> 1 == (1 << 2 * n - 1) - 1
 
 
 def word_edge_digit(n: int, m1):
@@ -170,12 +169,14 @@ def word_typing(n: int, m1, m2, popcount):
     arrays (``np.bitwise_count``).  The sets hold 0 and n - 1, so a
     support bit followed by two clear ones below 2n - 2 is two clear
     bits in a row; the L and R words are :func:`classify_intervals` read
-    off bits.
+    off bits.  x & ~y is written x ^ (x & y): the same NumPy ops, and no
+    negative Python int, on which CPython's & runs 2-3.5x slower.
     """
     good = word_good(n, m1)
     unique = m1 ^ m2
-    l_word = unique & ~(m1 << 1)
-    r_word = unique << 1 & ~m1
+    l_word = unique ^ (unique & m1 << 1)
+    r_word = unique << 1
+    r_word ^= r_word & m1
     low_mask = (1 << n) - 1
     a = popcount(l_word & low_mask)
     b = popcount(r_word & low_mask)

@@ -247,9 +247,10 @@ def typing_count_evolution(A: DigitSet, m_max: int, budget: int | None = None):
     if required > budget:
         raise BudgetExceededError(required, budget)
     profile = sumset_profile(A)
-    support = profile.support.astype(np.int64)
-    sat = np.minimum(profile.counts, 2).astype(np.int32)
-    dense = sat.copy()
+    support = profile.support
+    # saturated straight into int32, typed in place at depth 1
+    sat = dense = np.minimum(profile.counts, 2, dtype=np.int32)
+    del profile
     for m in range(1, m_max + 1):
         if m > 1:
             nxt = np.zeros(_start_range(n, max_sum, m) - 1, dtype=np.int32)
@@ -259,11 +260,10 @@ def typing_count_evolution(A: DigitSet, m_max: int, budget: int | None = None):
                 view += dense * cb
             np.minimum(nxt, 2, out=nxt)
             dense = nxt
-        padded = np.concatenate([[0], dense, [0]])
-        cur = padded[1:]
-        prev = padded[:-1]
-        L = int(np.count_nonzero((cur == 1) & (prev == 0)))
-        R = int(np.count_nonzero((prev == 1) & (cur == 0)))
+        # L: a 1 after a 0, R: a 1 before a 0; slots past both ends are 0
+        one, zero = dense == 1, dense == 0
+        L = int(one[0]) + int(np.count_nonzero(one[1:] & zero[:-1]))
+        R = int(np.count_nonzero(one[:-1] & zero[1:])) + int(one[-1])
         yield L, R
 
 

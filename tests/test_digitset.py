@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -389,7 +391,8 @@ def check_words(digits):
 
 
 class TestSumsetWords:
-    """The doubled-word recurrence against thresholded pair counts."""
+    """The doubled-word recurrence and the run words against thresholded
+    pair counts."""
 
     @pytest.mark.parametrize("target", [458, 99999, 10**5, 10**6])
     def test_every_chain_row(self, target):
@@ -430,3 +433,56 @@ class TestSumsetWords:
         for X in ([0, 1, 2], [0, 2, 3, 4], [0, 1, 3, 7]):
             assert digitset._doubling_shift(np.array(X)) == 0
             check_words(X)
+
+    @staticmethod
+    def runs_set(rng, top, runs):
+        """Digits 0 and top plus `runs` random runs of length 1..top/2."""
+        digits = {0, top}
+        for _ in range(runs):
+            lo = int(rng.integers(0, top + 1))
+            digits |= set(range(lo, min(top, lo + int(rng.integers(1, top // 2 + 2)))))
+        return np.array(sorted(digits), dtype=np.int64)
+
+    @staticmethod
+    def run_path(digits):
+        """True when sumset_words answers without the pair counts."""
+        with mock.patch.object(digitset, "pair_sum_counts",
+                               wraps=digitset.pair_sum_counts) as counts:
+            digitset.sumset_words(digits)
+        return not counts.called
+
+    def test_random_runs(self):
+        rng = np.random.default_rng(20261019)
+        taken = 0
+        for _ in range(60):
+            top = int(np.exp(rng.uniform(np.log(20), np.log(10**4))))
+            X = self.runs_set(rng, top, int(rng.integers(1, 9)))
+            check_words(X)
+            taken += self.run_path(X)
+        assert taken >= 20
+
+    def test_block_shapes(self):
+        rng = np.random.default_rng(5)
+        shapes = []
+        for n in (301, 1001, 3001, 5001):  # odd: {0..n-1} is not doubled
+            # the benchmark's Mixed family: two end blocks, up to 3 extras
+            k1 = int(rng.integers(1, n // 2))
+            extra = {int(d) for d in rng.integers(1, n - 1, size=3)}
+            shapes.append(set(range(k1 + 1)) | set(range(n - 1 - (n // 2 - k1), n)) | extra)
+            shapes.append(set(range(n)))  # one run
+            shapes.append(set(range(n // 2)) | {n - 1})  # a run at 0, a lone top
+            shapes.append({0} | set(range(n // 3, n)))  # a lone 0, a run at the top
+        for digits in shapes:
+            X = np.array(sorted(digits), dtype=np.int64)
+            assert not digitset._bincounted(X) and not digitset._doubling_shift(X)
+            assert self.run_path(X), len(X)
+            check_words(X)
+
+    def test_many_runs_count(self):
+        # past the bincount bound with _RUN_WORDS_MAX runs or more: the counts
+        n = 3000
+        X = np.array([d for d in range(n) if d % 50 or d in (0, n - 1)], dtype=np.int64)
+        assert len(np.flatnonzero(np.diff(X) != 1)) + 1 >= digitset._RUN_WORDS_MAX
+        assert not digitset._bincounted(X) and not digitset._doubling_shift(X)
+        assert not self.run_path(X)
+        check_words(X)

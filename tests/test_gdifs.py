@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorsum.digitset import DigitSet, reflect, sumset_profile, sumset_words
+from cantorsum.digitset import DigitSet, _bits_word, reflect, sumset_profile, sumset_words
 from cantorsum.gdifs import (
     TypingProfile,
     classify_intervals,
@@ -13,7 +13,9 @@ from cantorsum.gdifs import (
     perron_eigenvalue,
     uniqueness_report,
     word_edge_digit,
+    word_good,
     word_report,
+    word_typing,
 )
 
 from conftest import canonical_sets
@@ -170,3 +172,61 @@ class TestWordEdgeDigit:
                 words = sumset_words(np.asarray(A.digits, dtype=np.int64))
                 _, word_rep, _ = word_report(n, *words)
                 assert (word_rep.good, word_rep.very_good) == (rep.good, rep.very_good), A
+
+
+def span_forms(n, m1, m2):
+    """Goodness by a 2n-2 bit span mask and the L/R words by `& ~`, the
+    forms that take a negative operand on Python ints."""
+    span = (1 << (2 * n - 2)) - 1
+    unique = m1 ^ m2
+    return (m1 | m1 >> 1) & span == span, unique & ~(m1 << 1), unique << 1 & ~m1
+
+
+def random_words(rng, n, count):
+    """Rows of canonical-shaped (m1, m2) bits 0..2n-2: m1 holds 0 and
+    2n-2 (single pairs, so not in m2), densities from sparse to nearly
+    full, so both good and non-good words occur."""
+    width = 2 * n - 1
+    ones = rng.random((count, width)) < rng.choice([0.3, 0.6, 0.9, 0.97, 0.995], (count, 1))
+    ones[:, [0, -1]] = True
+    twos = ones & (rng.random((count, width)) < 0.5)
+    twos[:, [0, -1]] = False
+    return ones, twos
+
+
+class TestWordForms:
+    """word_good and word_typing's L/R words, written with non-negative
+    operands, against the span-mask and `& ~` forms."""
+
+    def test_uint64_every_base(self):
+        rng = np.random.default_rng(32)
+        for n in range(3, 33):  # at n = 32 the R word reaches bit 63
+            ones, twos = random_words(rng, n, 2000)
+            weights = np.uint64(1) << np.arange(2 * n - 1, dtype=np.uint64)
+            m1, m2 = ((bits * weights).sum(axis=1, dtype=np.uint64) for bits in (ones, twos))
+            good, very_good, *quad, l_word, r_word = word_typing(n, m1, m2, np.bitwise_count)
+            want = span_forms(n, m1, m2)
+            assert good.dtype == bool and 0 < np.count_nonzero(good) < len(good), n
+            for got, old in zip((good, l_word, r_word), want):
+                assert np.array_equal(got, old), n
+            # the scalar path agrees row by row
+            for i in range(0, 2000, 97):
+                words = int(m1[i]), int(m2[i])
+                assert word_typing(n, *words, int.bit_count) == (
+                    *(col[i] for col in (good, very_good, *quad)), int(l_word[i]), int(r_word[i]))
+
+    def test_python_ints(self):
+        rng = np.random.default_rng(10**4)
+        seen = set()
+        for n in (33, 64, 65, 500, 2049, 10**4):
+            ones, twos = random_words(rng, n, 12)
+            for row_1, row_2 in zip(ones, twos):
+                m1, m2 = _bits_word(row_1), _bits_word(row_2)
+                good, _, _, _, _, _, l_word, r_word = word_typing(n, m1, m2, int.bit_count)
+                assert (good, l_word, r_word) == span_forms(n, m1, m2), n
+                assert word_good(n, m1) is good
+                seen.add(good)
+        # a full word is good at every size
+        for n in (3, 32, 33, 10**4):
+            assert word_good(n, (1 << 2 * n - 1) - 1)
+        assert seen == {True, False}

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cantorsum import oracle
+from cantorsum.constructions import chain_to_target
 from cantorsum.digitset import DigitSet, is_n_good, sumset_profile
 from cantorsum.gdifs import classify_intervals, uniqueness_report
 from cantorsum.oracle import (
@@ -107,6 +109,21 @@ class TestTypingCounts:
     def test_rejects_general_mode(self):
         with pytest.raises(ValueError):
             level_typing_counts(DigitSet.of(5, [0, 1, 7, 8]), 2)
+
+    def test_level_one_memory(self):
+        # depth 1 types the saturated table in place: the profile's int64
+        # counts and support plus bool slices, at most 20 bytes per slot
+        final = chain_to_target(10**5).final
+        A = final.digitset
+        tracemalloc.start()
+        try:
+            counts = level_typing_counts(A, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (a, b), (c, d) = final.matrix
+        assert counts == (a + c, b + d)
+        assert peak <= 20 * (2 * A.n - 1), peak / (2 * A.n - 1)
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceededError):

@@ -327,3 +327,16 @@ class TestProfileBuiltOnce:
             A = DigitSet.of(7, digits)
             cantor_sum_dimension(A)
             assert calls == [A.digits]
+
+
+class TestCodeWords:
+    def test_xor_forms_match_complements(self):
+        # the code words complement by XOR with the unit mask; the
+        # negative-operand forms ~(x | y), ~x & y, x & ~y are their twin
+        rng = np.random.default_rng(3)
+        for width in (1, 2, 63, 64, 65, 1000, 20001):
+            units = (1 << width) - 1
+            for p in (0.1, 0.5, 0.9):
+                x, y = (_bits_word(rng.random(width) < p) for _ in range(2))
+                want = (~(x | y) & units, ~x & y, x & ~y, x & y)
+                assert structure._code_words(x, y, units) == want, width
