@@ -55,7 +55,8 @@ from math import isqrt
 
 import numpy as np
 
-from .digitset import DigitSet, InvariantError, _doubled_digitset, sumset_profile, sumset_words
+from .digitset import (DigitSet, InvariantError, _digit_array, _doubled_digitset, sumset_profile,
+                       sumset_words)
 from .gdifs import (
     DIM_TOL,
     UniquenessReport,
@@ -137,7 +138,7 @@ def _very_good_input(A: DigitSet):
     report = uniqueness_report(typing, A, good=profile.good)
     if not report.very_good:
         raise VeryGoodPreconditionError(f"{A} is not {A.n}-very-good")
-    return np.asarray(A.digits, dtype=np.int64), typing.matrix, report
+    return _digit_array(A), typing.matrix, report
 
 
 def tower(A: DigitSet, k: int) -> DigitSet:

@@ -164,6 +164,11 @@ class DigitSet:
         return f"{{{','.join(map(str, self.digits))}}} base {self.n}"
 
 
+def _digit_array(A: DigitSet) -> np.ndarray:
+    """A's digits as int64 (np.fromiter: faster than np.asarray on a tuple)."""
+    return np.fromiter(A.digits, np.int64, len(A.digits))
+
+
 def _doubled_digitset(n: int, digits: np.ndarray) -> DigitSet:
     """The canonical set of a tower output Y u (Y + h) from its int64
     digits, without :class:`DigitSet`'s walk over every digit.
@@ -223,7 +228,7 @@ def sumset_profile(A: DigitSet) -> SumsetProfile:
 
     Works in either mode; the counts come from :func:`pair_sum_counts`.
     """
-    counts = pair_sum_counts(np.asarray(A.digits, dtype=np.int64))
+    counts = pair_sum_counts(_digit_array(A))
     return SumsetProfile(A.n, counts, np.flatnonzero(counts))
 
 

@@ -6,9 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .digitset import DigitSet, _word_bits, sumset_words
+from .digitset import DigitSet, _digit_array, _word_bits, sumset_words
 from .gdifs import TYPE_L, TYPE_R, TypingProfile, UniquenessReport, word_report
 from .structure import StructureReport, classify_structure
 
@@ -47,7 +45,7 @@ def analyze(A: DigitSet) -> AnalysisReport:
     if not A.canonical:
         raise ValueError("typing requires a canonical digit set")
     n = A.n
-    m1, m2 = sumset_words(np.asarray(A.digits, dtype=np.int64))
+    m1, m2 = sumset_words(_digit_array(A))
     matrix, uniq, (l_word, r_word) = word_report(n, m1, m2)
     types = TYPE_L * _word_bits(l_word, 2 * n) + TYPE_R * _word_bits(r_word, 2 * n)
     struct = classify_structure(A, m1)

@@ -23,7 +23,9 @@ with the threshold words W_t = {s : count >= t}, t = 1..4.  A flip of
 digit d moves the count of d + a by 2 for every other digit a and the
 count of 2d by 1, so the words of a proposal are a few big-int
 operations on W_1..W_4 (:meth:`_PairCounts.trial`); only an accepted
-flip updates the counts and rebuilds the four words.  One typing
+flip updates the counts and rebuilds the four words.  Flip digits
+are drawn in blocks that the climb always uses up, so a seeded climb
+equals one that draws one digit per flip.  One typing
 rule, :func:`~cantorsum.gdifs.word_typing` (shared with the tower steps
 and ``analyze``), turns the two words alone, of one set or of a uint64
 batch, into goodness, very-goodness and a, b, c, d.  Tests hold the
@@ -80,6 +82,8 @@ _TABLE_DIGITS = 15  # inner digits in the low-part table: 2^15 rows, 1 MB
 # The float32 key v = 2 lambda of a batch row is within _V_ERROR of the
 # exact value for v <= 64 (lambda <= |A| <= 32)
 _V_ERROR = 1e-5
+# Flip digits drawn per NumPy call in a climb; bounds the block's memory
+_FLIP_BLOCK = 1024
 
 
 class InfeasibleSearchError(ValueError):
@@ -446,7 +450,9 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
     counts of its current set and their threshold words; a proposal is
     typed from the words alone (:meth:`_PairCounts.trial`), and only an
     accepted one updates the counts, so a rejection has nothing to
-    undo.  `budget` caps the number of
+    undo.  The flip digits come in blocks no longer than the budget or
+    the stuck run left, so every drawn digit is used and the result is
+    that of one draw per flip.  `budget` caps the number of
     single-set evaluations.  For n <= 8 (at most 64 sets) this is
     :func:`search_exhaustive`, and `budget` and `seed` are unused.
     """
@@ -489,15 +495,18 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
         climbable, current_dim = consider(current.mask, _type_words(n, *current.words[:2]))
         stuck = 0
         while climbable and evals < budget and stuck <= max_stuck:
-            d = int(rng.integers(1, n - 1))
-            mask, m1, m2 = current.trial(d)
-            ok, dim = consider(mask, _type_words(n, m1, m2))
-            if ok and dim > current_dim:
-                current.flip(d)
-                current_dim = dim
-                stuck = 0
-            else:
-                stuck += 1
+            # neither exit can fall inside a block (an accept only resets
+            # stuck), and a size-k draw is k scalar draws of the stream
+            block = min(budget - evals, max_stuck + 1 - stuck, _FLIP_BLOCK)
+            for d in rng.integers(1, n - 1, size=block).tolist():
+                mask, m1, m2 = current.trial(d)
+                ok, dim = consider(mask, _type_words(n, m1, m2))
+                if ok and dim > current_dim:
+                    current.flip(d)
+                    current_dim = dim
+                    stuck = 0
+                else:
+                    stuck += 1
     exceed.sort(key=lambda r: (r.n, r.digits))
     return SearchResult(best=best, n_enumerated=evals, n_matching=matching,
                         evaluations=evals, exceedances=tuple(exceed),

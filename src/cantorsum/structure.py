@@ -57,9 +57,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
-from .digitset import DigitSet, InvariantError, sumset_words
+from .digitset import DigitSet, InvariantError, _digit_array, sumset_words
 from .gdifs import word_good
 from . import oracle
 
@@ -154,7 +152,7 @@ def classify_structure(A: DigitSet, m1: int | None = None) -> StructureReport:
         raise ValueError("structure classification needs a canonical digit set")
     n = A.n
     if m1 is None:
-        m1, _ = sumset_words(np.asarray(A.digits, dtype=np.int64))
+        m1, _ = sumset_words(_digit_array(A))
     if word_good(n, m1):
         return StructureReport(
             case=StructureCase.FULL_INTERVAL,
@@ -225,7 +223,7 @@ def cantor_sum_dimension(A: DigitSet, depth: int = 8,
 
     Raises :class:`NotApplicableError` for FullInterval or Mixed sets.
     """
-    m1, _ = sumset_words(np.asarray(A.digits, dtype=np.int64))
+    m1, _ = sumset_words(_digit_array(A))
     report = classify_structure(A, m1)
     if report.case is not StructureCase.CANTOR_SET:
         raise NotApplicableError(f"sum is {report.case.value}, not a Cantor set")

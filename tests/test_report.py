@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cantorsum.constructions import chain_to_target
-from cantorsum.digitset import DigitSet, sumset_profile
+from cantorsum.digitset import DigitSet, _digit_array, sumset_profile
 from cantorsum.gdifs import classify_intervals, uniqueness_report
 from cantorsum.report import analyze
 from cantorsum.structure import cantor_sum_dimension, classify_structure
@@ -66,6 +66,13 @@ class TestPinnedAnswers:
                     "NotApplicableError", "BudgetExceededError", "ValueError"):
             assert seen[key] > 0, seen
         assert h.hexdigest() == ANSWERS_DIGEST
+
+
+def test_digit_array_equals_asarray():
+    for A in _pinned_sets():
+        got = _digit_array(A)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.asarray(A.digits, dtype=np.int64)), A
 
 
 class TestTypingString:

@@ -588,9 +588,31 @@ class TestClimbAgainstReference:
                                                 kw.get("require_very_good", False))
                 got = search_heuristic(n, budget=budget, seed=seed, **kw)
                 assert repr(got) == repr(want), (n, kw, seed)
+                if n == 300:
+                    # every case accepts inside a flip block
+                    assert events["accepts"], (kw, seed, events)
                 for key in total:
                     total[key] += events[key]
         assert all(total.values()), total
+        if n == 300:
+            # a stuck run of 4n + 1 = 1201 rejections spans a block capped
+            # at 1024 and one cut to the stuck exit, and this n restarts
+            assert 4 * n + 1 > search._FLIP_BLOCK and total["restarts"] > 0, total
+
+
+class TestFlipBlocks:
+    """The climb draws its flip digits k at a time; NumPy's bounded
+    integers take each draw from the bit generator's buffered 32-bit
+    stream, so one size-k call is the k scalar calls."""
+
+    @pytest.mark.parametrize("n", [9, 300, 1500, 10**5])
+    @pytest.mark.parametrize("k", [1, 7, 1024])
+    def test_block_equals_scalar_draws(self, n, k):
+        block, scalar = np.random.default_rng(n + k), np.random.default_rng(n + k)
+        got = block.integers(1, n - 1, size=k).tolist()
+        assert got == [int(scalar.integers(1, n - 1)) for _ in range(k)]
+        assert block.bit_generator.state == scalar.bit_generator.state
+        assert search._random_inner(block, n - 2) == search._random_inner(scalar, n - 2)
 
 
 class TestFigureData:
