@@ -193,9 +193,10 @@ def _doubled_digitset(n: int, digits: np.ndarray) -> DigitSet:
 class SumsetProfile:
     """Ordered-pair multiplicity table of A + A.
 
-    counts[s] is the number of ordered pairs of digits summing to s;
-    support lists the s with counts[s] > 0.  For canonical sets the
-    table spans 0..2n-2 and its two endpoints have multiplicity one.
+    counts[s] (int32, at most |A|) is the number of ordered pairs of
+    digits summing to s; support lists the s with counts[s] > 0.  For
+    canonical sets the table spans 0..2n-2 and its two endpoints have
+    multiplicity one.
     """
 
     n: int
@@ -243,12 +244,12 @@ def pair_sum_counts(digits: np.ndarray) -> np.ndarray:
 
         c_X[s] = c_Y[s] + 2 c_Y[s - h] + c_Y[s - 2h]
 
-    for every h > 0, overlapping ranges included, in plain int64
+    for every h > 0, overlapping ranges included, in plain integer
     additions.  Any other dense set takes the self-convolution of its
     digit indicator by FFT, O(L log L), and rounds it to integers.  All
-    paths give the same exact int64 counts: the FFT path checks its
-    rounding and raises :class:`InvariantError` rather than return a
-    count it cannot vouch for.
+    paths give the same exact int32 counts (no count exceeds |A|): the
+    FFT path checks its rounding and raises :class:`InvariantError`
+    rather than return a count it cannot vouch for.
     """
     top = 2 * int(digits[-1])
     if _bincounted(digits):
@@ -333,14 +334,18 @@ def _word_bits(word: int, length: int) -> np.ndarray:
 
 
 def _pair_counts(digits: np.ndarray, top: int) -> np.ndarray:
-    """Pair-sum histogram by bincount, |A|^2 increments."""
-    counts = np.zeros(top + 1, dtype=np.int64)
-    k = len(digits)
-    rows_per_chunk = max(1, _PAIR_CHUNK // k)
-    for i in range(0, k, rows_per_chunk):
-        block = (digits[i : i + rows_per_chunk, None] + digits[None, :]).ravel()
-        counts += np.bincount(block, minlength=top + 1)
-    return counts
+    """Pair-sum histogram by bincount, |A|^2 increments.
+
+    The int64 bincounts are summed and cast to int32 once: adding each
+    into an int32 table casts on every add, a microsecond more on small
+    sets."""
+    rows = max(1, _PAIR_CHUNK // len(digits))
+    chunks = (np.bincount((digits[i : i + rows, None] + digits[None, :]).ravel(),
+                          minlength=top + 1) for i in range(0, len(digits), rows))
+    counts = next(chunks)
+    for chunk in chunks:
+        counts += chunk
+    return counts.astype(np.int32)
 
 
 def _split_pair_counts(digits: np.ndarray, top: int) -> np.ndarray:
@@ -348,10 +353,12 @@ def _split_pair_counts(digits: np.ndarray, top: int) -> np.ndarray:
     half = len(digits) // 2
     h = int(digits[half])
     low = pair_sum_counts(digits[:half])
-    counts = np.zeros(top + 1, dtype=np.int64)
+    counts = np.zeros(top + 1, dtype=np.int32)
     m = len(low)  # top + 1 == m + 2h
     counts[:m] = low
-    counts[h : h + m] += 2 * low
+    mid = counts[h : h + m]
+    mid += low  # twice in place: no 2 * low temporary
+    mid += low
     counts[2 * h :] += low
     return counts
 
@@ -393,7 +400,7 @@ def _fft_pair_counts(digits: np.ndarray, top: int) -> np.ndarray:
     del y
     if not residual < _FFT_MAX_RESIDUAL:
         raise InvariantError(f"FFT pair counts off an integer by {residual}")
-    counts = rounded.astype(np.int64)
+    counts = rounded.astype(np.int32)
     del rounded
     total, k = int(counts.sum()), len(digits)
     if total != k * k:

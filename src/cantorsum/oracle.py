@@ -29,7 +29,12 @@ each level is |B| translates of the current runs merged once; no start
 is ever visited on its own.  Multiplicities (number of digit words
 producing a start, weighted by ordered-pair counts) are only needed
 saturated at 2 -- unique / not unique is all the typing rules consume
--- and live in a flat array indexed by start.
+-- and live in a flat uint8 array indexed by start.  Depth 1 is typed
+off the int32 pair counts themselves: 4 bytes per start slot, 6 at the
+peak with the two bool masks of the typing (counting by FFT briefly
+holds more, about 18).  Each deeper level is one uint8 array built from
+the level before and its double (each 1/n of its size): about 3 bytes
+per slot at the peak, the same masks included.
 
 Both engines, the runs and the dense typing array, take the depth rule
 (m >= 1), the start-range bound and its 64-bit limit from
@@ -44,7 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .digitset import DigitSet, sumset_profile
+from .digitset import DigitSet, _digit_array, pair_sum_counts, sumset_profile
 from .gdifs import classify_intervals, matrix_dimension
 
 __all__ = [
@@ -246,24 +251,36 @@ def typing_count_evolution(A: DigitSet, m_max: int, budget: int | None = None):
     required = _start_range(n, max_sum, m_max)
     if required > budget:
         raise BudgetExceededError(required, budget)
-    profile = sumset_profile(A)
-    support = profile.support
-    # saturated straight into int32, typed in place at depth 1
-    sat = dense = np.minimum(profile.counts, 2, dtype=np.int32)
-    del profile
+    # depth 1 is typed off the int32 pair counts themselves
+    dense = pair_sum_counts(_digit_array(A))
+    if m_max > 1:
+        dense = np.minimum(dense, 2).astype(np.uint8)
+        sums = np.flatnonzero(dense)
+        support = list(zip(sums.tolist(), (dense[sums] == 2).tolist()))  # (b, two pairs)
     for m in range(1, m_max + 1):
         if m > 1:
-            nxt = np.zeros(_start_range(n, max_sum, m) - 1, dtype=np.int32)
-            for b in support:
-                cb = int(sat[b])
-                view = nxt[b : b + n * len(dense) : n]
-                view += dense * cb
+            # slot t = n j + b adds dense[j] times the pairs summing to b,
+            # saturated at 2, from b = t mod n and b = t mod n + n only:
+            # each term is at most 2 * 2, so no slot exceeds 8 before
+            # saturation and uint8 cannot overflow.  The doubled level
+            # is 1/n the size of the next; one strided add per b.
+            nxt = np.zeros(_start_range(n, max_sum, m) - 1, dtype=np.uint8)
+            span = n * len(dense)
+            doubled = dense + dense
+            for b, two in support:
+                nxt[b : b + span : n] += doubled if two else dense
+            del doubled
             np.minimum(nxt, 2, out=nxt)
             dense = nxt
-        # L: a 1 after a 0, R: a 1 before a 0; slots past both ends are 0
+        # L: a 1 after a 0, R: a 1 before a 0; slots past both ends are 0.
+        # Each pair test is written over the zero mask, rebuilt between
+        # them, so the typing holds two bool masks and no third.
         one, zero = dense == 1, dense == 0
-        L = int(one[0]) + int(np.count_nonzero(one[1:] & zero[:-1]))
-        R = int(np.count_nonzero(one[:-1] & zero[1:])) + int(one[-1])
+        after = np.logical_and(one[1:], zero[:-1], out=zero[:-1])
+        L = int(one[0]) + int(np.count_nonzero(after))
+        np.equal(dense, 0, out=zero)
+        before = np.logical_and(one[:-1], zero[1:], out=zero[1:])
+        R = int(np.count_nonzero(before)) + int(one[-1])
         yield L, R
 
 

@@ -189,7 +189,7 @@ def check_counts(A, paths, convolve=True):
     p = sumset_profile(A)
     taken = list(paths)
     want = pair_twin(A)
-    assert p.counts.dtype == np.int64
+    assert p.counts.dtype == np.int32
     assert np.array_equal(p.counts, want)
     assert np.array_equal(p.support, np.flatnonzero(want))
     if convolve:
@@ -239,6 +239,13 @@ class TestSumsetAgainstPairTwin:
             (only,) = check_counts(A, paths, convolve=False)
             seen.add(only[0])
         assert seen == {"_pair_counts", "_fft_pair_counts"}
+
+    @pytest.mark.parametrize("chunk", [1, 60, 10**6])
+    def test_bincount_in_chunks(self, chunk, monkeypatch, paths):
+        # one digit row a chunk; four rows a chunk, the last with three; one chunk
+        monkeypatch.setattr(digitset, "_PAIR_CHUNK", chunk)
+        A = DigitSet.of(500, [0, 3, 4, 40, 41, 77, 100, 230, 231, 232, 260, 301, 450, 467, 499])
+        assert check_counts(A, paths) == [("_pair_counts", A.size)]
 
 
 class TestTranslateSplit:

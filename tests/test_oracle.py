@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -110,10 +111,12 @@ class TestTypingCounts:
         with pytest.raises(ValueError):
             level_typing_counts(DigitSet.of(5, [0, 1, 7, 8]), 2)
 
-    def test_level_one_memory(self):
-        # depth 1 types the saturated table in place: the profile's int64
-        # counts and support plus bool slices, at most 20 bytes per slot
-        final = chain_to_target(10**5).final
+    @pytest.mark.parametrize("target,bound", [(10**5, 8), (10**6, 6.5)])
+    def test_level_one_memory(self, target, bound):
+        # depth 1 types the int32 pair counts themselves: 4 bytes per
+        # slot and two bool masks, 6 in all; at 10^5 the counting peaks
+        # higher, at 6.9, on the int64 pair sums of its 384-digit bincount
+        final = chain_to_target(target).final
         A = final.digitset
         tracemalloc.start()
         try:
@@ -123,7 +126,22 @@ class TestTypingCounts:
             tracemalloc.stop()
         (a, b), (c, d) = final.matrix
         assert counts == (a + c, b + d)
-        assert peak <= 20 * (2 * A.n - 1), peak / (2 * A.n - 1)
+        assert peak <= bound * (2 * A.n - 1), peak / (2 * A.n - 1)
+
+    def test_deep_level_memory(self):
+        # a deeper level is one uint8 array and two bool masks, with
+        # the level before's masks (1/12 of its size each) still held
+        # while the new ones are built: about 3.2 bytes per slot
+        A = DigitSet.of(12, [0, 2, 3, 5, 9, 11])
+        slots = 22 * (12**6 - 1) // 11 + 1
+        tracemalloc.start()
+        try:
+            counts = level_typing_counts(A, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == (3**6, 3**6)  # (3, 3) at depth 1, tripled each level
+        assert peak <= 4 * slots, peak / slots
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceededError):
@@ -137,6 +155,87 @@ class TestTypingCounts:
             level_typing_counts(A, 40, budget=10**40)
         with pytest.raises(ValueError, match="64-bit range"):
             growth_check(A, 40, budget=10**40)
+
+
+def twin_typing(A, m_max):
+    """[((L_m, R_m), peak_m)] for m = 1..m_max: the multiplicities in
+    int64, each level a sum of shifted products dense * count, the
+    counts saturated at 2 like the previous level; peak_m is the
+    largest depth-m multiplicity before it is saturated."""
+    sat = np.minimum(sumset_profile(A).counts.astype(np.int64), 2)
+    dense, out = sat, []
+    for m in range(1, m_max + 1):
+        if m > 1:
+            nxt = np.zeros(A.n * len(dense) + len(sat) - A.n, dtype=np.int64)
+            for b in np.flatnonzero(sat):
+                nxt[b : b + A.n * len(dense) : A.n] += dense * sat[b]
+            dense = nxt
+        peak = int(dense.max())
+        dense = np.minimum(dense, 2)
+        padded = np.concatenate([[0], dense, [0]])
+        one, zero = padded == 1, padded == 0
+        out.append(((int(np.sum(one[1:] & zero[:-1])), int(np.sum(one[:-1] & zero[1:]))), peak))
+    return out
+
+
+def word_typing_counts(A, m):
+    """(L_m, R_m) by enumerating every depth-m digit-pair word: each
+    word of ordered pairs adds one to its start, unsaturated."""
+    mult = {}
+    pairs = [a + b for a in A.digits for b in A.digits]
+    for word in itertools.product(pairs, repeat=m):
+        start = sum(s * A.n ** (m - 1 - i) for i, s in enumerate(word))
+        mult[start] = mult.get(start, 0) + 1
+    unique = {t for t, c in mult.items() if c == 1}
+    L = sum(1 for t in unique if t - 1 not in mult)
+    R = sum(1 for t in unique if t + 1 not in mult)
+    return L, R
+
+
+def dense_twin_sets():
+    """Seeded canonical sets at bases 3..30, after a crafted one: in base
+    7, {0, 1, 2, 3, 6} has the sums 1..4 and 8 each with >= 2 ordered
+    pairs, so slot 7 * 2 + 1 at depth 2 takes 2 * 2 from b = 1 and
+    2 * 2 from b = 8, the largest value before saturation."""
+    rng = np.random.default_rng(20261019)
+    sets = [DigitSet.of(7, [0, 1, 2, 3, 6])]
+    for n in rng.integers(3, 31, size=12).tolist():
+        inner = np.flatnonzero(rng.random(n - 2) < rng.choice([0.3, 0.6])) + 1
+        sets.append(DigitSet.of(n, [0, *inner.tolist(), n - 1]))
+    return sets
+
+
+class TestDenseTwin:
+    """The uint8 dense engine against an int64 twin of its recursion,
+    and the twin against word enumeration at tiny bases."""
+
+    @pytest.mark.parametrize("A", dense_twin_sets(), ids=str)
+    def test_depths_one_to_four(self, A):
+        twin = twin_typing(A, 4)
+        assert list(typing_count_evolution(A, 4)) == [lr for lr, _ in twin]
+        for m in range(1, 5):
+            assert level_typing_counts(A, m) == twin[m - 1][0]
+        # depth 1 holds raw pair counts; every deeper slot stays <= 8
+        assert all(peak <= 8 for _, peak in twin[1:]), twin
+
+    def test_crafted_slot_reaches_eight(self):
+        A = DigitSet.of(7, [0, 1, 2, 3, 6])
+        assert [peak for _, peak in twin_typing(A, 3)[1:]] == [8, 8]
+
+    @pytest.mark.parametrize("A,m,want", [(DigitSet.of(4, [0, 1, 3]), 9, (10, 1)),
+                                          (DigitSet.of(5, [0, 1, 4]), 8, (256, 256))], ids=str)
+    def test_saturation_keeps_uint8_exact(self, A, m, want):
+        # unsaturated, these levels wrap a multiplicity mod 256 onto 0 or 1
+        # next to a typed slot: (11, 2) and (256, 257) instead
+        assert twin_typing(A, m)[-1][0] == want
+        assert level_typing_counts(A, m) == want
+
+    @pytest.mark.parametrize("A", [DigitSet.of(7, [0, 1, 2, 3, 6]), DigitSet.of(3, [0, 2]),
+                                   DigitSet.of(5, [0, 1, 4]), DigitSet.of(6, [0, 2, 3, 5])],
+                             ids=str)
+    def test_twin_equals_word_enumeration(self, A):
+        for m, (lr, _) in enumerate(twin_typing(A, 3), start=1):
+            assert lr == word_typing_counts(A, m), m
 
 
 class TestGrowthCheck:
