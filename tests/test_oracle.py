@@ -111,11 +111,17 @@ class TestTypingCounts:
         with pytest.raises(ValueError):
             level_typing_counts(DigitSet.of(5, [0, 1, 7, 8]), 2)
 
-    @pytest.mark.parametrize("target,bound", [(10**5, 8), (10**6, 6.5)])
-    def test_level_one_memory(self, target, bound):
+    def test_level_one_memory(self):
         # depth 1 types the int32 pair counts themselves: 4 bytes per
         # slot and two bool masks, 6 in all; at 10^5 the counting peaks
         # higher, at 6.9, on the int64 pair sums of its 384-digit bincount
+        self.check_level_one_memory(10**5, 8)
+
+    def test_level_one_memory_large(self):
+        self.check_level_one_memory(10**6, 6.5)
+
+    @staticmethod
+    def check_level_one_memory(target, bound):
         final = chain_to_target(target).final
         A = final.digitset
         tracemalloc.start()
