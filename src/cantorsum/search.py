@@ -17,7 +17,11 @@ with X = OR_h (L << h) the words are m1_L | X | m1_H and
 m2_L | X | m2_H, |H| + 4 vector operations.  (A sum of both L + L and
 H + H with one pair on each side would be 2l = 2h, so m1_L & m1_H adds
 nothing to m2.)  The table rows are laid out so that the
-reflection-canonical sets of any batch are one suffix of it.
+reflection-canonical sets of any batch are one suffix of it.  A call
+holds one workspace (:class:`_Workspace`) for its whole life: the table
+and every batch array, written with ``out=``, so a repeated call
+allocates nothing of batch size.
+
 The hill climb keeps the exact pair counts of its current set instead,
 with the threshold words W_t = {s : count >= t}, t = 1..4.  A flip of
 digit d moves the count of d + a by 2 for every other digit a and the
@@ -27,12 +31,13 @@ flip updates the counts and rebuilds the four words.  Flip digits
 are drawn in blocks that the climb always uses up, so a seeded climb
 equals one that draws one digit per flip.  One typing
 rule, :func:`~cantorsum.gdifs.word_typing` (shared with the tower steps
-and ``analyze``), turns the two words alone, of one set or of a uint64
-batch, into goodness, very-goodness and a, b, c, d.  Tests hold the
-incremental updates, the proposal words, a flip-and-retype climb, an
-independent shift-loop batch kernel and the reference interval-typing
-path to identical answers.  One batch loop, :func:`_batches`, serves
-the exhaustive search and the record stream.
+and ``analyze``), turns the two words alone into goodness,
+very-goodness and a, b, c, d; the batch kernel takes its steps on
+uint64 arrays into the workspace.  Tests hold the batch kernel to
+that rule, and the incremental updates, the proposal words, a
+flip-and-retype climb, an independent shift-loop batch kernel and the
+reference interval-typing path to identical answers.  One batch loop,
+:func:`_batches`, serves the exhaustive search and the record stream.
 
 A batch row carries one key besides a, b, c, d: v = 2 lambda =
 (a + d) + sqrt((a - d)^2 + 4bc) in float32 (:func:`_two_lambda`).  On
@@ -41,8 +46,8 @@ orders and ties matrices as their Perron eigenvalues do and compares
 with integers as 2 lambda does, which the tests check on that whole
 domain.  So v checks the cheap invariants inline (eigenvalue
 dichotomy, lambda <= |A|, good sets need >= sqrt(n) digits, the
-missing-edge-digit bound; one count of violations per batch,
-:class:`~cantorsum.digitset.InvariantError` on one) and ranks the rows.
+missing-edge-digit bound; one flag test per invariant and batch,
+:class:`~cantorsum.digitset.InvariantError` on a hit) and ranks the rows.
 lambda and dim come from :func:`~cantorsum.gdifs.matrix_dimension`, as
 ``analyze``'s do, for the rows at a batch's top v, for rows near the
 conjecture monitor's threshold (which keeps its float dim test) and
@@ -60,7 +65,7 @@ import numpy as np
 
 from .constructions import chain_to_target, load_base_table, sqrt_good_set
 from .digitset import DigitSet, InvariantError, _bits_word, _word_bits, pair_sum_counts
-from .gdifs import DIM_TOL, matrix_dimension, word_edge_digit, word_typing
+from .gdifs import DIM_TOL, matrix_dimension, word_typing
 
 __all__ = [
     "SearchRecord",
@@ -76,9 +81,9 @@ __all__ = [
 
 LOG2_OVER_LOG3 = math.log(2) / math.log(3)
 _MONITOR_DIM = LOG2_OVER_LOG3 + DIM_TOL
-EXHAUSTIVE_MAX_N = 30
+EXHAUSTIVE_MAX_N = 32
 _FIGURE_EXHAUSTIVE_MAX_N = 24
-_TABLE_DIGITS = 15  # inner digits in the low-part table: 2^15 rows, 1 MB
+_TABLE_DIGITS = 15  # inner digits in the low-part table: 2^15 rows, 768 KB
 # The float32 key v = 2 lambda of a batch row is within _V_ERROR of the
 # exact value for v <= 64 (lambda <= |A| <= 32)
 _V_ERROR = 1e-5
@@ -242,17 +247,48 @@ def _add_digit(j: int, mask, m1, m2):
 
     Each new sum a + j (a in A) has the two ordered pairs (a, j) and
     (j, a).  2j gains the pair (j, j); any earlier pair of 2j is some
-    (a, b) with a != b, so 2j was in m2 already.  Takes Python ints or
-    uint64 arrays alike.
+    (a, b) with a != b, so 2j was in m2 already.  Takes Python ints.
     """
     cross = mask << j
     return mask | 1 << j, m1 | cross | 1 << 2 * j, m2 | cross
 
 
-def _low_table(n: int):
+def _add_digit_rows(j: int, rows, out) -> None:
+    """:func:`_add_digit` on (mask, m1, m2) uint64 table rows, written
+    into `out`: rows of their own, or the same ones for j = 0."""
+    mask, m1, m2 = rows
+    out_mask, out_m1, out_m2 = out
+    np.left_shift(mask, j, out=out_mask)  # the cross sums a + j
+    np.bitwise_or(np.bitwise_or(m1, out_mask, out=out_m1), 1 << 2 * j, out=out_m1)
+    np.bitwise_or(m2, out_mask, out=out_m2)
+    np.bitwise_or(mask, 1 << j, out=out_mask)
+
+
+class _Workspace:
+    """The arrays of exhaustive batches of up to `rows` rows, which every
+    kernel step writes with ``out=``: the low table, uint64 words, int16
+    counts, the float32 key and bool flags.  A batch of fewer rows uses
+    the start of each array, and only the pages it touches are mapped."""
+
+    def __init__(self, rows: int):
+        self.table = np.empty((3, rows), dtype=np.uint64)
+        self.words = np.empty((5, rows), dtype=np.uint64)
+        self.counts = np.empty((6, rows), dtype=np.int16)
+        self.key = np.empty(rows, dtype=np.float32)
+        self.flags = np.empty((5, rows), dtype=bool)
+        self.ones = np.ones(rows, dtype=bool)
+
+
+# Workspaces of 2^_TABLE_DIGITS rows not in use.  A call holds one from
+# its first batch to its last, so interleaved or nested calls and threads
+# never share one.
+_FREE_WORKSPACES: list[_Workspace] = []
+
+
+def _low_table(n: int, ws: _Workspace | None = None):
     """k, s0 and every low part L (digit 0 plus a subset of the inner
-    digits 1..k) as rows (mask, m1, m2); s0 is the first row whose own
-    reflection pairs are canonical.
+    digits 1..k) as rows (mask, m1, m2) of the workspace table; s0 is
+    the first row whose own reflection pairs are canonical.
 
     The p = n - 2 - k inner digits above k pair under reflection with
     the prefix digits 1..p; the rest pair among themselves.  The table
@@ -264,55 +300,93 @@ def _low_table(n: int):
     # (n + 10) // 2 keeps the 2^(2k+2-n) rows partitioned per call <= 2^12
     k = min(n - 2, _TABLE_DIGITS, (n + 10) // 2)
     p = n - 2 - k
-    table = np.zeros((3, 1 << k), dtype=np.uint64)
-    mirror = np.zeros(1 << (k - p), dtype=np.uint64)
+    ws = ws or _Workspace(1 << k)
+    table = ws.table[:, :1 << k]
+    mirror = ws.words[0, :1 << (k - p)]
+    table[:, 0] = mirror[0] = 0
     for j in range(p + 1, k + 1):
         half = 1 << (j - p - 1)
-        table[:, half:2 * half] = _add_digit(j, *table[:, :half])
-        mirror[half:2 * half] = mirror[:half] | 1 << (n - 1 - j)
-    own = table[:, :1 << (k - p)]
-    canonical = mirror >= own[0]
+        _add_digit_rows(j, table[:, :half], table[:, half:2 * half])
+        np.bitwise_or(mirror[:half], 1 << (n - 1 - j), out=mirror[half:2 * half])
+    own = table[:, :len(mirror)]
+    canonical = np.greater_equal(mirror, own[0], out=ws.flags[0, :len(mirror)])
     own[:] = np.take(own, np.argsort(canonical, kind="stable"), axis=1)
-    own[:] = _add_digit(0, *own)
+    _add_digit_rows(0, own, own)
     for i in range(p, 0, -1):
         half = 1 << (k - i)
-        table[:, half:2 * half] = _add_digit(i, *table[:, :half])
+        _add_digit_rows(i, table[:, :half], table[:, half:2 * half])
     return k, len(canonical) - int(np.count_nonzero(canonical)), tuple(table)
 
 
-def _two_lambda(a, b, c, d):
+def _two_lambda(a, b, c, d, out=None):
     """v = 2 lambda = (a + d) + sqrt((a - d)^2 + 4bc) in float32, from
-    int16 columns: exact while a + b and c + d are at most 32."""
-    v = np.sqrt((a - d) ** 2 + 4 * b * c, dtype=np.float32)
-    v += a + d
+    int16 columns: exact while a + b and c + d are at most 32.  `out` is
+    v and two int16 scratch columns, or None for new arrays."""
+    v, x, y = out or (np.empty(a.shape, np.float32), np.empty_like(a), np.empty_like(a))
+    np.multiply(np.subtract(a, d, out=x), x, out=x)
+    np.left_shift(np.multiply(b, c, out=y), 2, out=y)
+    np.sqrt(np.add(x, y, out=x), out=v, dtype=np.float32)
+    v += np.add(a, d, out=x)
     return v
 
 
-def _type_batch(n: int, masks: np.ndarray, m1: np.ndarray, m2: np.ndarray):
+def _type_batch(n: int, masks: np.ndarray, m1: np.ndarray, m2: np.ndarray,
+                ws: _Workspace | None = None):
     """Vector twin of :func:`_type_words` with the inline invariants:
     (good, very_good, a, b, c, d, v), a..d int16 and v = 2 lambda from
-    :func:`_two_lambda`.
+    :func:`_two_lambda`, in the workspace (a new one if None).
 
-    The four invariants read v, which compares with integers exactly, and
-    are checked by one count of their violations; only a batch with a
-    violation looks for the first message in the order of the checks.
+    The steps are those of :func:`~cantorsum.gdifs.word_typing`, with
+    one edge-digit test for both the very-good rule and the
+    missing-edge-digit invariant.  The invariants read v, which compares
+    with integers exactly, and are tested in order, one flag test each.
     """
-    good, very_good, *quad = word_typing(n, m1, m2, np.bitwise_count)[:6]
-    a, b, c, d = (x.astype(np.int16) for x in quad)
-    v = _two_lambda(a, b, c, d)
-    size = np.bitwise_count(masks).astype(np.int16)
+    rows = len(masks)
+    ws = ws or _Workspace(rows)
+    t, u = ws.words[3:, :rows]
+    a, b, c, d, x, y = ws.counts[:, :rows]
+    good, very_good, good_no_edge, below_2, hit = ws.flags[:, :rows]
+    v = ws.key[:rows]
+    # good: m1 | m1 >> 1 is all ones; neither 1 nor n - 2 a digit:
+    # m1 | m1 >> (2n - 4) has bit 1 clear
+    np.bitwise_or(np.right_shift(m1, 1, out=t), m1, out=t)
+    np.equal(t, (1 << 2 * n - 1) - 1, out=good)
+    np.bitwise_or(np.right_shift(m1, 2 * n - 4, out=t), m1, out=t)
+    np.equal(np.bitwise_and(t, 2, out=t), 0, out=good_no_edge)
+    good_no_edge &= good
+    # with unique = m1 ^ m2, R = unique << 1 & ~m1 is t << 1 for
+    # t = unique & ~(m1 >> 1), and L = unique & ~(m1 << 1); the count of
+    # a word's upper half is its popcount less that of its bits below n
+    np.bitwise_xor(m1, m2, out=u)
+    np.bitwise_and(np.right_shift(m1, 1, out=t), u, out=t)
+    t ^= u
+    np.bitwise_count(t, out=d)
+    np.bitwise_count(np.bitwise_and(t, (1 << n - 1) - 1, out=t), out=b)
+    d -= b
+    u ^= np.bitwise_and(np.left_shift(m1, 1, out=t), u, out=t)
+    np.bitwise_count(u, out=c)
+    np.bitwise_count(np.bitwise_and(u, (1 << n) - 1, out=u), out=a)
+    c -= a
+    # equal row or column sums, a + b == c + d or a + c == b + d, is
+    # |a - d| == |b - c|
+    np.abs(np.subtract(a, d, out=x), out=x)
+    np.equal(x, np.abs(np.subtract(b, c, out=y), out=y), out=very_good)
+    very_good &= good_no_edge
+    _two_lambda(a, b, c, d, (v, x, y))
+    size = np.bitwise_count(masks, out=y)
     # lambda < 2; with bc = 0 lambda is max(a, d), so such a row is
     # trivial exactly when bc = 0
-    below_2 = v < 4
-    checks = (
-        ("eigenvalue dichotomy violated", below_2 & (b * c != 0)),
-        ("lambda exceeded |A|", v > 2 * size),
-        ("good set smaller than sqrt(n)", good & (size * size < n)),
-        ("missing-edge-digit bound violated",
-         below_2 & good & (word_edge_digit(n, m1) == 0)),
-    )
-    if np.count_nonzero(checks[0][1] | checks[1][1] | checks[2][1] | checks[3][1]):
-        raise InvariantError(next(message for message, hit in checks if hit.any()))
+    np.less(v, 4, out=below_2)
+    np.not_equal(np.multiply(b, c, out=x), 0, out=hit)
+    if np.logical_and(hit, below_2, out=hit).any():
+        raise InvariantError("eigenvalue dichotomy violated")
+    if np.greater(v, np.left_shift(size, 1, out=x), out=hit).any():
+        raise InvariantError("lambda exceeded |A|")
+    np.less(np.multiply(size, size, out=x), n, out=hit)
+    if np.logical_and(hit, good, out=hit).any():
+        raise InvariantError("good set smaller than sqrt(n)")
+    if np.logical_and(below_2, good_no_edge, out=hit).any():
+        raise InvariantError("missing-edge-digit bound violated")
     return good, very_good, a, b, c, d, v
 
 
@@ -320,35 +394,41 @@ def _batches(n: int, require_good: bool, require_very_good: bool,
              tops: range | None = None):
     """(masks, kernel columns, matching flags) of the reflection-canonical
     masks of each high part in `tops` (default: all), in table row order.
+    The arrays are views into the call's workspace, valid until the next
+    batch; a consumer may overwrite them and copies what it keeps.
 
     High part t holds n - 1 and digit k + 1 + i for each bit i of t.
     L | H is canonical when its first unequal reflection pair (i, n-1-i)
     has i set: for i <= p that puts L in a later group of the table than
     the index bits of the partners of H, otherwise at or past s0.
     """
-    k, s0, (mask_l, m1_l, m2_l) = _low_table(n)
-    if tops is None:
-        tops = range(1 << (n - 2 - k))
-    for top in tops:
-        high = [j for j in range(k + 1, n - 1) if top >> (j - k - 1) & 1]
-        start = s0 + sum(1 << (k - (n - 1 - j)) for j in high)
-        high.append(n - 1)
-        mask_h = m1_h = m2_h = 0
-        for j in high:
-            mask_h, m1_h, m2_h = _add_digit(j, mask_h, m1_h, m2_h)
-        low = mask_l[start:]
-        masks = low | mask_h
-        cross = low << high[0]
-        for j in high[1:]:
-            cross |= low << j
-        m1 = m1_l[start:] | cross
-        m1 |= m1_h
-        m2 = m2_l[start:] | cross
-        m2 |= m2_h
-        cols = _type_batch(n, masks, m1, m2)
-        keep = (cols[1] if require_very_good else cols[0] if require_good
-                else np.ones(len(masks), dtype=bool))
-        yield masks, cols, keep
+    try:
+        ws = _FREE_WORKSPACES.pop()
+    except IndexError:  # none free, or another thread took the last one
+        ws = _Workspace(1 << _TABLE_DIGITS)
+    try:
+        k, s0, (mask_l, m1_l, m2_l) = _low_table(n, ws)
+        for top in range(1 << (n - 2 - k)) if tops is None else tops:
+            high = [j for j in range(k + 1, n - 1) if top >> (j - k - 1) & 1]
+            start = s0 + sum(1 << (k - (n - 1 - j)) for j in high)
+            high.append(n - 1)
+            mask_h = m1_h = m2_h = 0
+            for j in high:
+                mask_h, m1_h, m2_h = _add_digit(j, mask_h, m1_h, m2_h)
+            low = mask_l[start:]
+            masks, m1, m2, cross = ws.words[:4, :len(low)]
+            np.bitwise_or(low, mask_h, out=masks)
+            np.left_shift(low, high[0], out=cross)
+            for j in high[1:]:
+                cross |= np.left_shift(low, j, out=m2)
+            np.bitwise_or(np.bitwise_or(m1_l[start:], cross, out=m1), m1_h, out=m1)
+            np.bitwise_or(np.bitwise_or(m2_l[start:], cross, out=m2), m2_h, out=m2)
+            cols = _type_batch(n, masks, m1, m2, ws)
+            keep = (cols[1] if require_very_good else cols[0] if require_good
+                    else ws.ones[:len(low)])
+            yield masks, cols, keep
+    finally:
+        _FREE_WORKSPACES.append(ws)
 
 
 def _check_exhaustive_base(n: int) -> None:
@@ -363,7 +443,7 @@ def _check_exhaustive_base(n: int) -> None:
 
 def search_exhaustive(n: int, require_good: bool = False,
                       require_very_good: bool = False) -> SearchResult:
-    """Enumerate every canonical digit set for base n (3 <= n <= 30).
+    """Enumerate every canonical digit set for base n (3 <= n <= 32).
 
     Sets are deduplicated under reflection (the kept representative is
     the one whose mask is not larger than its mirror's).  The best
@@ -387,8 +467,9 @@ def search_exhaustive(n: int, require_good: bool = False,
         if not matching:
             continue
         # a matching row has v >= 2 (a, d >= 1 for canonical sets), so the
-        # rows that do not match, at 0, never reach the top
-        v = cols[6] * keep
+        # rows that do not match, at 0, never reach the top; the key column
+        # is the batch's own, and nothing reads it after this
+        v = np.multiply(cols[6], keep, out=cols[6])
         top = float(v.max())
         if top > monitor_v:
             exceed.extend(rec for rec in _batch_records(
@@ -396,8 +477,9 @@ def search_exhaustive(n: int, require_good: bool = False,
                 if rec.dim > _MONITOR_DIM)
         if best is not None and top < best_v:
             continue
-        cand = min(_batch_records(n, masks, cols, np.flatnonzero(v == top)),
-                   key=lambda rec: rec.digits)
+        # the key column, done with, flags the rows at the top
+        rows = np.flatnonzero(np.equal(v, top, out=v))
+        cand = min(_batch_records(n, masks, cols, rows), key=lambda rec: rec.digits)
         if best is None or top > best_v or cand.digits < best.digits:
             best, best_v = cand, top
     exceed.sort(key=lambda r: (r.n, r.digits))
@@ -408,7 +490,7 @@ def search_exhaustive(n: int, require_good: bool = False,
 
 def iter_exhaustive_records(n: int, require_good: bool = False,
                             require_very_good: bool = False):
-    """Stream every reflection-canonical record (3 <= n <= 30)."""
+    """Stream every reflection-canonical record (3 <= n <= 32)."""
     _check_exhaustive_base(n)
     for masks, cols, keep in _batches(n, require_good, require_very_good):
         rows = np.flatnonzero(keep)

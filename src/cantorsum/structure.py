@@ -192,15 +192,16 @@ def classify_structure(A: DigitSet, m1: int | None = None) -> StructureReport:
 
 @dataclass(frozen=True)
 class CantorDimension:
-    """Dimension of a Cantor-case sum, exact or box-count bracketed.
+    """Dimension of a Cantor-case sum, exact or estimated from box counts.
 
     With all support gaps >= 2 the cylinder images meet at most in
     endpoints, the open set condition holds and the dimension is
     exactly log(#support)/log(n).  Otherwise `value` is the local
-    growth rate of distinct starts at the deepest level computed,
+    growth rate of distinct starts at the deepest level computed and
     `upper` is certified for box dimension (start counts are
-    submultiplicative across depths), and `lower` is the empirical
-    floor of recent growth rates.
+    submultiplicative across depths).  `lower` is the minimum of the
+    last three growth rates; it is not a bound, and sits above the true
+    dimension in almost every measured case.  Only `upper` is a bound.
     """
 
     value: float
@@ -233,7 +234,7 @@ def cantor_sum_dimension(A: DigitSet, depth: int = 8,
         return CantorDimension(value=value, lower=value, upper=value,
                                exact=True, depth=0)
     if depth < 2:
-        raise ValueError("a growth-rate bracket needs depth >= 2")
+        raise ValueError("a growth-rate estimate needs depth >= 2")
     counts = oracle.level_start_counts(A, depth, budget)
     per_level = [math.log(c) / (m * logn) for m, c in enumerate(counts, start=1)]
     ratios = [math.log(c / prev) / logn for prev, c in zip(counts, counts[1:])]

@@ -76,7 +76,7 @@ class TestSearchCmd:
         assert "0.6309297536" in lines[1]
 
     def test_infeasible_exit_code(self, capsys):
-        assert run(capsys, "search", "-n", "31")[0] == 3
+        assert run(capsys, "search", "-n", "33")[0] == 3
 
     def test_csv_out_and_manifest_determinism(self, capsys, tmp_path):
         csv1, man1 = tmp_path / "a.csv", tmp_path / "a.json"

@@ -1,10 +1,13 @@
 import hashlib
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import textwrap
+import threading
+import tracemalloc
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -53,9 +56,9 @@ class TestExhaustive:
         assert res.n_enumerated == 3  # reflection-deduplicated
         assert res.n_matching == 2
 
-    def test_refuses_beyond_31(self):
+    def test_refuses_beyond_32(self):
         with pytest.raises(InfeasibleSearchError):
-            search_exhaustive(31)
+            search_exhaustive(33)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_bases_below_3_rejected(self, n):
@@ -64,9 +67,9 @@ class TestExhaustive:
         with pytest.raises(ValueError, match="base must be >= 3"):
             list(iter_exhaustive_records(n))
 
-    def test_record_stream_refuses_beyond_30(self):
+    def test_record_stream_refuses_beyond_32(self):
         with pytest.raises(InfeasibleSearchError):
-            next(iter_exhaustive_records(31))
+            next(iter_exhaustive_records(33))
 
     def test_reflection_canonical_emission(self):
         for n in (6, 9, 11):
@@ -185,8 +188,10 @@ def _reference_rows(n, lo, hi):
 
 
 def _split_rows(n, tops=None):
-    """The split-mask batches of the high parts `tops`, ordered by mask."""
-    parts = list(search._batches(n, False, False, tops))
+    """The split-mask batches of the high parts `tops`, ordered by mask;
+    each batch is copied, as its arrays last only until the next one."""
+    parts = [(masks.copy(), [col.copy() for col in cols], None)
+             for masks, cols, _ in search._batches(n, False, False, tops)]
     masks = np.concatenate([m for m, _, _ in parts])
     order = np.argsort(masks)
     return masks[order], [np.concatenate([c[j] for _, c, _ in parts])[order] for j in range(7)]
@@ -212,7 +217,8 @@ class TestSplitMaskKernel:
         # up to n = 14 the sets fit one batch
         _assert_same_rows(_split_rows(n), _reference_rows(n, 0, 1 << (n - 2)))
 
-    @pytest.mark.parametrize("n", [23, 25, 28, 30])
+    # at n = 32, m1 << 1 reaches bit 63
+    @pytest.mark.parametrize("n", [23, 25, 28, 30, 31, 32])
     def test_first_last_and_random_high_part(self, n, rng):
         k = search._low_table(n)[0]
         last = (1 << (n - 2 - k)) - 1
@@ -239,6 +245,70 @@ class TestSplitMaskKernel:
         for n in range(3, 25):
             want = ((1 << (n - 2)) + (1 << -(-(n - 2) // 2))) // 2
             assert search_exhaustive(n).n_enumerated == want, n
+
+
+class TestWorkspace:
+    """Each exhaustive call holds a workspace of its own from its first
+    batch to its last: interleaved, nested and threaded calls equal the
+    same calls run one after another, and a repeated call allocates
+    nothing of batch size."""
+
+    def test_interleaved_generators(self):
+        # different bases, so a shared low table would mix them
+        want = [list(iter_exhaustive_records(17)),
+                list(iter_exhaustive_records(16, require_good=True))]
+        gens = [iter_exhaustive_records(17), iter_exhaustive_records(16, require_good=True)]
+        got = [[], []]
+        for pair in itertools.zip_longest(*gens):
+            for out, rec in zip(got, pair):
+                if rec is not None:
+                    out.append(rec)
+        assert got == want
+
+    def test_search_inside_record_stream(self):
+        want_records = list(iter_exhaustive_records(17))
+        want_inner = search_exhaustive(15)
+        records, inner = [], []
+        for i, rec in enumerate(iter_exhaustive_records(17)):
+            records.append(rec)
+            if i % 3000 == 0:
+                inner.append(search_exhaustive(15))
+        assert records == want_records
+        assert len(inner) > 1 and all(res == want_inner for res in inner)
+
+    def test_threads_at_different_bases(self):
+        # more threads than cores, switching often; NumPy drops the
+        # interpreter lock inside each step, so the batches interleave
+        calls = [(22, {}), (21, {"require_good": True})] * 2
+        want = [search_exhaustive(n, **kw) for n, kw in calls]
+        got = [None] * len(calls)
+
+        def run(i):
+            got[i] = search_exhaustive(calls[i][0], **calls[i][1])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
+
+    def test_repeated_call_allocates_no_batch(self):
+        search_exhaustive(22, require_good=True)
+        tracemalloc.start()
+        try:
+            search_exhaustive(22, require_good=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 32,768-row uint64 temporary alone is 256 KB
+        assert peak <= 256 * 1024, peak
 
 
 class TestBatchInvariants:
