@@ -13,8 +13,8 @@ Two constructions carry the asymptotics:
   towers from a table of small bases (9..27) reaches any target base
   while the dimension climbs toward log(2)/log(3).
 
-Nothing here trusts the recurrences: every tower output is re-typed
-from scratch, from its own digits, and a mismatch with the predicted
+Nothing here trusts the eigenvalue recurrence: every tower output is
+re-typed from its own sumset words, and a mismatch with the predicted
 adjacency matrix or eigenvalue raises instead of propagating silently.
 A chain carries each row's digits as one int64 array d, and a step's
 output is ``np.concatenate((d, d + shift))``.  Its :class:`DigitSet`
@@ -24,13 +24,15 @@ followed by a translate past its maximum is sorted; O(1) end tests
 :class:`~cantorsum.digitset.InvariantError` under ``python -O``.  The
 output is typed from its two sumset words (sums with >= 1 and >= 2
 ordered pairs) by :func:`~cantorsum.gdifs.word_report`, the word rule
-of the search and of ``analyze``; :func:`~cantorsum.digitset.sumset_words`
-finds the doubled shape in the output array and builds the words from
-the lower half's, so no count array of the output is built and no words
-or counts pass from the parent step.  A chain's table row and the input
-of :func:`tower` are typed from pair counts by
-:func:`~cantorsum.gdifs.classify_intervals`, so every chain checks the
-word rule against the count rule at its first step.
+of the search and of ``analyze``.  A step carries its input's words and
+builds the output's from them by the doubling rule of
+:func:`~cantorsum.digitset.sumset_words`, so no count array of the
+output is built and no step re-derives the words of the chain below it.
+A chain's table row and the input of :func:`tower` are typed from pair
+counts by :func:`~cantorsum.gdifs.classify_intervals`, and the first
+step takes their words from :func:`~cantorsum.digitset.sumset_words`,
+so every chain checks the word rule against the count rule at its
+first step.
 
 A bookkeeping note on predicted matrices: with Lam = a + c and
 Rho = b + d (total L and R counts of the input typing), the output
@@ -55,8 +57,8 @@ from math import isqrt
 
 import numpy as np
 
-from .digitset import (DigitSet, InvariantError, _digit_array, _doubled_digitset, sumset_profile,
-                       sumset_words)
+from .digitset import (DigitSet, InvariantError, _digit_array, _doubled_digitset, _doubled_words,
+                       sumset_profile, sumset_words)
 from .gdifs import (
     DIM_TOL,
     UniquenessReport,
@@ -149,17 +151,21 @@ def tower(A: DigitSet, k: int) -> DigitSet:
     very-goodness of the output from scratch.
     """
     digits, matrix, report = _very_good_input(A)
-    return _tower_step(A, digits, k, matrix, report)[0]
+    return _tower_step(A, digits, sumset_words(digits), k, matrix, report)[0]
 
 
-def _tower_step(A: DigitSet, digits: np.ndarray, k: int, matrix, report: UniquenessReport):
-    """(output, its int64 digits, its matrix, its report) of a step on the
-    very-good A with int64 digits ``digits``; the output is typed from its
-    own sumset words."""
+def _tower_step(A: DigitSet, digits: np.ndarray, words: tuple[int, int], k: int, matrix,
+                report: UniquenessReport):
+    """(output, its int64 digits, its sumset words, its matrix, its report)
+    of a step on the very-good A with int64 digits ``digits`` and sumset
+    words ``words``; the output is typed from its own words, built from
+    A's by the doubling rule."""
     want_lam, out_n = tower_dim(report.lam, A.n, k)
-    out_digits = np.concatenate((digits, digits + (2 * A.n - k)))
+    shift = 2 * A.n - k
+    out_digits = np.concatenate((digits, digits + shift))
     out = _doubled_digitset(out_n, out_digits)
-    out_matrix, out_report, _ = word_report(out_n, *sumset_words(out_digits))
+    out_words = _doubled_words(words, shift)
+    out_matrix, out_report, _ = word_report(out_n, *out_words)
     if not out_report.very_good:
         raise TowerVerificationError(
             f"tower({A}, k={k}) produced a set that is not very-good"
@@ -170,7 +176,7 @@ def _tower_step(A: DigitSet, digits: np.ndarray, k: int, matrix, report: Uniquen
             f"tower({A}, k={k}): derived matrix {out_matrix} / "
             f"lambda {out_report.lam} vs predicted {want_matrix} / {want_lam}"
         )
-    return out, out_digits, out_matrix, out_report
+    return out, out_digits, out_words, out_matrix, out_report
 
 
 @functools.cache
@@ -270,8 +276,9 @@ def chain_to_target(n_target: int,
     A = base_table[n]
     digits, matrix, report = _very_good_input(A)
     rows = [ChainRow(0, None, A, matrix, report.lam, report.dim)]
+    words = sumset_words(digits) if ks else None
     for i, k in enumerate(ks, start=1):
-        A, digits, matrix, report = _tower_step(A, digits, k, matrix, report)
+        A, digits, words, matrix, report = _tower_step(A, digits, words, k, matrix, report)
         rows.append(ChainRow(i, k, A, matrix, report.lam, report.dim))
     if rows[-1].n != n_target:
         raise InvariantError(f"chain ended at base {rows[-1].n}, not {n_target}")

@@ -297,7 +297,13 @@ def sumset_words(digits: np.ndarray) -> tuple[int, int]:
                 return _run_words(digits, breaks.tolist())
         counts = pair_sum_counts(digits)
         return _bits_word(counts >= 1), _bits_word(counts >= 2)
-    m1, m2 = sumset_words(digits[: len(digits) // 2])
+    return _doubled_words(sumset_words(digits[: len(digits) // 2]), h)
+
+
+def _doubled_words(words: tuple[int, int], h: int) -> tuple[int, int]:
+    """(m1, m2) of the translate-doubled Y u (Y + h), max Y < h, from Y's
+    words by the rule of :func:`sumset_words`."""
+    m1, m2 = words
     mid = m1 << h
     return m1 | mid | mid << h, mid | m2 | m2 << 2 * h
 

@@ -23,18 +23,23 @@ and every batch array, written with ``out=``, so a repeated call
 allocates nothing of batch size.
 
 The hill climb keeps the exact pair counts of its current set instead,
-with the threshold words W_t = {s : count >= t}, t = 1..4.  A flip of
-digit d moves the count of d + a by 2 for every other digit a and the
-count of 2d by 1, so the words of a proposal are a few big-int
-operations on W_1..W_4 (:meth:`_PairCounts.trial`); only an accepted
-flip updates the counts and rebuilds the four words.  Flip digits
-are drawn in blocks that the climb always uses up, so a seeded climb
-equals one that draws one digit per flip.  One typing
-rule, :func:`~cantorsum.gdifs.word_typing` (shared with the tower steps
-and ``analyze``), turns the two words alone into goodness,
-very-goodness and a, b, c, d; the batch kernel takes its steps on
-uint64 arrays into the workspace.  Tests hold the batch kernel to
-that rule, and the incremental updates, the proposal words, a
+with the threshold words W_t = {s : count >= t}, t = 1..4, and its mask
+as uint64 limbs.  A flip of digit d moves the count of d + a by 2 for
+every other digit a and the count of 2d by 1, so the words of a proposal
+are a few operations on W_1..W_4 and the mask shifted by d.  The climb
+types a window of drawn flip digits in one NumPy pass
+(:class:`_FlipKernel`): the shifted masks by a limb gather and a funnel
+shift, then the steps of :func:`~cantorsum.gdifs.word_typing`, the one
+typing rule (shared with the tower steps and ``analyze``), on
+(limbs, window) arrays.  Proposals rank by the exact key 2 lambda =
+s + sqrt(q), float64 v filtering and :func:`_root_sum_sign` deciding
+where v cannot.  The rows up to the first accept count as evaluated, in
+order; only an accepted flip updates the counts and rebuilds the words,
+and the rest of the window is typed again from the new set.  Flip digits
+are drawn no further ahead than the climb is sure to evaluate, so a
+seeded climb equals one that draws one digit per flip.  Tests hold the batch kernel
+and the flip kernel to the word rule, the flip kernel also to a scalar
+big-int twin of its proposal words, and the incremental updates, a
 flip-and-retype climb, an independent shift-loop batch kernel and the
 reference interval-typing path to identical answers.  One batch loop,
 :func:`_batches`, serves the exhaustive search and the record stream.
@@ -58,14 +63,16 @@ silently kept.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constructions import chain_to_target, load_base_table, sqrt_good_set
-from .digitset import DigitSet, InvariantError, _bits_word, _word_bits, pair_sum_counts
-from .gdifs import DIM_TOL, matrix_dimension, word_typing
+from .digitset import (DigitSet, InvariantError, _bits_word, _digit_array, _word_bits,
+                       pair_sum_counts)
+from .gdifs import DIM_TOL, matrix_dimension, very_good_rule, word_typing
 
 __all__ = [
     "SearchRecord",
@@ -87,8 +94,18 @@ _TABLE_DIGITS = 15  # inner digits in the low-part table: 2^15 rows, 768 KB
 # The float32 key v = 2 lambda of a batch row is within _V_ERROR of the
 # exact value for v <= 64 (lambda <= |A| <= 32)
 _V_ERROR = 1e-5
-# Flip digits drawn per NumPy call in a climb; bounds the block's memory
+# Flip digits per window of a climb, and so per NumPy draw of them
 _FLIP_BLOCK = 1024
+# Limbs per array of a climb's window: 2^15 limbs, 256 KB
+_WINDOW_LIMBS = 1 << 15
+# A climb's first window after an accept spans about this many limbs
+# (k + 8 per digit: a window row also costs some fixed work), whose
+# typing costs about what a pass does besides
+_ACCEPT_LIMBS = 1 << 11
+# The pair-count thresholds of W_1..W_4, and the masks that turn those
+# words into the terms W1, W2, ~W3, ~W4 of a flip's sumset words
+_THRESHOLDS = np.arange(1, 5).reshape(4, 1)
+_TERM_FLIPS = np.array([0, 0, -1, -1]).astype(np.uint64)[:, None, None]
 
 
 class InfeasibleSearchError(ValueError):
@@ -128,24 +145,27 @@ class SearchResult:
 
 
 def _type_words(n: int, m1: int, m2: int):
-    """Typing of one set's words, with lambda and dim from their owner."""
+    """Typing of one set's words, with lambda and dim from their owner:
+    the scalar path that the tests hold the climb's kernel to."""
     good, very_good, a, b, c, d, _, _ = word_typing(n, m1, m2, int.bit_count)
     lam, _, dim = matrix_dimension(a, b, c, d, n)
     return good, very_good, a, b, c, d, lam, dim
 
 
 class _PairCounts:
-    """Exact ordered pair counts of one digit set, with threshold words.
+    """Exact ordered pair counts of one digit set, with its threshold
+    words and mask in uint64 limbs.
 
     cnt[s] = #{(x, y) in A x A : x + y = s} for s in 0..2n-2, started
     from :func:`~cantorsum.digitset.pair_sum_counts`; ind is the digit
-    indicator of A and words[t - 1] the word of the sums with
-    cnt[s] >= t, t = 1..4.  :meth:`trial` reads a flipped set's sumset
-    words off those four words without touching the counts; only
-    :meth:`flip` updates them.  The mask must hold digits 0 and n - 1.
+    indicator of A.  ``limbs[t - 1]`` is the word of the sums with
+    cnt[s] >= t, t = 1..4, and ``limbs[4]`` the mask, each in
+    k = ceil(2n / 64) little-endian limbs.  :class:`_FlipKernel` types
+    flipped sets off them without touching the counts; only :meth:`flip`
+    updates them.  The mask must hold digits 0 and n - 1.
     """
 
-    __slots__ = ("n", "mask", "ind", "cnt", "words")
+    __slots__ = ("n", "mask", "ind", "cnt", "limbs", "terms")
 
     def __init__(self, n: int, mask: int):
         self.n = n
@@ -155,27 +175,19 @@ class _PairCounts:
         self._rebuild_words()
 
     def _rebuild_words(self) -> None:
-        self.words = tuple(_bits_word(self.cnt >= t) for t in (1, 2, 3, 4))
+        size = 8 * -(-self.n // 32)
+        raw = np.zeros((5, size), dtype=np.uint8)
+        bits = np.packbits(self.cnt >= _THRESHOLDS, axis=1, bitorder="little")
+        raw[:4, :bits.shape[1]] = bits
+        raw[4] = np.frombuffer(self.mask.to_bytes(size, "little"), dtype=np.uint8)
+        self.limbs = raw.view("<u8")
+        # (k, 1) columns W1, W2, ~W3, ~W4
+        self.terms = self.limbs[:4, :, None] ^ _TERM_FLIPS
 
-    def trial(self, d: int):
-        """(mask, m1, m2) of the set with digit d flipped.
-
-        Adding d is :func:`_add_digit`.  Removing d takes 2 from the count
-        of every a + d, a != d, which was at least 2, so those bits of m1
-        and m2 come from the words t = 3 and 4.  The count of 2d is odd and
-        drops by 1: its m1 bit comes from t = 2, and its m2 bit from
-        t = 3, which at an odd count is the bit m2 already holds.
-        """
-        w1, w2, w3, w4 = self.words
-        bit = 1 << d
-        if not self.mask & bit:
-            return _add_digit(d, self.mask, w1, w2)
-        mask = self.mask ^ bit
-        cross = mask << d
-        keep = ~cross
-        double = 1 << 2 * d
-        m1 = (w1 & keep | w3 & cross) & ~double | w2 & double
-        return mask, m1, w2 & keep | w4 & cross
+    @property
+    def words(self) -> tuple[int, int, int, int]:
+        """W_1..W_4 as Python ints."""
+        return tuple(int.from_bytes(w.tobytes(), "little") for w in self.limbs[:4])
 
     def flip(self, d: int) -> None:
         """Add or remove digit d; flipping it again undoes the change."""
@@ -190,6 +202,138 @@ class _PairCounts:
             self.ind[d] = 1
         self.mask ^= 1 << d
         self._rebuild_words()
+
+
+class _FlipKernel:
+    """Types one-digit flips of a climb's current set in base n, up to
+    `rows` digits per call, in scratch arrays it holds for the climb.
+
+    A call's arrays are (limbs, window), k = ceil(2n / 64) limbs, laid
+    out with the longer of the two axes innermost, so that every step is
+    one NumPy pass with a long inner loop.  They are cut from `scratch`,
+    uint64 limbs of which the kernel uses (11k + 4) * rows
+    (:func:`_scratch_limbs`).
+    """
+
+    def __init__(self, n: int, rows: int, scratch: np.ndarray):
+        self.k = k = -(-n // 32)
+        # the mask's k limbs after k zero limbs; row i of sources is
+        # padded[i:i + k + 1]
+        self.padded = np.zeros(2 * k, dtype=np.uint64)
+        self.sources = np.ndarray((k, k + 1), dtype=np.uint64, buffer=self.padded,
+                                  strides=(8, 8))
+        # the word of the 2n - 1 sums 0..2n - 2 as a (k, 1) limb column
+        self.full = np.frombuffer(((1 << 2 * n - 1) - 1).to_bytes(8 * k, "little"), "<u8")[:, None]
+        # the limb holding bit n (n - 1) of L (t), and the part of it below
+        self.split = [(bits >> 6, np.uint64((1 << (bits & 63)) - 1)) for bits in (n, n - 1)]
+        # a, b, c, d, a + d and a - d as sums over the popcounts of L's k
+        # limbs and low part (rows 0..k), then t's (rows k + 1..2k + 1)
+        self.select = select = np.zeros((6, 2 * k + 2), dtype=np.float32)
+        for low, high, (limb, _), start in zip((0, 1), (2, 3), self.split, (0, k + 1)):
+            select[low, start:start + limb] = select[low, start + k] = 1
+            select[high, start + limb:start + k] = 1
+            select[high, start + k] = -1
+        np.add(select[0], select[3], out=select[4])
+        np.subtract(select[0], select[3], out=select[5])
+        # per digit: the source's k + 1 limbs, m1 >> 1, the popcount
+        # planes (then their float32 counts in k + 1 limbs), and pairs of
+        # cross words, sumset words and scratch words, cut from `scratch`
+        ends = [size * rows for size in itertools.accumulate(
+            (0, k + 1, k, 2 * k + 2, k + 1, 2 * k, 2 * k, 2 * k))]
+        self.buffers = [scratch[start:end] for start, end in zip(ends[:-1], ends[1:])]
+        self.buffers[3] = self.buffers[3].view(np.float32)
+
+    def type_flips(self, counts: _PairCounts, digits: np.ndarray):
+        """(good, a, b, c, d, s, q, v) of the set of `counts` with digit d
+        flipped, one entry per d of the int64 array `digits` (each in
+        1..n-2): a..d, s = a + d and q = (a - d)^2 + 4bc as float64
+        integers, and the key v = s + sqrt(q) = 2 lambda.
+
+        A flip of d moves the count of every a + d, a != d, by 2 and that
+        of 2d by 1.  The mask shifted by d (a gather of limbs and a
+        funnel shift) holds every a + d, and 2d when d is removed.  With
+        cross that word less 2d, adding d gives m1 = W1 | cross | 2d and
+        m2 = W2 | cross.  Removing d keeps cross only where the count
+        reaches 3 (m1) or 4 (m2); 2d keeps its m2 bit and, at an odd
+        count, takes W3's (that is W2's) into m1, as it does when 2d
+        joins cross for m1.  So (m1, m2) = (W | X) ^ (X & ~W' & removal)
+        with X = (cross | 2d, cross), W = (W1, W2) and W' = (W3, W4).  The
+        typing is :func:`~cantorsum.gdifs.word_typing`'s, on limb arrays.
+        """
+        w, k = len(digits), self.k
+        sources, right, planes, popcounts, crosses, words, spare = self.buffers
+        src = _window(sources, (k + 1,), w)
+        right = _window(right, (k,), w)
+        planes = _window(planes, (2 * k + 2,), w)
+        popcounts = _window(popcounts, (2 * k + 2,), w)
+        crosses = _window(crosses, (2, k), w)
+        words = _window(words, (2, k), w)
+        spare = _window(spare, (2, k), w)
+        # src column i: the k + 1 mask limbs ending at the one that lands
+        # on limb k - 1 when shifted by digit i
+        self.padded[k:] = counts.limbs[4]
+        np.copyto(src, self.sources[k - 1 - (digits >> 6)].T)
+        shift = (digits & 63).view(np.uint64)
+        cross, with_double = crosses[1], crosses[0]
+        np.left_shift(src[1:], shift, out=cross)
+        cross |= np.right_shift(src[:-1], 64 - shift, out=with_double)
+        # the 2d bits, by (limb, column)
+        double = 2 * digits
+        bit = np.left_shift(1, (double & 63).view(np.uint64))
+        double = double >> 6, np.arange(w)
+        cross[double] &= ~bit
+        np.copyto(with_double, cross)
+        with_double[double] |= bit
+        drop = np.negative(counts.ind[digits]).view(np.uint64)  # all ones: a removal
+        np.bitwise_or(crosses, counts.terms[:2], out=words)
+        np.bitwise_and(crosses, counts.terms[2:], out=spare)
+        spare &= drop
+        words ^= spare
+        m1, m2, scratch, left = words[0], words[1], spare[0], spare[1]
+        # m1 shifted right by one bit across limbs; good: m1 | m1 >> 1 is full
+        np.right_shift(m1, 1, out=right)
+        right[:-1] |= np.left_shift(m1[1:], 63, out=scratch[:-1])
+        np.bitwise_or(m1, right, out=scratch)
+        good = ~np.bitwise_xor(scratch, self.full, out=scratch).any(axis=0)
+        # planes L = unique & ~(m1 << 1) and t = unique & ~(m1 >> 1) (R =
+        # unique << 1 & ~m1 is t << 1), each followed by its split limb's
+        # low part; float32 sums of limb popcounts are exact below 2^24
+        np.left_shift(m1, 1, out=left)
+        left[1:] |= np.right_shift(m1[:-1], 63, out=scratch[:-1])
+        unique = np.bitwise_xor(m1, m2, out=m2)
+        np.bitwise_and(unique, np.invert(left, out=left), out=planes[:k])
+        np.bitwise_and(unique, np.invert(right, out=right), out=planes[k + 1:-1])
+        (limb, part), (limb_r, part_r) = self.split
+        np.bitwise_and(planes[limb], part, out=planes[k])
+        np.bitwise_and(planes[k + 1 + limb_r], part_r, out=planes[-1])
+        sums = (self.select @ np.bitwise_count(planes, out=popcounts)).astype(np.float64)
+        a, b, c, d, s, u = sums[0], sums[1], sums[2], sums[3], sums[4], sums[5]
+        q = u * u
+        q += 4 * b * c
+        return good, a, b, c, d, s, q, s + np.sqrt(q)
+
+
+def _window(buffer: np.ndarray, shape: tuple[int, ...], w: int) -> np.ndarray:
+    """A contiguous (*shape, w) array at the start of `buffer`, its last
+    two axes laid out with the longer one innermost."""
+    head = buffer[:math.prod(shape) * w]
+    if w >= shape[-1]:
+        return head.reshape(*shape, w)
+    return head.reshape(*shape[:-1], w, shape[-1]).swapaxes(-1, -2)
+
+
+def _scratch_limbs(n: int, rows: int) -> int:
+    """uint64 limbs of the scratch of a :class:`_FlipKernel` in base n for
+    windows of up to `rows` digits: at most 11 _WINDOW_LIMBS while a row
+    of k + 1 limbs fits in _WINDOW_LIMBS."""
+    return (11 * -(-n // 32) + 4) * rows
+
+
+# Climb scratch blocks not in use, of 11 _WINDOW_LIMBS limbs or more, of
+# which a climb touches only what its windows use.  A climb holds one
+# from its start to its end, so nested or concurrent climbs never share
+# one, and a repeated climb touches no new pages.
+_FREE_SCRATCH: list[np.ndarray] = []
 
 
 def _record(n: int, mask: int, row) -> SearchRecord:
@@ -224,22 +368,31 @@ def _root_sum_sign(p1: int, q1: int, p2: int, q2: int) -> int:
     return sp if g > 0 else sq if g < 0 else 0
 
 
+def _outranks(s: int, q: int, mask: int, s0: int, q0: int, mask0: int) -> bool:
+    """Whether the set of `mask`, with 2 lambda = s + sqrt(q), ranks above
+    the set of mask0: a larger exact key, or an equal key and the smaller
+    digit list, the one holding the lowest digit where the two differ."""
+    order = _root_sum_sign(s, q, s0, q0)
+    if order or mask == mask0:
+        return order > 0
+    diff = mask ^ mask0
+    return bool(mask >> (diff ^ (diff - 1)).bit_length() - 1 & 1)
+
+
 def _better(cand: SearchRecord, best: SearchRecord | None) -> bool:
     """Maximize dim; break exact ties toward the smaller digit list.
 
     Within one base dim orders as lambda, and 2 lambda =
     (a + d) + sqrt((a - d)^2 + 4bc) is compared exactly from the
-    integer matrix, so the float dims only serve for display.
+    integer matrix (:func:`_outranks`), so the float dims only serve for
+    display.
     """
     if best is None:
         return True
-    order = _root_sum_sign(
-        cand.a + cand.d, (cand.a - cand.d) ** 2 + 4 * cand.b * cand.c,
-        best.a + best.d, (best.a - best.d) ** 2 + 4 * best.b * best.c,
-    )
-    if order:
-        return order > 0
-    return cand.digits < best.digits
+    (s, q, mask), (s0, q0, mask0) = (
+        (r.a + r.d, (r.a - r.d) ** 2 + 4 * r.b * r.c, sum(1 << x for x in r.digits))
+        for r in (cand, best))
+    return _outranks(s, q, mask, s0, q0, mask0)
 
 
 def _add_digit(j: int, mask, m1, m2):
@@ -515,7 +668,11 @@ def _seed_masks(n: int) -> list[int]:
     """
     sets = [chain_to_target(n, load_base_table()).final.digitset,
             sqrt_good_set(n)] if n >= 9 else []
-    seeds = [sum(1 << d for d in A.digits) for A in sets]
+    seeds = []
+    for A in sets:
+        bits = np.zeros(n, dtype=bool)
+        bits[_digit_array(A)] = True
+        seeds.append(_bits_word(bits))
     seeds.append((1 << n) - 1)  # the full digit set is always good
     return list(dict.fromkeys(seeds))
 
@@ -526,44 +683,107 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
     """Randomized hill climbing over digit flips, deterministic by seed.
 
     Starts from tower/table/sqrt seeds plus random restarts, flipping
-    one interior digit at a time and keeping strict improvements;
-    non-good proposals are evaluated (they cost budget) but never
-    climbed onto when goodness is required.  The climb carries the pair
-    counts of its current set and their threshold words; a proposal is
-    typed from the words alone (:meth:`_PairCounts.trial`), and only an
-    accepted one updates the counts, so a rejection has nothing to
-    undo.  The flip digits come in blocks no longer than the budget or
-    the stuck run left, so every drawn digit is used and the result is
-    that of one draw per flip.  `budget` caps the number of
-    single-set evaluations.  For n <= 8 (at most 64 sets) this is
-    :func:`search_exhaustive`, and `budget` and `seed` are unused.
+    one interior digit at a time and keeping strict improvements of the
+    exact key 2 lambda; non-good proposals are evaluated (they cost
+    budget) but never climbed onto when goodness is required.  The climb
+    carries the pair counts of its current set and their threshold
+    words, and types its proposals a window of drawn digits at a time in
+    one NumPy pass (:class:`_FlipKernel`).  The rows up to the first
+    accept count as evaluated, in order; an accept updates the counts,
+    and the rest of the window is typed again from the new set.  A
+    climb's first window covers every flip it is sure to evaluate, up to
+    _FLIP_BLOCK and the byte bound on its arrays; after an accept the
+    window starts small and doubles while nothing is accepted.  The arrays are cut from a scratch
+    block that the climb takes from a free list and returns.  The flip
+    digits are drawn as windows need them, never more than the budget or
+    the stuck run leave, so every drawn digit is used and the result is
+    that of one draw per flip.  `budget` caps the number of single-set
+    evaluations.
+    For n <= 8 (at most 64 sets) this is :func:`search_exhaustive`, and
+    `budget` and `seed` are unused.
     """
     if n <= 8:
         return search_exhaustive(n, require_good, require_very_good)
     base = 1 | (1 << (n - 1))
-    best: SearchRecord | None = None
+    lead = None  # (s, q, mask, good, (a, b, c, d)) of the best matching set
+    best_v = 0.0
     exceed: list[SearchRecord] = []
     matching = 0
     rng = np.random.default_rng(seed)
     evals = 0
     unconstrained = not (require_good or require_very_good)
+    # float64 v is far within _V_ERROR of 2 lambda; rows above monitor_v
+    # take the float dim test of the conjecture monitor
+    monitor_v = 2 * n ** _MONITOR_DIM * (1 - _V_ERROR)
+    k = -(-n // 32)
+    rows = max(1, min(_WINDOW_LIMBS // (k + 1), _FLIP_BLOCK, budget))
+    after_accept = min(rows, max(1, _ACCEPT_LIMBS // (k + 8)))
+    try:
+        scratch = _FREE_SCRATCH.pop()
+    except IndexError:  # none free, or another thread took the last one
+        scratch = np.empty(11 * _WINDOW_LIMBS, dtype=np.uint64)
+    if len(scratch) < _scratch_limbs(n, rows):  # a row of more than _WINDOW_LIMBS limbs
+        scratch = np.empty(_scratch_limbs(n, rows), dtype=np.uint64)
+    kernel = _FlipKernel(n, rows, scratch)
 
-    def consider(mask: int, row):
-        """Count the typed set if it matches, recording it only if it can
-        be best or exceeds; returns (climbable, dim)."""
-        nonlocal best, evals, matching
-        evals += 1
-        good, dim = row[0], row[7]
-        if not ((require_very_good and not row[1]) or (require_good and not good)):
-            matching += 1
-            over = dim > _MONITOR_DIM
-            if over or best is None or dim >= best.dim:
-                cand = _record(n, mask, row)
-                if over:
-                    exceed.append(cand)
-                if _better(cand, best):
-                    best = cand
-        return good or unconstrained, dim
+    def record(mask: int, good: bool, abcd: tuple[int, int, int, int]) -> SearchRecord:
+        lam, _, dim = matrix_dimension(*abcd, n)
+        edge = mask >> 1 & 1 | mask >> n - 2 & 1  # 1 or n - 2 a digit
+        return _record(n, mask, (good, very_good_rule(good, edge, *abcd), *abcd, lam, dim))
+
+    def offer(mask: int, good: bool, abcd: tuple[int, int, int, int], v: float) -> None:
+        """Take a matching set that can end up best or exceed the monitor;
+        the best is kept as its key and mask, recorded once at the end."""
+        nonlocal lead, best_v
+        if v > monitor_v and matrix_dimension(*abcd, n)[2] > _MONITOR_DIM:
+            exceed.append(record(mask, good, abcd))
+        a, b, c, d = abcd
+        key = a + d, (a - d) ** 2 + 4 * b * c, mask
+        if lead is None or _outranks(*key, *lead[:3]):
+            lead, best_v = (*key, good, abcd), v
+
+    def tally(cols, flips) -> None:
+        """Count the typed flips of the current set as evaluated, in
+        order, and offer the matching ones that can end up best."""
+        nonlocal evals, matching
+        good, a, b, c, d, _, _, v = cols
+        evals += len(v)
+        if unconstrained:
+            match = None
+            matching += len(v)
+            top = v.max()
+        else:
+            if require_very_good:
+                ind = current.ind  # 1 or n - 2 a digit of the flipped set
+                edge = ind[1] ^ (flips == 1) | ind[n - 2] ^ (flips == n - 2)
+                match = very_good_rule(good, edge, a, b, c, d)
+            else:
+                match = good
+            matching += int(np.count_nonzero(match))
+            top = v.max(initial=0.0, where=match)
+        floor = min(monitor_v, max(top, best_v) * (1 - _V_ERROR))
+        if top < floor:
+            return
+        keep = v >= floor
+        if match is not None:
+            keep &= match
+        for i in np.flatnonzero(keep).tolist():
+            offer(current.mask ^ 1 << int(flips[i]), bool(good[i]),
+                  (int(a[i]), int(b[i]), int(c[i]), int(d[i])), float(v[i]))
+
+    def first_accept(cols, key) -> int:
+        """Index of the first climbable row whose exact key exceeds key =
+        (s, q, v) of the current set, or -1."""
+        good, _, _, _, _, s, q, v = cols
+        s0, q0, v0 = key
+        up = v >= v0 * (1 - _V_ERROR)
+        up &= (s != s0) | (q != q0)  # an equal key is no gain
+        if not unconstrained:
+            up &= good
+        for i in np.flatnonzero(up).tolist():
+            if v[i] > v0 * (1 + _V_ERROR) or _root_sum_sign(int(s[i]), int(q[i]), s0, q0) > 0:
+                return i
+        return -1
 
     def starts():
         yield from _seed_masks(n)
@@ -572,23 +792,45 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
 
     start_masks = starts()
     max_stuck = 4 * n
-    while evals < budget:
-        current = _PairCounts(n, next(start_masks))
-        climbable, current_dim = consider(current.mask, _type_words(n, *current.words[:2]))
-        stuck = 0
-        while climbable and evals < budget and stuck <= max_stuck:
-            # neither exit can fall inside a block (an accept only resets
-            # stuck), and a size-k draw is k scalar draws of the stream
-            block = min(budget - evals, max_stuck + 1 - stuck, _FLIP_BLOCK)
-            for d in rng.integers(1, n - 1, size=block).tolist():
-                mask, m1, m2 = current.trial(d)
-                ok, dim = consider(mask, _type_words(n, m1, m2))
-                if ok and dim > current_dim:
-                    current.flip(d)
-                    current_dim = dim
-                    stuck = 0
+    try:
+        while evals < budget:
+            current = _PairCounts(n, next(start_masks))
+            good, very_good, a, b, c, d, _, _ = word_typing(n, *current.words[:2], int.bit_count)
+            s, q = a + d, (a - d) ** 2 + 4 * b * c
+            key = s, q, s + math.sqrt(q)
+            evals += 1
+            if very_good if require_very_good else good or not require_good:
+                matching += 1
+                if key[2] >= min(monitor_v, best_v * (1 - _V_ERROR)):
+                    offer(current.mask, good, (a, b, c, d), key[2])
+            climbable = good or unconstrained
+            stuck = 0
+            window = rows
+            drawn = np.empty(0, dtype=np.int64)  # flip digits drawn, not yet evaluated
+            # the climb evaluates at least `ahead` more flips (an accept
+            # only resets stuck), so every digit drawn is used, and a
+            # size-k draw is k scalar draws of the stream
+            while climbable and (ahead := min(budget - evals, max_stuck + 1 - stuck)):
+                if len(drawn) < min(window, ahead):
+                    drawn = np.concatenate((drawn, rng.integers(
+                        1, n - 1, size=min(window, ahead) - len(drawn))))
+                digits = drawn[:window]
+                cols = kernel.type_flips(current, digits)
+                i = first_accept(cols, key)
+                used = len(digits) if i < 0 else i + 1
+                tally([col[:used] for col in cols], digits[:used])
+                drawn = drawn[used:]
+                if i < 0:
+                    stuck += used
+                    window = min(2 * window, rows)
                 else:
-                    stuck += 1
+                    current.flip(int(digits[i]))
+                    key = int(cols[5][i]), int(cols[6][i]), float(cols[7][i])
+                    stuck = 0
+                    window = after_accept
+    finally:
+        _FREE_SCRATCH.append(scratch)
+    best = None if lead is None else record(*lead[2:])
     exceed.sort(key=lambda r: (r.n, r.digits))
     return SearchResult(best=best, n_enumerated=evals, n_matching=matching,
                         evaluations=evals, exceedances=tuple(exceed),

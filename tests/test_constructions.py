@@ -202,7 +202,8 @@ class TestTrustedOutputs:
         A = load_base_table()[9]
         t, rep = direct_report(A)
         with pytest.raises(InvariantError, match="end at 26"):
-            constructions._tower_step(A, np.array([0, 2, 6, 18]), 0, t.matrix, rep)
+            digits = np.array([0, 2, 6, 18])
+            constructions._tower_step(A, digits, sumset_words(digits), 0, t.matrix, rep)
 
 
 class TestBaseTable:

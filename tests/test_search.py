@@ -18,7 +18,7 @@ import cantorsum
 from cantorsum import search
 from cantorsum.constructions import TowerVerificationError, chain_to_target
 from cantorsum.digitset import DigitSet, InvariantError, _bits_word, is_n_good, reflect, sumset_profile
-from cantorsum.gdifs import classify_intervals, uniqueness_report
+from cantorsum.gdifs import classify_intervals, uniqueness_report, word_typing
 from cantorsum.report import analyze
 from cantorsum.search import (
     LOG2_OVER_LOG3,
@@ -396,6 +396,28 @@ def _threshold_words(ind):
     return tuple(sum(1 << int(s) for s in np.flatnonzero(cnt >= t)) for t in (1, 2, 3, 4))
 
 
+def _trial(counts, d):
+    """(mask, m1, m2) of the set of `counts` with digit d flipped, in
+    Python ints: the scalar twin of the climb's flip kernel.
+
+    Adding d is :func:`search._add_digit`.  Removing d takes 2 from the
+    count of every a + d, a != d, which was at least 2, so those bits of
+    m1 and m2 come from the words t = 3 and 4.  The count of 2d is odd
+    and drops by 1: its m1 bit comes from t = 2, and its m2 bit from
+    t = 3, which at an odd count is the bit m2 already holds.
+    """
+    w1, w2, w3, w4 = counts.words
+    bit = 1 << d
+    if not counts.mask & bit:
+        return search._add_digit(d, counts.mask, w1, w2)
+    mask = counts.mask ^ bit
+    cross = mask << d
+    keep = ~cross
+    double = 1 << 2 * d
+    m1 = (w1 & keep | w3 & cross) & ~double | w2 & double
+    return mask, m1, w2 & keep | w4 & cross
+
+
 class TestIncrementalPairCounts:
     """The climb's per-flip count updates and proposal words against
     from-scratch paths."""
@@ -446,7 +468,7 @@ class TestIncrementalPairCounts:
             flipped = ind.copy()
             flipped[d] ^= 1
             w1, w2, _, _ = _threshold_words(flipped)
-            assert counts.trial(d) == (mask ^ (1 << d), w1, w2), d
+            assert _trial(counts, d) == (mask ^ (1 << d), w1, w2), d
         # a trial leaves the counts and words alone
         assert counts.mask == mask and counts.words == before
         assert np.array_equal(counts.cnt, np.convolve(ind, ind))
@@ -461,6 +483,114 @@ class TestIncrementalPairCounts:
             assert np.array_equal(counts.ind, before[1])
             assert counts.mask == before[2]
             assert counts.words == before[3]
+
+
+def _flip_kernel(n, rows):
+    """A climb's flip kernel in base n for windows of up to `rows` digits."""
+    return search._FlipKernel(n, rows, np.empty(search._scratch_limbs(n, rows), dtype=np.uint64))
+
+
+class TestFlipKernel:
+    """The climb's block kernel against its scalar twin: :func:`_trial`,
+    then the word rule, on random sets with additions and removals."""
+
+    # 2n - 1 on both sides of limb edges; n = 97 and up shift by 64
+    BASES = [9, 31, 32, 33, 63, 64, 65, 97, 300, 1500]
+
+    def _check(self, counts, kernel, digits):
+        n = counts.n
+        cols = kernel.type_flips(counts, np.asarray(digits, dtype=np.int64))
+        for i, d in enumerate(digits):
+            _, m1, m2 = _trial(counts, d)
+            good, _, a, b, c, d_, _, _ = word_typing(n, m1, m2, int.bit_count)
+            s, q = a + d_, (a - d_) ** 2 + 4 * b * c
+            want = (good, a, b, c, d_, s, q, s + math.sqrt(q))
+            assert tuple(col[i].item() for col in cols) == want, (n, d)
+
+    @pytest.mark.parametrize("n", BASES)
+    @pytest.mark.parametrize("density", [0.1, 0.5, 0.9])
+    def test_every_flip_matches_scalar_twin(self, rng, n, density):
+        inner = rng.random(n - 2) < density
+        inner[:2] = True, False  # a removal and an addition at any density
+        counts = _PairCounts(n, 1 | 1 << (n - 1) | _bits_word(inner) << 1)
+        flips = list(range(1, n - 1))
+        # one window of every interior digit (limbs innermost when it
+        # spans fewer than k digits), then windows of one to three digits
+        self._check(counts, _flip_kernel(n, n - 2), flips)
+        kernel = _flip_kernel(n, 3)
+        for start in range(0, n - 2, 97):
+            self._check(counts, kernel, flips[start:start + 1 + start % 3])
+
+    @pytest.mark.parametrize("n", [97, 129, 300, 1500])
+    def test_limb_edges(self, rng, n):
+        # d = 64j shifts whole limbs (a funnel carry shifted by 64), and 2d
+        # sits at the first or last bit of a limb for d = 32j, 32j + 31
+        edges = [d for d in range(1, n - 1) if d % 32 in (0, 31)]
+        counts = _PairCounts(n, 1 | 1 << (n - 1) | _bits_word(rng.random(n - 2) < 0.5) << 1)
+        for d in edges:
+            if not counts.mask >> d & 1:
+                counts.flip(d)  # removals at every edge digit, then additions
+        self._check(counts, _flip_kernel(n, len(edges)), edges)
+        for d in edges:
+            counts.flip(d)
+        self._check(counts, _flip_kernel(n, len(edges)), edges)
+
+    def test_upper_half_of_r_starts_at_bit_n(self):
+        # removing 7 from {0, 5, 7, 9} base 10 leaves 10 = 5 + 5 unique
+        # and 11 no sum, so t = unique & ~(m1 >> 1) has bit n = 10 set,
+        # which R (t << 1) counts in its upper half (d, not b)
+        counts = _PairCounts(10, 0b1010100001)
+        self._check(counts, _flip_kernel(10, 1), [7])
+
+    def test_results_follow_the_current_set(self, rng):
+        # one kernel for a whole climb: each call reads the counts it gets
+        n = 300
+        counts = _PairCounts(n, 1 | 1 << (n - 1) | _bits_word(rng.random(n - 2) < 0.4) << 1)
+        kernel = _flip_kernel(n, 16)
+        for d in rng.integers(1, n - 1, size=6).tolist():
+            self._check(counts, kernel, rng.integers(1, n - 1, size=16).tolist())
+            counts.flip(d)
+
+    def test_threads_hold_their_own_scratch(self):
+        # climbs at two bases in more threads than cores, switching often:
+        # a scratch block shared between two climbs would mix their words
+        calls = [(300, 5), (1500, 6)] * 2
+        want = [search_heuristic(n, budget=400, seed=seed) for n, seed in calls]
+        got = [None] * len(calls)
+
+        def run(i):
+            got[i] = search_heuristic(calls[i][0], budget=400, seed=calls[i][1])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
+
+    def test_window_memory_is_bounded_at_large_base(self):
+        # the climb's scratch comes back to a free list, and a window's
+        # arrays stay within the byte bound: at n = 10^5 (k = 3125 limbs)
+        # a climb of 30 evaluations peaks no higher than one of a single
+        # evaluation plus one window array; windows of the budget's 29
+        # rows would take 8 MB of scratch
+        n = 10**5
+        search_heuristic(n, budget=30, seed=0)
+        peaks = []
+        for budget in (1, 30):
+            tracemalloc.start()
+            try:
+                search_heuristic(n, budget=budget, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= search._WINDOW_LIMBS * 8, peaks
 
 
 def _root_sum_sign_twin(p1, q1, p2, q2):
@@ -810,7 +940,8 @@ class TestChecksSurviveOptimize:
         # goodness denied over a support word (sums 0..8) with no dead unit
         structure.word_good = lambda n, m1: False
         out["structure"] = raised(lambda: classify_structure(DigitSet(5, (0, 4)), (1 << 9) - 1))
-        constructions._tower_step = lambda A, digits, k, matrix, report: (A, digits, matrix, report)
+        constructions._tower_step = lambda A, digits, words, k, matrix, report: (
+            A, digits, words, matrix, report)
         out["chain"] = raised(lambda: constructions.chain_to_target(100))
         # FFT pair counts 0.4 off every integer, on a dense set that is not
         # translate-doubled (digit 500 dropped), so the FFT path runs
