@@ -11,7 +11,9 @@ Two constructions carry the asymptotics:
   A at offset 2n-k (k in {0,1,2}) gives a very-good set in base 3n-k
   whose Perron eigenvalue obeys lambda' = 2*lambda - k.  Chaining
   towers from a table of small bases (9..27) reaches any target base
-  while the dimension climbs toward log(2)/log(3).
+  while the dimension climbs toward log(2)/log(3).  The reduction that
+  picks a chain's base and steps, :func:`_chain_reduction`, also gives
+  the search its tower warm starts, which it builds as masks unverified.
 
 Nothing here trusts the eigenvalue recurrence: every tower output is
 re-typed from its own sumset words, and a mismatch with the predicted
@@ -249,30 +251,41 @@ class TowerChain:
         return x, y
 
 
-def chain_to_target(n_target: int,
-                    base_table: dict[int, DigitSet] | None = None) -> TowerChain:
-    """Tower chain from a tabled base to exactly base n_target.
+def _chain_reduction(n_target: int, bases) -> tuple[int, list[int]]:
+    """(base, ks): the tabled base a chain to n_target starts from and
+    the k of each of its steps, first step first.
 
     Reduction picks, at each stage, the unique k in {0,1,2} making
-    n + k divisible by 3, until the base falls inside the table range
-    (9..27 by default).  Raises :class:`BaseMissingError` when no
-    tabled base can reach the target (n_target < 9, or a custom table
-    with holes).
+    n + k divisible by 3, until the base is at most max(bases).  Raises
+    :class:`BaseMissingError` when no tabled base can reach the target
+    (n_target < 9, or a custom table with holes).
     """
-    if base_table is None:
-        base_table = load_base_table()
     if n_target < 9:
         raise BaseMissingError(f"no tabled base reaches {n_target} (need >= 9)")
-    top = max(base_table)
+    top = max(bases)
     ks: list[int] = []
     n = n_target
     while n > top:
         k = (-n) % 3
         ks.append(k)
         n = (n + k) // 3
-    if n not in base_table:
+    if n not in bases:
         raise BaseMissingError(f"chain reduction reached base {n}, not in table")
     ks.reverse()
+    return n, ks
+
+
+def chain_to_target(n_target: int,
+                    base_table: dict[int, DigitSet] | None = None) -> TowerChain:
+    """Tower chain from a tabled base to exactly base n_target.
+
+    The base and steps come from :func:`_chain_reduction` (tabled bases
+    9..27 by default), which raises :class:`BaseMissingError` when no
+    tabled base can reach the target.
+    """
+    if base_table is None:
+        base_table = load_base_table()
+    n, ks = _chain_reduction(n_target, base_table)
     A = base_table[n]
     digits, matrix, report = _very_good_input(A)
     rows = [ChainRow(0, None, A, matrix, report.lam, report.dim)]

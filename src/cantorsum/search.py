@@ -44,6 +44,13 @@ flip-and-retype climb, an independent shift-loop batch kernel and the
 reference interval-typing path to identical answers.  One batch loop,
 :func:`_batches`, serves the exhaustive search and the record stream.
 
+A climb's warm starts (:func:`_seed_masks`) are masks too, each built
+only when the climb reaches it.  The tower start is the table row's
+mask doubled along the chain's reduction, mask | mask << (2m - k) per
+step, with no typing: the climb types every start from its pair counts
+anyway, and the verified :func:`~cantorsum.constructions.chain_to_target`
+is the start's twin in the tests.
+
 A batch row carries one key besides a, b, c, d: v = 2 lambda =
 (a + d) + sqrt((a - d)^2 + 4bc) in float32 (:func:`_two_lambda`).  On
 every matrix of a base <= 32 (a + b <= n, c + d <= n) v is exact: it
@@ -69,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constructions import chain_to_target, load_base_table, sqrt_good_set
+from .constructions import _chain_reduction, chain_to_target, load_base_table, sqrt_good_set
 from .digitset import (DigitSet, InvariantError, _bits_word, _digit_array, _word_bits,
                        pair_sum_counts)
 from .gdifs import DIM_TOL, matrix_dimension, very_good_rule, word_typing
@@ -659,22 +666,39 @@ def _random_inner(rng, bits: int) -> int:
     return val
 
 
-def _seed_masks(n: int) -> list[int]:
-    """Deterministic warm starts: tower chain, sqrt family, full set.
+def _seed_masks(n: int):
+    """Deterministic warm starts, each built only when the climb reaches
+    it: the tower chain's set, the sqrt family's, the full set, without
+    repeats.
 
-    For n >= 9 neither construction fails: the chain reaches every such
-    base from the bundled table of bases 9..27 (for n <= 27 it is that
-    table row), and sqrt_good_set needs only n >= 9.
+    The tower set is the table row's mask doubled along the steps of
+    :func:`~cantorsum.constructions._chain_reduction`: a step k from base
+    m gives mask | mask << (2m - k), the union of A and A + (2m - k) in
+    base 3m - k.  No seed is typed or verified here, since the climb
+    types every start from its pair counts; the tests hold the tower
+    mask to the verified ``chain_to_target(n).final``.  For n >= 9
+    neither construction fails: the chain reaches every such base from
+    the bundled table of bases 9..27 (for n <= 27 it is that table row),
+    and sqrt_good_set needs only n >= 9.
     """
-    sets = [chain_to_target(n, load_base_table()).final.digitset,
-            sqrt_good_set(n)] if n >= 9 else []
-    seeds = []
-    for A in sets:
-        bits = np.zeros(n, dtype=bool)
-        bits[_digit_array(A)] = True
-        seeds.append(_bits_word(bits))
-    seeds.append((1 << n) - 1)  # the full digit set is always good
-    return list(dict.fromkeys(seeds))
+    def seeds():
+        if n >= 9:
+            base, ks = _chain_reduction(n, table := load_base_table())
+            mask = sum(1 << d for d in table[base].digits)  # a base <= 27
+            for k in ks:
+                mask |= mask << 2 * base - k
+                base = 3 * base - k
+            yield mask
+            bits = np.zeros(n, dtype=bool)
+            bits[_digit_array(sqrt_good_set(n))] = True
+            yield _bits_word(bits)
+        yield (1 << n) - 1  # the full digit set is always good
+
+    seen = set()
+    for mask in seeds():
+        if mask not in seen:
+            seen.add(mask)
+            yield mask
 
 
 def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
@@ -682,7 +706,9 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
                      require_very_good: bool = False) -> SearchResult:
     """Randomized hill climbing over digit flips, deterministic by seed.
 
-    Starts from tower/table/sqrt seeds plus random restarts, flipping
+    Starts from the warm starts of :func:`_seed_masks` (the tower set,
+    or the table row through base 27, then the sqrt family and the full
+    set, each built only when reached) and then random restarts, flipping
     one interior digit at a time and keeping strict improvements of the
     exact key 2 lambda; non-good proposals are evaluated (they cost
     budget) but never climbed onto when goodness is required.  The climb

@@ -16,7 +16,8 @@ import pytest
 
 import cantorsum
 from cantorsum import search
-from cantorsum.constructions import TowerVerificationError, chain_to_target
+from cantorsum.constructions import (BaseMissingError, TowerVerificationError, chain_to_target,
+                                    sqrt_good_set)
 from cantorsum.digitset import DigitSet, InvariantError, _bits_word, is_n_good, reflect, sumset_profile
 from cantorsum.gdifs import classify_intervals, uniqueness_report, word_typing
 from cantorsum.report import analyze
@@ -697,18 +698,45 @@ class TestHeuristic:
         assert hashlib.sha256(repr(res).encode()).hexdigest() == digest
 
     def test_tower_verification_failure_propagates(self, monkeypatch):
-        def broken(n, base_table=None):
-            raise TowerVerificationError("re-typed tower disagrees")
+        # the climb builds its tower seed from the chain's reduction, not
+        # the verified chain; a failure there still leaves the climb
+        for error in (TowerVerificationError, BaseMissingError):
+            def broken(n, bases, error=error):
+                raise error("no tower seed")
 
-        monkeypatch.setattr(search, "chain_to_target", broken)
-        with pytest.raises(TowerVerificationError):
-            search_heuristic(30, budget=50, seed=0)
+            monkeypatch.setattr(search, "_chain_reduction", broken)
+            with pytest.raises(error):
+                search_heuristic(30, budget=50, seed=0)
 
     def test_bases_beyond_word_size(self):
         # masks wider than 64 bits: pure-int path and random restarts
         res = search_heuristic(81, budget=300, seed=2)
         assert res.best is not None
         assert res.best.dim >= LOG2_OVER_LOG3 - 1e-9  # 81 = 3^4 tower seed
+
+
+class TestSeedMasks:
+    """The climb's warm starts, built by mask doubling without typing,
+    against the verified tower chain and the sqrt family."""
+
+    def test_equal_to_verified_constructions(self):
+        for n in [*range(3, 401), 1500, 12345, 10**5]:
+            sets = [chain_to_target(n).final.digitset, sqrt_good_set(n)] if n >= 9 else []
+            want = [sum(1 << d for d in A.digits) for A in sets] + [(1 << n) - 1]
+            assert list(search._seed_masks(n)) == list(dict.fromkeys(want)), n
+
+    def test_sqrt_seed_built_only_when_reached(self, monkeypatch):
+        # a budget-200 climb at n = 300 never leaves its tower seed
+        want = [search_heuristic(300, budget=200, seed=s) for s in range(3)]
+
+        def unreached(n):
+            raise RuntimeError("sqrt seed built")
+
+        monkeypatch.setattr(search, "sqrt_good_set", unreached)
+        assert [search_heuristic(300, budget=200, seed=s) for s in range(3)] == want
+        # a climb that does reach it builds it
+        with pytest.raises(RuntimeError, match="sqrt seed built"):
+            search_heuristic(9, budget=2000, seed=0)
 
 
 def _reference_climb(n, budget, seed, require_good, require_very_good):
@@ -737,7 +765,7 @@ def _reference_climb(n, budget, seed, require_good, require_very_good):
                 best = cand
         return good or unconstrained, dim
 
-    stack = search._seed_masks(n)
+    stack = list(search._seed_masks(n))
     current = None
     current_dim = -1.0
     stuck = 0
