@@ -18,7 +18,11 @@ of two copies of the Cantor set equals the Cantor set of the sumset in
 the same base, so questions about C_A + C_A reduce to questions about
 the sumset's support and multiplicities, or only its words m1, m2 of
 the sums with >= 1 and >= 2 ordered pairs.  :func:`sumset_words` builds
-those of a dense set with few runs of consecutive digits from the runs.
+them from a translate-doubled set's lower half, else by a walk over the
+maximal runs of consecutive digits whenever a measured cost rule puts
+the walk below the pair counts (runs x word size against |A|^2 for
+bincount and L log L for the FFT; measurements/analyze_floor.json),
+else by thresholding :func:`pair_sum_counts`.
 
 A canonical A is called *good* when C_A + C_A = [0, 2].  At level one
 the maps of the sumset IFS cover intervals of length 2/n placed at the
@@ -62,12 +66,25 @@ _PAIR_CHUNK = 4_000_000
 # of about 2^14 pairs.  The split costs O(L) and needs no such constant.
 _FFT_FIXED_PAIRS = 1 << 14
 
-# sumset_words builds the words of a set past the bincount bound from
-# its maximal digit runs when it has fewer than this many, at O(log run
-# length) L-bit shift-ORs a run.  On the same VM, at n = 1000 / 3000 /
-# 10^4, 31 runs take 104 / 187 / 436 us and the FFT words 113 / 233 /
-# 726 us; at 64 runs the FFT wins (measurements/analyze_words.json).
-_RUN_WORDS_MAX = 32
+# The cost rule of sumset_words (_walk_cheaper), in bincounted pairs
+# over L = 2 max + 1 sum slots.  Walking r maximal digit runs, m of them
+# longer than one digit, costs r * (_WALK_RUN_PAIRS + L // _WALK_SLOTS_PER_PAIR)
+# + m * _WALK_LONG_RUN_PAIRS: a run's fixed Python cost, shifts and ORs on
+# words of up to L bits, and a longer run's dilation and fills.  The
+# counts cost k^2 + _COUNT_FIXED_PAIRS + L // _COUNT_SLOTS_PER_PAIR by
+# bincount (its NumPy calls, the table and the two thresholds) or
+# L*log2(L)/2 + _FFT_FIXED_PAIRS by FFT.  Fitted on the same VM to 1,000
+# sets at bases 10..5000, the rule's path took 0.7% more time than the
+# faster path of each set would; measurements/analyze_floor.json.
+_WALK_RUN_PAIRS = 150
+_WALK_SLOTS_PER_PAIR = 60
+_WALK_LONG_RUN_PAIRS = 400
+_COUNT_FIXED_PAIRS = 4000
+_COUNT_SLOTS_PER_PAIR = 2
+
+# sumset_words reads a set of at most this many digits as one Python
+# list: up to about here its runs are found faster than by NumPy.
+_LIST_MAX = 128
 
 # A count read off the inverse FFT must lie this close to an integer.
 _FFT_MAX_RESIDUAL = 0.25
@@ -260,20 +277,29 @@ def pair_sum_counts(digits: np.ndarray) -> np.ndarray:
 
 
 def _bincounted(digits: np.ndarray) -> bool:
-    """|A|^2 within the bincount bound L*log2(L)/2 + _FFT_FIXED_PAIRS."""
-    slots = 2 * int(digits[-1]) + 1
-    return len(digits) ** 2 <= slots * math.log2(slots) / 2 + _FFT_FIXED_PAIRS
+    """|A|^2 within the bincount bound, the FFT's cost in pairs."""
+    return len(digits) ** 2 <= _fft_pairs(2 * int(digits[-1]) + 1)
 
 
-def _doubling_shift(digits: np.ndarray) -> int:
-    """h > 0 when the digits are Y u (Y + h) with Y their lower half, else 0."""
+def _fft_pairs(slots: int) -> float:
+    """The FFT's cost in bincounted pairs: L*log2(L)/2 + _FFT_FIXED_PAIRS."""
+    return slots * math.log2(slots) / 2 + _FFT_FIXED_PAIRS
+
+
+def _doubling_shift(digits) -> int:
+    """h > 0 when the digits (a list or an int64 array) are Y u (Y + h)
+    with Y their lower half, else 0."""
     k = len(digits)
     half = k // 2
     # O(1) end test first, so other sets skip the O(k) comparison.
-    if (k % 2 == 0 and digits[-1] == digits[half - 1] + digits[half]
-            and np.array_equal(digits[half:] - digits[half], digits[:half])):
-        return int(digits[half])
-    return 0
+    if k % 2 or digits[-1] != digits[half - 1] + digits[half]:
+        return 0
+    h = int(digits[half])
+    if isinstance(digits, list):
+        same = [d + h for d in digits[:half]] == digits[half:]
+    else:
+        same = np.array_equal(digits[half:] - h, digits[:half])
+    return h if same else 0
 
 
 def sumset_words(digits: np.ndarray) -> tuple[int, int]:
@@ -284,20 +310,35 @@ def sumset_words(digits: np.ndarray) -> tuple[int, int]:
     them from Y's words by c_X[s] = c_Y[s] + 2 c_Y[s - h] + c_Y[s - 2h]:
     s has a pair when any term does, and two when c_Y[s - h] >= 1,
     c_Y[s] >= 2 or c_Y[s - 2h] >= 2.  No s has both c_Y[s] and
-    c_Y[s - 2h] non-zero, since Y + Y ends at 2 max Y < 2h.  Past the
-    bincount bound, fewer than _RUN_WORDS_MAX maximal runs of digits
-    give them with no count array (:func:`_run_words`).  Any other set
-    thresholds its counts.
+    c_Y[s - 2h] non-zero, since Y + Y ends at 2 max Y < 2h.  Any other
+    set walks its maximal digit runs (:func:`_run_words`) when the cost
+    rule :func:`_walk_cheaper` says the walk costs less than the pair
+    counts, and thresholds its counts otherwise.  Sets of at most
+    _LIST_MAX digits are tested and walked on one Python list, with no
+    NumPy call.
     """
-    h = _doubling_shift(digits)
-    if not h:
-        if not _bincounted(digits):
-            breaks = (digits[1:] - digits[:-1] != 1).nonzero()[0]
-            if len(breaks) < _RUN_WORDS_MAX:
-                return _run_words(digits, breaks.tolist())
-        counts = pair_sum_counts(digits)
-        return _bits_word(counts >= 1), _bits_word(counts >= 2)
-    return _doubled_words(sumset_words(digits[: len(digits) // 2]), h)
+    seq = digits.tolist() if len(digits) <= _LIST_MAX else digits
+    h = _doubling_shift(seq)
+    if h:
+        return _doubled_words(sumset_words(digits[: len(digits) // 2]), h)
+    los, his = _digit_runs(seq)
+    if _walk_cheaper(len(digits), los, his):
+        return _run_words(los, his)
+    counts = pair_sum_counts(digits)
+    return _bits_word(counts >= 1), _bits_word(counts >= 2)
+
+
+def _walk_cheaper(k: int, los: list[int], his: list[int]) -> bool:
+    """The cost rule: walking the digit runs [lo, hi] costs no more than
+    counting the pairs of k digits on the path :func:`pair_sum_counts`
+    takes (see the constants)."""
+    slots = 2 * his[-1] + 1
+    counts = _fft_pairs(slots)
+    if k * k <= counts:
+        counts = k * k + _COUNT_FIXED_PAIRS + slots // _COUNT_SLOTS_PER_PAIR
+    walk = len(los) * (_WALK_RUN_PAIRS + slots // _WALK_SLOTS_PER_PAIR)
+    # the longer runs are counted only when the single-digit cost fits
+    return walk <= counts and walk + sum(map(operator.ne, los, his)) * _WALK_LONG_RUN_PAIRS <= counts
 
 
 def _doubled_words(words: tuple[int, int], h: int) -> tuple[int, int]:
@@ -308,24 +349,46 @@ def _doubled_words(words: tuple[int, int], h: int) -> tuple[int, int]:
     return m1 | mid | mid << h, mid | m2 | m2 << 2 * h
 
 
-def _run_words(digits: np.ndarray, breaks: list[int]) -> tuple[int, int]:
-    """(m1, m2) from the digit runs [lo, hi], a new one after each index
-    in `breaks`.  m2, the sums a + b with a < b, is per run the earlier
-    digits' word dilated by [lo, hi] and [2 lo + 1, 2 hi - 1]; m1 adds
-    the sums 2a, of which only 2 lo and 2 hi can miss m2."""
-    m1 = m2 = below = start = 0
-    for stop in breaks + [len(digits) - 1]:
-        lo, length = int(digits[start]), stop - start + 1
-        hi, start = lo + length - 1, stop + 1
-        cross, covered = below << lo, 1  # below shifted by lo .. lo + covered - 1
-        while covered < length:
-            cross |= cross << min(covered, length - covered)
-            covered *= 2
-        edge = 1 << 2 * lo | 1 << 2 * hi
-        m2 |= cross | ((1 << 2 * hi + 1) - (1 << 2 * lo)) ^ edge
-        m1 |= edge
-        below |= (1 << hi + 1) - (1 << lo)
-    return m1 | m2, m2
+def _digit_runs(seq) -> tuple[list[int], list[int]]:
+    """(first digits, last digits) of the maximal runs of consecutive
+    digits, from a list or an int64 array."""
+    if isinstance(seq, list):
+        los, his = [seq[0]], []
+        for prev, d in zip(seq, seq[1:]):
+            if d - prev != 1:
+                his.append(prev)
+                los.append(d)
+        his.append(seq[-1])
+        return los, his
+    ends = (seq[1:] - seq[:-1] != 1).nonzero()[0]
+    runs = len(ends) + 1
+    edges = seq[np.concatenate(([0], ends + 1, ends, [len(seq) - 1]))].tolist()
+    return edges[:runs], edges[runs:]
+
+
+def _run_words(los: list[int], his: list[int]) -> tuple[int, int]:
+    """(m1, m2) from the maximal digit runs [lo, hi].  m2, the sums
+    a + b with a < b, gains per run the earlier digits' word dilated by
+    [lo, hi] and, for a run of two or more digits, [2 lo + 1, 2 hi - 1];
+    m1 adds the sums 2a, of which only 2 lo and 2 hi can miss m2, set in
+    one byte buffer.  A single-digit run costs one shift and one OR into
+    m2 and one bit into the earlier digits' word."""
+    m2 = below = 0
+    ends = bytearray(his[-1] // 4 + 1)  # bit 2a for a = lo, hi
+    for lo, hi in zip(los, his):
+        ends[lo >> 2] |= 1 << (2 * lo & 7)
+        if lo == hi:
+            m2 |= below << lo
+            below |= 1 << lo
+            continue
+        ends[hi >> 2] |= 1 << (2 * hi & 7)
+        cross, step, length = below << lo, 1, hi - lo + 1
+        while step < length:  # cross holds below shifted by lo .. lo + step - 1
+            cross |= cross << (step if 2 * step <= length else length - step)
+            step *= 2
+        m2 |= cross | (1 << 2 * hi) - (2 << 2 * lo)
+        below |= (2 << hi) - (1 << lo)
+    return m2 | int.from_bytes(ends, "little"), m2
 
 
 def _bits_word(bits: np.ndarray) -> int:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digitset import DigitSet, _digit_array, _word_bits, sumset_words
-from .gdifs import TYPE_L, TYPE_R, TypingProfile, UniquenessReport, word_report
+from .gdifs import TypingProfile, UniquenessReport, word_report
 from .structure import StructureReport, classify_structure
 
 # Unused; bench/layers.py wraps them here until it wraps the word path.
@@ -47,7 +47,10 @@ def analyze(A: DigitSet) -> AnalysisReport:
     n = A.n
     m1, m2 = sumset_words(_digit_array(A))
     matrix, uniq, (l_word, r_word) = word_report(n, m1, m2)
-    types = TYPE_L * _word_bits(l_word, 2 * n) + TYPE_R * _word_bits(r_word, 2 * n)
-    struct = classify_structure(A, m1)
+    # one unpacking of both words; the codes TYPE_L = 1 and TYPE_R = 2 are their bits
+    bits = _word_bits(l_word | r_word << 2 * n, 4 * n)
+    types = bits[2 * n :] << 1
+    types |= bits[: 2 * n]
+    struct = classify_structure(A, m1, uniq.good)
     return AnalysisReport(digitset=A, good=uniq.good, typing=TypingProfile(n, types, matrix),
                           uniqueness=uniq, structure=struct)

@@ -194,7 +194,11 @@ class _PairCounts:
     @property
     def words(self) -> tuple[int, int, int, int]:
         """W_1..W_4 as Python ints."""
-        return tuple(int.from_bytes(w.tobytes(), "little") for w in self.limbs[:4])
+        return self.low_words(4)
+
+    def low_words(self, t: int) -> tuple[int, ...]:
+        """W_1..W_t as Python ints."""
+        return tuple(int.from_bytes(w.tobytes(), "little") for w in self.limbs[:t])
 
     def flip(self, d: int) -> None:
         """Add or remove digit d; flipping it again undoes the change."""
@@ -821,7 +825,7 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
     try:
         while evals < budget:
             current = _PairCounts(n, next(start_masks))
-            good, very_good, a, b, c, d, _, _ = word_typing(n, *current.words[:2], int.bit_count)
+            good, very_good, a, b, c, d, _, _ = word_typing(n, *current.low_words(2), int.bit_count)
             s, q = a + d, (a - d) ** 2 + 4 * b * c
             key = s, q, s + math.sqrt(q)
             evals += 1

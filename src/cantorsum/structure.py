@@ -47,7 +47,14 @@ the residues r < n are those of (m1, m1 << 1) for (1,0), of (m1 >> n,
 m1 >> n-1) for (0,1) and of their ORs for (1,1).  Masked tests, a
 lowest set bit and a bit_length replace every loop over units or
 residues; complements are XORs with the unit mask, as CPython's & runs
-2-3.5x slower on a negative operand.
+2-3.5x slower on a negative operand.  The FULL set lives on 4-bit masks,
+bit c for code c: each live state's mask of child codes comes from four
+word comparisons, and the fixed point drops a state whose mask meets
+the complement of the FULL mask.  A dead child of (1,1) is a dead child
+of every state (its x and y are ORs of theirs), so one comparison
+answers the common Cantor case.  Goodness comes from the caller when it
+has it (``analyze`` reads it off its word report), and every good set
+gets one shared FullInterval verdict.
 """
 
 from __future__ import annotations
@@ -76,6 +83,7 @@ __all__ = [
 # State codes 2x + y.
 _DEAD, _Y, _X = 0, 1, 2
 _LIVE = (_Y, _X, _X | _Y)
+_LIVE_MASK = sum(1 << state for state in _LIVE)
 
 
 class StructureCase(Enum):
@@ -94,23 +102,34 @@ def _code_words(x: int, y: int, units: int) -> tuple[int, int, int, int]:
     return units ^ (x | y), y ^ both, x ^ both, both
 
 
-def _full_states(n: int, m1: int) -> set[int]:
-    """The FULL states: the largest set of live states whose child codes
-    over the residues r < n all lie in it."""
+def _child_codes(x: int, y: int, units: int) -> int:
+    """Bit c set when state code c (2x + y) occurs among `units`."""
+    either = x | y
+    return ((either != units) | (either != x) << _Y | (either != y) << _X
+            | (x & y != 0) << (_X | _Y))
+
+
+def _full_states(n: int, m1: int) -> int:
+    """The FULL states as a mask, bit s for state code s: the largest set
+    of live states whose child codes over the residues r < n all lie in it."""
     low = (1 << n) - 1
     lo_x, lo_y = m1 & low, m1 << 1 & low  # r in B, r-1 in B
     hi_x, hi_y = m1 >> n & low, m1 >> n - 1 & low  # n+r in B, n+r-1 in B
-    children = {
-        state: {code for code, word in enumerate(_code_words(x, y, low)) if word}
-        for state, x, y in ((_X, lo_x, lo_y), (_Y, hi_x, hi_y),
-                            (_X | _Y, lo_x | hi_x, lo_y | hi_y))
-    }
-    full = set(_LIVE)
-    while True:
-        keep = {s for s in full if children[s] <= full}
+    both_x, both_y = lo_x | hi_x, lo_y | hi_y
+    if both_x | both_y != low:  # a dead child of (1,1) is one of every state
+        return 0
+    children = ((_Y, _child_codes(hi_x, hi_y, low)), (_X, _child_codes(lo_x, lo_y, low)),
+                (_X | _Y, _child_codes(both_x, both_y, low)))
+    full = _LIVE_MASK
+    while full:
+        keep = 0
+        for state, codes in children:
+            if full >> state & 1 and not codes & ~full:
+                keep |= 1 << state
         if keep == full:
-            return full
+            break
         full = keep
+    return full
 
 
 @dataclass(frozen=True)
@@ -145,21 +164,29 @@ class StructureReport:
         }
 
 
-def classify_structure(A: DigitSet, m1: int | None = None) -> StructureReport:
+# Every good set gets this one verdict (it is frozen, as are its parts).
+_FULL_INTERVAL = StructureReport(
+    case=StructureCase.FULL_INTERVAL,
+    gap_witness=None,
+    interval_witness=(Fraction(0), Fraction(2)),
+    points_dim_lower_bound=None,
+)
+
+
+def classify_structure(A: DigitSet, m1: int | None = None,
+                       good: bool | None = None) -> StructureReport:
     """Decide FullInterval / CantorSet / Mixed for a canonical set from
-    the support word m1 of A + A (built when not given)."""
+    the support word m1 of A + A (built when not given) and its
+    goodness (read off m1 when not given)."""
     if not A.canonical:
         raise ValueError("structure classification needs a canonical digit set")
     n = A.n
     if m1 is None:
         m1, _ = sumset_words(_digit_array(A))
-    if word_good(n, m1):
-        return StructureReport(
-            case=StructureCase.FULL_INTERVAL,
-            gap_witness=None,
-            interval_witness=(Fraction(0), Fraction(2)),
-            points_dim_lower_bound=None,
-        )
+    if good is None:
+        good = word_good(n, m1)
+    if good:
+        return _FULL_INTERVAL
     units = (1 << 2 * n) - 1
     seeds = _code_words(m1, m1 << 1, units)
     dead = seeds[_DEAD]
@@ -177,7 +204,7 @@ def classify_structure(A: DigitSet, m1: int | None = None) -> StructureReport:
             points_dim_lower_bound=None,
         )
     # each unit holds one code, so the seed words are disjoint: sum is OR
-    carried = sum(seeds[state] for state in full)
+    carried = sum(seeds[state] for state in _LIVE if full >> state & 1)
     if not carried:
         raise InvariantError("no level-1 unit carries a FULL state of a non-good set")
     j = carried.bit_length() - 1

@@ -52,13 +52,27 @@ def count_path(A):
     return "split" if split.called else "fft" if fft.called else "bincount"
 
 
-def count_path_sets(seed, per_path=16, max_n=5000):
+def word_path(A):
+    """The path sumset_words takes for A's words: "split" (translate-
+    doubled), "runs" (the digit-run walk), or the path of the pair
+    counts it thresholds, "bincount" or "fft"."""
+    digits = np.asarray(A.digits, dtype=np.int64)
+    if digitset._doubling_shift(digits):
+        return "split"
+    with mock.patch.object(digitset, "pair_sum_counts",
+                           wraps=digitset.pair_sum_counts) as counts:
+        digitset.sumset_words(digits)
+    return count_path(A) if counts.called else "runs"
+
+
+def count_path_sets(seed, per_path=16, max_n=5000, words=False):
     """{path: sets}: seeded canonical sets at bases 3..max_n, per_path
-    for each pair_sum_counts path, each family (sparse, dense, dense
-    with a removed block, translate-doubled) feeding every path it
-    reaches."""
+    for each pair_sum_counts path (each sumset_words path, the run walk
+    too, with `words`), each family (sparse, dense, dense with a removed
+    block, translate-doubled) feeding every path it reaches."""
     rnd = random.Random(seed)
-    out = {"bincount": [], "split": [], "fft": []}
+    path = word_path if words else count_path
+    out = {"bincount": [], "split": [], "fft": []} | ({"runs": []} if words else {})
     while min(map(len, out.values())) < per_path:
         family = rnd.randrange(4)
         if family == 3:  # Y u (Y + h): digit 0 and max(Y) in Y, h > max(Y)
@@ -81,7 +95,7 @@ def count_path_sets(seed, per_path=16, max_n=5000):
                     width = rnd.randrange(1, n // 3 + 2)
                     digits = {d for d in digits if not lo <= d < lo + width}
             A = DigitSet.of(n, digits | {0, n - 1})
-        group = out[count_path(A)]
+        group = out[path(A)]
         if len(group) < per_path:
             group.append(A)
     return out

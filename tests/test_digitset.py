@@ -486,10 +486,117 @@ class TestSumsetWords:
             check_words(X)
 
     def test_many_runs_count(self):
-        # past the bincount bound with _RUN_WORDS_MAX runs or more: the counts
+        # past the bincount bound, the cost rule walks 60 runs of 49 digits
+        # at base 3000 (every 50th digit out) and counts 300 runs of 9
+        # (every 10th out) by FFT
         n = 3000
-        X = np.array([d for d in range(n) if d % 50 or d in (0, n - 1)], dtype=np.int64)
-        assert len(np.flatnonzero(np.diff(X) != 1)) + 1 >= digitset._RUN_WORDS_MAX
-        assert not digitset._bincounted(X) and not digitset._doubling_shift(X)
-        assert not self.run_path(X)
-        check_words(X)
+        for gap, walks in ((50, True), (10, False)):
+            X = np.array([d for d in range(n) if d % gap or d in (0, n - 1)], dtype=np.int64)
+            assert not digitset._bincounted(X) and not digitset._doubling_shift(X)
+            assert digitset._walk_cheaper(len(X), *digitset._digit_runs(X)) is walks
+            assert self.run_path(X) is walks
+            check_words(X)
+
+
+def spread(n, k, seed=0):
+    """0, n - 1 and k - 2 seeded even digits in 2..n-3: k single-digit
+    runs, for k up to about n / 2."""
+    evens = np.random.default_rng([seed, n, k]).choice(np.arange(2, n - 2, 2), k - 2, replace=False)
+    return np.union1d(evens, [0, n - 1]).astype(np.int64)
+
+
+def walks(X):
+    """The cost rule's choice for the digits X."""
+    return digitset._walk_cheaper(len(X), *digitset._digit_runs(X))
+
+
+class TestWordCostRule:
+    """sumset_words on both sides of its cost rule, against the
+    thresholded row-loop counts (check_words) or closed forms."""
+
+    @pytest.mark.parametrize("n", [10, 100, 1000, 10**4, 10**5, 10**6])
+    def test_single_digit_runs_both_sides(self, n):
+        # the largest k whose spread set walks, by bisection on the rule
+        top = len(range(2, n - 2, 2)) + 2  # the most single-digit runs
+        lo, hi = 2, top
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if walks(spread(n, mid)) else (lo, mid - 1)
+        sides = set()
+        for k in range(max(2, lo - 1), min(top, lo + 2) + 1):
+            X = spread(n, k)
+            assert len(X) == k and np.all(np.diff(X) >= 2) and not digitset._doubling_shift(X)
+            assert TestSumsetWords.run_path(X) is walks(X) is (k <= lo), (n, k)
+            sides.add(k <= lo)
+            check_words(X)
+        # at base 10 every set walks; from base 100 on both sides are reached
+        assert sides == ({True} if n == 10 else {True, False}), (n, lo)
+
+    @pytest.mark.parametrize("n", [11, 101, 1001, 10**4 + 1, 10**5 + 1, 10**6 + 1])
+    def test_one_run(self, n):
+        # {0..n-1}, n odd so that it is not doubled: every sum has a pair,
+        # and all but 0 and 2n - 2 two
+        X = np.arange(n, dtype=np.int64)
+        assert not digitset._doubling_shift(X) and TestSumsetWords.run_path(X)
+        top = 2 * n - 2
+        assert digitset.sumset_words(X) == ((1 << top + 1) - 1, (1 << top) - 2)
+        if n <= 10**4:
+            check_words(X)
+
+    def test_runs_touching_both_ends(self):
+        rng = np.random.default_rng(24)
+        seen = set()
+        for n in (10, 31, 100, 1000, 3001, 10**4 + 1):
+            for _ in range(6):
+                head, tail = (int(rng.integers(2, max(3, n // 8))) for _ in range(2))
+                middle = rng.choice(np.arange(head + 1, n - tail - 1),
+                                    size=int(rng.integers(0, min(400, n // 4))), replace=False)
+                X = np.union1d(np.union1d(np.arange(head), np.arange(n - tail, n)), middle)
+                if digitset._doubling_shift(X):
+                    continue
+                los, his = digitset._digit_runs(X)
+                assert los[0] == 0 and his[0] >= 1 and his[-1] == n - 1 and los[-1] < n - 1
+                seen.add(TestSumsetWords.run_path(X))
+                assert TestSumsetWords.run_path(X) is walks(X)
+                check_words(X)
+        assert seen == {True, False}
+
+    def test_doubled_sets_walk_their_halves(self):
+        rng = np.random.default_rng(2024)
+        for top in (9, 40, 300, 2000, 7000):
+            for runs in (1, 3, 8):
+                Y = TestSumsetWords.runs_set(rng, top, runs)
+                X = np.concatenate([Y, Y + top + int(rng.integers(1, top + 2))])
+                assert digitset._doubling_shift(X) and walks(Y)
+                with mock.patch.object(digitset, "_run_words",
+                                       wraps=digitset._run_words) as walk:
+                    assert TestSumsetWords.run_path(X)
+                # one walk, over the lower half's runs
+                (los, his), _ = walk.call_args
+                assert (los, his) == digitset._digit_runs(Y)
+                check_words(X)
+
+    def test_every_word_path_reachable(self):
+        from conftest import word_path
+
+        n = 5001
+        sets = {
+            "runs": [0, 1, 2, 40, 41, 900, 4998, 4999, 5000],
+            "bincount": spread(n, 120).tolist(),
+            "split": list(chain_to_target(10**5).final.digitset.digits),
+            "fft": [d for d in range(n) if d % 3 or d in (0, n - 1)],
+        }
+        for path, digits in sets.items():
+            A = DigitSet.of(int(digits[-1]) + 1, digits)
+            assert word_path(A) == path, path
+            if path != "split":
+                check_words(digits)
+
+    def test_list_and_array_runs_agree(self):
+        # sets of at most _LIST_MAX digits find their runs on a list
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(3, 400))
+            X = np.union1d(np.flatnonzero(rng.random(n) < rng.random()), [0, n - 1])
+            assert digitset._digit_runs(X.tolist()) == digitset._digit_runs(X)
+            assert digitset._doubling_shift(X.tolist()) == digitset._doubling_shift(X)

@@ -104,11 +104,12 @@ def _assert_matches_counts(A):
 
 class TestWordsAgainstCounts:
     def test_every_count_path(self):
+        # grouped by the sumset_words path analyze takes
         seen = Counter()
-        for path, sets in count_path_sets(20261019).items():
+        for path, sets in count_path_sets(20261019, words=True).items():
             for A in sets:
                 seen[path, _assert_matches_counts(A).structure.case.value] += 1
-        assert {path for path, _ in seen} == {"bincount", "split", "fft"}
+        assert {path for path, _ in seen} == {"runs", "bincount", "split", "fft"}
         assert {case for _, case in seen} == {"FullInterval", "CantorSet", "Mixed"}, seen
 
     def test_tower_outputs(self):

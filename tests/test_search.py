@@ -444,6 +444,7 @@ class TestIncrementalPairCounts:
             assert np.array_equal(counts.cnt, profile.counts)
             assert np.array_equal(counts.cnt, np.convolve(counts.ind, counts.ind))
             assert counts.words == _threshold_words(counts.ind)
+            assert counts.low_words(2) == counts.words[:2]  # the climb's start typing
             row = search._type_words(n, *counts.words[:2])
             assert row == eval_mask(n, counts.mask)
             good, very_good, a, b, c, d_, lam, dim = row

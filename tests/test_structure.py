@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorsum import structure
+from cantorsum import digitset, gdifs, report, structure
 from cantorsum.digitset import DigitSet, _bits_word, sumset_profile, sumset_words
 from cantorsum.oracle import level_set
 from cantorsum.structure import (
@@ -16,7 +17,7 @@ from cantorsum.structure import (
     classify_structure,
 )
 
-from conftest import canonical_sets, count_path_sets, feasible_oracle_depth
+from conftest import canonical_sets, count_path_sets, feasible_oracle_depth, word_path
 
 
 # Reference covering automaton: states are (x, y) pairs of booleans and
@@ -41,6 +42,16 @@ def _seed_states(B, n):
     return [((j in B), (j - 1 in B)) for j in range(2 * n)]
 
 
+def _reference_full(B, n):
+    """The FULL states: the greatest fixed point, one residue at a time."""
+    full = set(_LIVE)
+    while True:
+        keep = {s for s in full if all(c in full for c in _children(s, B, n))}
+        if keep == full:
+            return full
+        full = keep
+
+
 def reference_structure(A):
     """(case, gap witness, interval witness, witness level) by the scalar
     automaton: first dead run, FULL fixed point, rightmost FULL unit."""
@@ -55,12 +66,7 @@ def reference_structure(A):
     while k + 1 < 2 * n and seeds[k + 1] == _DEAD:
         k += 1
     gap = (Fraction(j, n), Fraction(k + 1, n))
-    full = set(_LIVE)
-    while True:
-        keep = {s for s in full if all(c in full for c in _children(s, B, n))}
-        if keep == full:
-            break
-        full = keep
+    full = _reference_full(B, n)
     frontier = {}
     for j, s in enumerate(seeds):
         if s != _DEAD and (s not in frontier or j > frontier[s]):
@@ -310,17 +316,51 @@ class TestArrayAutomatonAgainstScalar:
         assert all(v >= 5 for v in seen.values()), seen
 
     def test_bases_from_1000_on_every_count_path(self):
+        # grouped by the sumset_words path classify_structure takes: the
+        # run walk, the translate split, bincount and FFT counts
         seen = {case: 0 for case in StructureCase}
-        for sets in count_path_sets(1000, per_path=12).values():
+        paths = set()
+        for path, sets in count_path_sets(1000, per_path=12, words=True).items():
             for A in sets:
                 if A.n >= 1000:
                     seen[_check_against_scalar(A)[0]] += 1
+                    paths.add(path)
         assert all(v >= 3 for v in seen.values()), seen
+        assert paths == {"runs", "split", "bincount", "fft"}, paths
 
     def test_every_set_up_to_base_10(self):
         for n in range(3, 11):
             for A in canonical_sets(n):
                 _check_against_scalar(A)
+
+
+class TestFullStatesAgainstScalar:
+    """The FULL set on bit masks of child codes against the scalar fixed
+    point (a verdict reads it for non-good sets only; good ones are
+    checked too)."""
+
+    @staticmethod
+    def check(A):
+        profile = sumset_profile(A)
+        B = frozenset(int(s) for s in profile.support)
+        want = sum(1 << (2 * x + y) for x, y in _reference_full(B, A.n))
+        assert structure._full_states(A.n, _bits_word(profile.counts > 0)) == want, A
+        return want
+
+    def test_every_set_up_to_base_10(self):
+        seen = set()
+        for n in range(3, 11):
+            for A in canonical_sets(n):
+                seen.add(self.check(A))
+        # empty, all three, {(1,1)} and the two pairs with (1,1)
+        assert seen == {0, 0b1110, 0b1000, 0b1100, 0b1010}, seen
+
+    def test_random_sets(self, rng):
+        seen = set()
+        for i in range(200):
+            n = int(rng.integers(11, 3000)) if i % 4 else int(rng.integers(4980, 5020))
+            seen.add(self.check(_random_set(rng, n, i % 3)))
+        assert 0 in seen and len(seen) >= 2, seen
 
 
 class TestProfileBuiltOnce:
@@ -340,6 +380,47 @@ class TestProfileBuiltOnce:
             A = DigitSet.of(7, digits)
             cantor_sum_dimension(A)
             assert calls == [A.digits]
+
+
+    # one run-path set per case; the Cantor one has no adjacent sums, so
+    # its dimension is exact and no oracle builds counts
+    RUN_PATH_SETS = (DigitSet(7, (0, 1, 3, 5, 6)), DigitSet.of(19, [*range(5), *range(13, 19)]),
+                     DigitSet(82, (0, 20, 81)))
+
+    @pytest.mark.parametrize("entry", ["analyze", "cantor_sum_dimension"])
+    def test_one_word_pass(self, entry, monkeypatch):
+        # one sumset_words call, no pair counts and one goodness test per
+        # question: the automaton takes goodness from the word report
+        calls = Counter()
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (structure, report):
+            counting(module, "sumset_words")
+        counting(digitset, "pair_sum_counts")
+        counting(gdifs, "word_good")
+        counting(structure, "word_good")
+        cases = set()
+        for A in self.RUN_PATH_SETS:
+            assert word_path(A) == "runs", A
+            calls.clear()
+            if entry == "analyze":
+                cases.add(report.analyze(A).structure.case)
+            else:
+                try:
+                    assert cantor_sum_dimension(A).exact
+                    cases.add(StructureCase.CANTOR_SET)
+                except NotApplicableError:
+                    pass
+            assert calls == {"sumset_words": 1, "word_good": 1}, (A, calls)
+        assert cases == (set(StructureCase) if entry == "analyze" else {StructureCase.CANTOR_SET})
 
 
 class TestCodeWords:
