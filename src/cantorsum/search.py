@@ -35,14 +35,15 @@ typing rule (shared with the tower steps and ``analyze``), on
 s + sqrt(q), float64 v filtering and :func:`_root_sum_sign` deciding
 where v cannot.  The rows up to the first accept count as evaluated, in
 order; only an accepted flip updates the counts and rebuilds the words,
-and the rest of the window is typed again from the new set.  Flip digits
-are drawn no further ahead than the climb is sure to evaluate, so a
-seeded climb equals one that draws one digit per flip.  Tests hold the batch kernel
-and the flip kernel to the word rule, the flip kernel also to a scalar
-big-int twin of its proposal words, and the incremental updates, a
-flip-and-retype climb, an independent shift-loop batch kernel and the
-reference interval-typing path to identical answers.  One batch loop,
-:func:`_batches`, serves the exhaustive search and the record stream.
+and the rest of the window is typed again from the new set.  Flip
+digits are drawn no further ahead than the climb is sure to evaluate,
+so a seeded climb equals one that draws one digit per flip.
+Tests hold the batch kernel and the flip kernel to the word rule, the
+flip kernel also to a scalar big-int twin of its proposal words, and the
+incremental updates, a flip-and-retype climb, an independent shift-loop
+batch kernel and the reference interval-typing path to identical
+answers.  One batch loop, :func:`_batches`, serves the exhaustive search
+and the record stream.
 
 A climb's warm starts (:func:`_seed_masks`) are masks too, each built
 only when the climb reaches it.  The tower start is the table row's
@@ -101,8 +102,6 @@ _TABLE_DIGITS = 15  # inner digits in the low-part table: 2^15 rows, 768 KB
 # The float32 key v = 2 lambda of a batch row is within _V_ERROR of the
 # exact value for v <= 64 (lambda <= |A| <= 32)
 _V_ERROR = 1e-5
-# Flip digits per window of a climb, and so per NumPy draw of them
-_FLIP_BLOCK = 1024
 # Limbs per array of a climb's window: 2^15 limbs, 256 KB
 _WINDOW_LIMBS = 1 << 15
 # A climb's first window after an accept spans about this many limbs
@@ -151,14 +150,6 @@ class SearchResult:
     source: str
 
 
-def _type_words(n: int, m1: int, m2: int):
-    """Typing of one set's words, with lambda and dim from their owner:
-    the scalar path that the tests hold the climb's kernel to."""
-    good, very_good, a, b, c, d, _, _ = word_typing(n, m1, m2, int.bit_count)
-    lam, _, dim = matrix_dimension(a, b, c, d, n)
-    return good, very_good, a, b, c, d, lam, dim
-
-
 class _PairCounts:
     """Exact ordered pair counts of one digit set, with its threshold
     words and mask in uint64 limbs.
@@ -190,11 +181,6 @@ class _PairCounts:
         self.limbs = raw.view("<u8")
         # (k, 1) columns W1, W2, ~W3, ~W4
         self.terms = self.limbs[:4, :, None] ^ _TERM_FLIPS
-
-    @property
-    def words(self) -> tuple[int, int, int, int]:
-        """W_1..W_4 as Python ints."""
-        return self.low_words(4)
 
     def low_words(self, t: int) -> tuple[int, ...]:
         """W_1..W_t as Python ints."""
@@ -347,23 +333,19 @@ def _scratch_limbs(n: int, rows: int) -> int:
 _FREE_SCRATCH: list[np.ndarray] = []
 
 
-def _record(n: int, mask: int, row) -> SearchRecord:
-    good, very_good, a, b, c, d, lam, dim = row
-    return SearchRecord(
-        n=n, digits=tuple(np.flatnonzero(_word_bits(mask, n)).tolist()), good=bool(good),
-        very_good=bool(very_good), a=int(a), b=int(b), c=int(c), d=int(d),
-        lam=float(lam), dim=float(dim),
-    )
+def _record(n: int, mask: int, good: bool, very_good: bool,
+            a: int, b: int, c: int, d: int) -> SearchRecord:
+    """The record of a typed set, with lambda and dim from
+    :func:`~cantorsum.gdifs.matrix_dimension`; takes Python scalars."""
+    lam, _, dim = matrix_dimension(a, b, c, d, n)
+    return SearchRecord(n=n, digits=tuple(np.flatnonzero(_word_bits(mask, n)).tolist()),
+                        good=good, very_good=very_good, a=a, b=b, c=c, d=d, lam=lam, dim=dim)
 
 
 def _batch_records(n: int, masks: np.ndarray, cols, rows) -> list[SearchRecord]:
-    """The records of the given rows of a kernel batch, with lambda and
-    dim from :func:`~cantorsum.gdifs.matrix_dimension`."""
-    records = []
-    for mask, *row in zip(masks[rows].tolist(), *(col[rows].tolist() for col in cols[:6])):
-        lam, _, dim = matrix_dimension(*row[2:], n)
-        records.append(_record(n, mask, (*row, lam, dim)))
-    return records
+    """The records of the given rows of a kernel batch."""
+    return [_record(n, *row) for row in
+            zip(masks[rows].tolist(), *(col[rows].tolist() for col in cols[:6]))]
 
 
 def _root_sum_sign(p1: int, q1: int, p2: int, q2: int) -> int:
@@ -388,22 +370,6 @@ def _outranks(s: int, q: int, mask: int, s0: int, q0: int, mask0: int) -> bool:
         return order > 0
     diff = mask ^ mask0
     return bool(mask >> (diff ^ (diff - 1)).bit_length() - 1 & 1)
-
-
-def _better(cand: SearchRecord, best: SearchRecord | None) -> bool:
-    """Maximize dim; break exact ties toward the smaller digit list.
-
-    Within one base dim orders as lambda, and 2 lambda =
-    (a + d) + sqrt((a - d)^2 + 4bc) is compared exactly from the
-    integer matrix (:func:`_outranks`), so the float dims only serve for
-    display.
-    """
-    if best is None:
-        return True
-    (s, q, mask), (s0, q0, mask0) = (
-        (r.a + r.d, (r.a - r.d) ** 2 + 4 * r.b * r.c, sum(1 << x for x in r.digits))
-        for r in (cand, best))
-    return _outranks(s, q, mask, s0, q0, mask0)
 
 
 def _add_digit(j: int, mask, m1, m2):
@@ -496,9 +462,9 @@ def _two_lambda(a, b, c, d, out=None):
 
 def _type_batch(n: int, masks: np.ndarray, m1: np.ndarray, m2: np.ndarray,
                 ws: _Workspace | None = None):
-    """Vector twin of :func:`_type_words` with the inline invariants:
-    (good, very_good, a, b, c, d, v), a..d int16 and v = 2 lambda from
-    :func:`_two_lambda`, in the workspace (a new one if None).
+    """Vector twin of :func:`~cantorsum.gdifs.word_typing` with the inline
+    invariants: (good, very_good, a, b, c, d, v), a..d int16 and v =
+    2 lambda from :func:`_two_lambda`, in the workspace (a new one if None).
 
     The steps are those of :func:`~cantorsum.gdifs.word_typing`, with
     one edge-digit test for both the very-good rule and the
@@ -672,8 +638,13 @@ def _random_inner(rng, bits: int) -> int:
 
 def _seed_masks(n: int):
     """Deterministic warm starts, each built only when the climb reaches
-    it: the tower chain's set, the sqrt family's, the full set, without
-    repeats.
+    it: the tower chain's set, the sqrt family's, the full set.
+
+    The three are distinct.  The tower set is very-good, so neither 1 nor
+    n - 2 is a digit of it, while the sqrt set (the blocks 0..k and
+    n-1-k..n-1 and the multiples of k, k >= 3) and the full set hold 1;
+    and the sqrt set lacks k + 1, which is no multiple of k and lies
+    below n - 1 - k, while the full set holds it.
 
     The tower set is the table row's mask doubled along the steps of
     :func:`~cantorsum.constructions._chain_reduction`: a step k from base
@@ -685,24 +656,17 @@ def _seed_masks(n: int):
     the bundled table of bases 9..27 (for n <= 27 it is that table row),
     and sqrt_good_set needs only n >= 9.
     """
-    def seeds():
-        if n >= 9:
-            base, ks = _chain_reduction(n, table := load_base_table())
-            mask = sum(1 << d for d in table[base].digits)  # a base <= 27
-            for k in ks:
-                mask |= mask << 2 * base - k
-                base = 3 * base - k
-            yield mask
-            bits = np.zeros(n, dtype=bool)
-            bits[_digit_array(sqrt_good_set(n))] = True
-            yield _bits_word(bits)
-        yield (1 << n) - 1  # the full digit set is always good
-
-    seen = set()
-    for mask in seeds():
-        if mask not in seen:
-            seen.add(mask)
-            yield mask
+    if n >= 9:
+        base, ks = _chain_reduction(n, table := load_base_table())
+        mask = sum(1 << d for d in table[base].digits)  # a base <= 27
+        for k in ks:
+            mask |= mask << 2 * base - k
+            base = 3 * base - k
+        yield mask
+        bits = np.zeros(n, dtype=bool)
+        bits[_digit_array(sqrt_good_set(n))] = True
+        yield _bits_word(bits)
+    yield (1 << n) - 1  # the full digit set is always good
 
 
 def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
@@ -715,22 +679,24 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
     set, each built only when reached) and then random restarts, flipping
     one interior digit at a time and keeping strict improvements of the
     exact key 2 lambda; non-good proposals are evaluated (they cost
-    budget) but never climbed onto when goodness is required.  The climb
+    budget) but never climbed onto when goodness is required.  A climb
+    ends after 4n + 1 rejections in a row (a stuck run).  The climb
     carries the pair counts of its current set and their threshold
     words, and types its proposals a window of drawn digits at a time in
     one NumPy pass (:class:`_FlipKernel`).  The rows up to the first
     accept count as evaluated, in order; an accept updates the counts,
     and the rest of the window is typed again from the new set.  A
-    climb's first window covers every flip it is sure to evaluate, up to
-    _FLIP_BLOCK and the byte bound on its arrays; after an accept the
-    window starts small and doubles while nothing is accepted.  The arrays are cut from a scratch
-    block that the climb takes from a free list and returns.  The flip
-    digits are drawn as windows need them, never more than the budget or
-    the stuck run leave, so every drawn digit is used and the result is
-    that of one draw per flip.  `budget` caps the number of single-set
-    evaluations.
-    For n <= 8 (at most 64 sets) this is :func:`search_exhaustive`, and
-    `budget` and `seed` are unused.
+    climb's first window covers every flip it is sure to evaluate (the
+    rest of the budget or of the stuck run) within the byte bound on its
+    arrays.  After an accept the window spans about _ACCEPT_LIMBS limbs
+    and doubles while nothing is accepted, so a climb that accepts often
+    does not retype long windows.  The flip digits are drawn as windows
+    need them, never more than the budget or the stuck run leave, so
+    every drawn digit is used and the result is that of one draw per
+    flip.  The arrays are cut from a scratch block that the climb takes
+    from a free list and returns.  `budget` caps the number of
+    single-set evaluations.  For n <= 8 (at most 64 sets) this is
+    :func:`search_exhaustive`, and `budget` and `seed` are unused.
     """
     if n <= 8:
         return search_exhaustive(n, require_good, require_very_good)
@@ -746,7 +712,7 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
     # take the float dim test of the conjecture monitor
     monitor_v = 2 * n ** _MONITOR_DIM * (1 - _V_ERROR)
     k = -(-n // 32)
-    rows = max(1, min(_WINDOW_LIMBS // (k + 1), _FLIP_BLOCK, budget))
+    rows = max(1, min(_WINDOW_LIMBS // (k + 1), budget))
     after_accept = min(rows, max(1, _ACCEPT_LIMBS // (k + 8)))
     try:
         scratch = _FREE_SCRATCH.pop()
@@ -757,9 +723,8 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
     kernel = _FlipKernel(n, rows, scratch)
 
     def record(mask: int, good: bool, abcd: tuple[int, int, int, int]) -> SearchRecord:
-        lam, _, dim = matrix_dimension(*abcd, n)
         edge = mask >> 1 & 1 | mask >> n - 2 & 1  # 1 or n - 2 a digit
-        return _record(n, mask, (good, very_good_rule(good, edge, *abcd), *abcd, lam, dim))
+        return _record(n, mask, good, very_good_rule(good, edge, *abcd), *abcd)
 
     def offer(mask: int, good: bool, abcd: tuple[int, int, int, int], v: float) -> None:
         """Take a matching set that can end up best or exceed the monitor;

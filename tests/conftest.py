@@ -6,7 +6,8 @@ import pytest
 
 from cantorsum import digitset
 from cantorsum.digitset import DigitSet, sumset_profile
-from cantorsum.search import _PairCounts, _type_words
+from cantorsum.gdifs import word_report
+from cantorsum.search import _PairCounts
 
 
 def canonical_sets(n):
@@ -16,10 +17,17 @@ def canonical_sets(n):
         yield DigitSet(n, tuple(digits))
 
 
+def word_row(n, m1, m2):
+    """(good, very_good, a, b, c, d, lam, dim) of the sumset words m1, m2
+    by the scalar word rule."""
+    ((a, b), (c, d)), rep, _ = word_report(n, m1, m2)
+    return rep.good, rep.very_good, a, b, c, d, rep.lam, rep.dim
+
+
 def eval_mask(n, mask):
     """Scalar twin of the batch kernel: goodness, typing, lambda and dim
     of one mask from its pair counts and sumset words."""
-    return _type_words(n, *_PairCounts(n, mask).words[:2])
+    return word_row(n, *_PairCounts(n, mask).low_words(2))
 
 
 def feasible_oracle_depth(A, cap, budget=10**7):

@@ -32,7 +32,7 @@ from cantorsum.search import (
     search_heuristic,
 )
 
-from conftest import eval_mask
+from conftest import eval_mask, word_row
 
 
 class TestExhaustive:
@@ -234,7 +234,7 @@ class TestSplitMaskKernel:
         cols = search._type_batch(n, np.array([mask], dtype=np.uint64),
                                   np.array([m1], dtype=np.uint64),
                                   np.zeros(1, dtype=np.uint64))
-        want = search._type_words(n, m1, 0)
+        want = word_row(n, m1, 0)
         assert want[2:6] == (15, 15, 15, 15)
         got = tuple(col[0] for col in cols)
         assert got[:6] == want[:6]
@@ -407,7 +407,7 @@ def _trial(counts, d):
     and drops by 1: its m1 bit comes from t = 2, and its m2 bit from
     t = 3, which at an odd count is the bit m2 already holds.
     """
-    w1, w2, w3, w4 = counts.words
+    w1, w2, w3, w4 = counts.low_words(4)
     bit = 1 << d
     if not counts.mask & bit:
         return search._add_digit(d, counts.mask, w1, w2)
@@ -430,7 +430,7 @@ class TestIncrementalPairCounts:
         counts = _PairCounts(n, 1 | (1 << (n - 1)) | (_random_inner(rng, n - 2) << 1))
         # np.convolve is the independent twin of the start counts too
         assert np.array_equal(counts.cnt, np.convolve(counts.ind, counts.ind))
-        assert counts.words == _threshold_words(counts.ind)
+        assert counts.low_words(4) == _threshold_words(counts.ind)
         added = removed = 0
         for _ in range(60):
             d = int(rng.integers(1, n - 1))
@@ -443,9 +443,9 @@ class TestIncrementalPairCounts:
             profile = sumset_profile(A)
             assert np.array_equal(counts.cnt, profile.counts)
             assert np.array_equal(counts.cnt, np.convolve(counts.ind, counts.ind))
-            assert counts.words == _threshold_words(counts.ind)
-            assert counts.low_words(2) == counts.words[:2]  # the climb's start typing
-            row = search._type_words(n, *counts.words[:2])
+            assert counts.low_words(4) == _threshold_words(counts.ind)
+            assert counts.low_words(2) == counts.low_words(4)[:2]  # the climb's start typing
+            row = word_row(n, *counts.low_words(2))
             assert row == eval_mask(n, counts.mask)
             good, very_good, a, b, c, d_, lam, dim = row
             t = classify_intervals(profile)
@@ -464,7 +464,7 @@ class TestIncrementalPairCounts:
         ind = np.concatenate(([1], inner, [1])).astype(np.int64)
         mask = sum(1 << int(x) for x in np.flatnonzero(ind))
         counts = _PairCounts(n, mask)
-        before = counts.words
+        before = counts.low_words(4)
         assert before == _threshold_words(ind)
         for d in range(1, n - 1):
             flipped = ind.copy()
@@ -472,19 +472,19 @@ class TestIncrementalPairCounts:
             w1, w2, _, _ = _threshold_words(flipped)
             assert _trial(counts, d) == (mask ^ (1 << d), w1, w2), d
         # a trial leaves the counts and words alone
-        assert counts.mask == mask and counts.words == before
+        assert counts.mask == mask and counts.low_words(4) == before
         assert np.array_equal(counts.cnt, np.convolve(ind, ind))
 
     def test_flip_twice_restores_counts(self):
         counts = _PairCounts(9, 0b100100101)
-        before = counts.cnt.copy(), counts.ind.copy(), counts.mask, counts.words
+        before = counts.cnt.copy(), counts.ind.copy(), counts.mask, counts.low_words(4)
         for d in (1, 2, 5, 7):
             counts.flip(d)
             counts.flip(d)
             assert np.array_equal(counts.cnt, before[0])
             assert np.array_equal(counts.ind, before[1])
             assert counts.mask == before[2]
-            assert counts.words == before[3]
+            assert counts.low_words(4) == before[3]
 
 
 def _flip_kernel(n, rows):
@@ -603,6 +603,13 @@ def _root_sum_sign_twin(p1, q1, p2, q2):
     return 0 if abs(diff) < Decimal("1e-40") else (1 if diff > 0 else -1)
 
 
+def _rank_key(rec):
+    """(s, q, mask) of a record, with 2 lambda = s + sqrt(q): its
+    arguments to :func:`search._outranks`."""
+    s, q = rec.a + rec.d, (rec.a - rec.d) ** 2 + 4 * rec.b * rec.c
+    return s, q, sum(1 << x for x in rec.digits)
+
+
 class TestExactRanking:
     def _record(self, digits, abcd, dim):
         a, b, c, d = abcd
@@ -613,15 +620,15 @@ class TestExactRanking:
         dim = 0.5714440358797147
         low = self._record((0, 1, 22), (3, 3, 3, 3), dim)
         high = self._record((0, 2, 22), (3, 3, 3, 3), math.nextafter(dim, 1.0))
-        assert search._better(low, high)
-        assert not search._better(high, low)
+        assert search._outranks(*_rank_key(low), *_rank_key(high))
+        assert not search._outranks(*_rank_key(high), *_rank_key(low))
 
     def test_larger_lambda_wins_over_float_dim(self):
         # lambda 3 + sqrt(2) > 4 even if the stored float dims said otherwise
         big = self._record((0, 9, 22), (3, 1, 2, 3), 0.1)
         small = self._record((0, 1, 22), (2, 0, 0, 4), 0.2)
-        assert search._better(big, small)
-        assert not search._better(small, big)
+        assert search._outranks(*_rank_key(big), *_rank_key(small))
+        assert not search._outranks(*_rank_key(small), *_rank_key(big))
 
     @pytest.mark.parametrize("n", [15, 16, 17])
     def test_best_is_the_exact_argmax_of_the_stream(self, n):
@@ -724,7 +731,9 @@ class TestSeedMasks:
         for n in [*range(3, 401), 1500, 12345, 10**5]:
             sets = [chain_to_target(n).final.digitset, sqrt_good_set(n)] if n >= 9 else []
             want = [sum(1 << d for d in A.digits) for A in sets] + [(1 << n) - 1]
-            assert list(search._seed_masks(n)) == list(dict.fromkeys(want)), n
+            # the tower, sqrt and full sets are pairwise distinct
+            assert len(set(want)) == len(want), n
+            assert list(search._seed_masks(n)) == want, n
 
     def test_sqrt_seed_built_only_when_reached(self, monkeypatch):
         # a budget-200 climb at n = 300 never leaves its tower seed
@@ -755,14 +764,14 @@ def _reference_climb(n, budget, seed, require_good, require_very_good):
     def consider(counts):
         nonlocal best, evals, matching
         evals += 1
-        row = search._type_words(n, _bits_word(counts.cnt > 0), _bits_word(counts.cnt > 1))
-        good, dim = row[0], row[7]
-        if not ((require_very_good and not row[1]) or (require_good and not good)):
+        row = word_row(n, _bits_word(counts.cnt > 0), _bits_word(counts.cnt > 1))
+        good, very_good, dim = row[0], row[1], row[7]
+        if not ((require_very_good and not very_good) or (require_good and not good)):
             matching += 1
-            cand = search._record(n, counts.mask, row)
+            cand = search._record(n, counts.mask, *row[:6])
             if dim > search._MONITOR_DIM:
                 exceed.append(cand)
-            if search._better(cand, best):
+            if best is None or search._outranks(*_rank_key(cand), *_rank_key(best)):
                 best = cand
         return good or unconstrained, dim
 
@@ -807,9 +816,11 @@ class TestClimbAgainstReference:
     """Proposals typed from threshold words climb exactly like proposals
     typed from flipped counts."""
 
-    @pytest.mark.parametrize("n,budget", [(9, 2000), (13, 2000), (50, 3000), (300, 6000)])
-    def test_same_results_as_flip_and_retype(self, n, budget):
-        total = {"restarts": 0, "removals": 0, "accepts": 0}
+    @staticmethod
+    def _against_reference(n, budget):
+        """Every constraint and seeds 0-2 repr-equal to the reference
+        climb; the reference's events of each case."""
+        cases = []
         for kw in ({"require_good": False}, {"require_good": True},
                    {"require_good": False, "require_very_good": True}):
             for seed in range(3):
@@ -817,16 +828,44 @@ class TestClimbAgainstReference:
                                                 kw.get("require_very_good", False))
                 got = search_heuristic(n, budget=budget, seed=seed, **kw)
                 assert repr(got) == repr(want), (n, kw, seed)
-                if n == 300:
-                    # every case accepts inside a flip block
-                    assert events["accepts"], (kw, seed, events)
-                for key in total:
-                    total[key] += events[key]
+                cases.append(events)
+        total = {key: sum(events[key] for events in cases) for key in cases[0]}
         assert all(total.values()), total
+        return cases, total
+
+    @pytest.mark.parametrize("n,budget", [(9, 2000), (13, 2000), (50, 3000), (300, 6000)])
+    def test_same_results_as_flip_and_retype(self, n, budget):
+        cases, total = self._against_reference(n, budget)
         if n == 300:
-            # a stuck run of 4n + 1 = 1201 rejections spans a block capped
-            # at 1024 and one cut to the stuck exit, and this n restarts
-            assert 4 * n + 1 > search._FLIP_BLOCK and total["restarts"] > 0, total
+            # every case accepts inside a window, and this n restarts: a
+            # stuck run of 4n + 1 = 1201 rejections fits one window of
+            # this n's 2978 rows
+            assert all(events["accepts"] for events in cases), cases
+            assert total["restarts"] > 0, total
+
+    def test_windows_shorter_than_a_stuck_run(self, monkeypatch):
+        # windows of at most 64 flips at n = 300 (k = 10 limbs): a stuck
+        # run of 4n + 1 = 1201 rejections spans 19 of them, and so does the
+        # rest of a run re-typed after an accept, carrying its drawn digits;
+        # after an accept the window starts at 8 flips and doubles
+        n, budget, rows = 300, 6000, 64
+        monkeypatch.setattr(search, "_WINDOW_LIMBS", rows * 11)
+        monkeypatch.setattr(search, "_ACCEPT_LIMBS", 8 * 18)
+        sizes = []
+        type_flips = search._FlipKernel.type_flips
+
+        def spy(kernel, counts, digits):
+            sizes.append(len(digits))
+            return type_flips(kernel, counts, digits)
+
+        monkeypatch.setattr(search._FlipKernel, "type_flips", spy)
+        cases, total = self._against_reference(n, budget)
+        assert all(events["accepts"] for events in cases), cases
+        assert total["restarts"] > 0, total
+        assert max(sizes) == rows and 4 * n + 1 > 3 * rows, sizes
+        assert {8, 16, 32} <= set(sizes), sizes
+        # most evaluated flips were typed in full windows
+        assert sizes.count(rows) * rows > 9 * budget // 2, sizes
 
 
 class TestFlipBlocks:
