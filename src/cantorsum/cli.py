@@ -103,13 +103,16 @@ def _analysis_lines(rep, as_json: bool) -> list[str]:
     if as_json:
         return [json.dumps(rep.to_json_dict(), indent=2)]
     u = rep.uniqueness
+    # log lambda / log n counts only the points whose unit is L or R at
+    # every level
+    core = "" if rep.good else " (L/R-core dimension; a lower bound unless the set is good)"
     return [
         f"set: {rep.digitset}",
         f"good: {str(rep.good).lower()}",
         f"typing: {rep.typing.typing_string()}",
         f"matrix: [[{rep.typing.a}, {rep.typing.b}], [{rep.typing.c}, {rep.typing.d}]]",
         f"lambda: {_fmt(u.lam)}",
-        f"dim: {_fmt(u.dim)}",
+        f"dim: {_fmt(u.dim)}{core}",
         f"trivial: {str(u.trivial).lower()}",
         f"very_good: {str(u.very_good).lower()}",
         f"structure: {rep.structure.case.value}",

@@ -8,19 +8,25 @@ unique sums.  Goodness and the L/R interval words are a few shifts of
 them, and the quadrant counts a, b, c, d four popcounts.
 
 The words are built two ways.  The exhaustive kernel splits each set
-into a low part L (digit 0 and the inner digits up to k <= 15) and
-high digits H (n - 1 and the rest).  A table of every L and its words
-is built once per call by doubling: adding digit j to each row puts
-the cross sums a + j into both words (pairs (a, j) and (j, a)) and 2j
-into m1.  A batch fixes H and crosses it with the table the same way:
-with X = OR_h (L << h) the words are m1_L | X | m1_H and
-m2_L | X | m2_H, |H| + 4 vector operations.  (A sum of both L + L and
-H + H with one pair on each side would be 2l = 2h, so m1_L & m1_H adds
-nothing to m2.)  The table rows are laid out so that the
-reflection-canonical sets of any batch are one suffix of it.  A call
-holds one workspace (:class:`_Workspace`) for its whole life: the table
-and every batch array, written with ``out=``, so a repeated call
-allocates nothing of batch size.
+into a low part L (digit 0 and the inner digits up to k <= 15) and high
+digits H (n - 1 and the rest).  A table of every L and its words is
+built once per call by doubling: adding digit j to each row puts the
+cross sums a + j into both words (pairs (a, j) and (j, a)) and 2j into
+m1.  The table also holds each L's digit count and whether it holds
+digit 1.  That is the edge-digit flag of the very-good rule: a
+reflection-canonical set that holds the other edge digit, n - 2, holds 1
+too, as (1, n - 2) is its first reflection pair.  A high part H is
+crossed with the table the same way: with X = OR_h (L << h) the words
+are m1_L | X | m1_H and m2_L | X | m2_H, |H| + 4 vector operations.  (A
+sum of both L + L and H + H with one pair on each side would be 2l = 2h,
+so m1_L & m1_H adds nothing to m2.)  The table rows are laid out so that
+the reflection-canonical sets of any H are one suffix of it.  The
+suffixes of consecutive high parts fill one pass of up to 2^15 rows,
+typed in one go; a row's set size is its table row's count plus |H|, and
+its edge flag the table row's.  A call holds one workspace
+(:class:`_Workspace`) for its whole life: the table and every pass
+array, written with ``out=``, so a repeated call allocates nothing of
+pass size.
 
 The hill climb keeps the exact pair counts of its current set instead,
 with the threshold words W_t = {s : count >= t}, t = 1..4, and its mask
@@ -38,12 +44,12 @@ order; only an accepted flip updates the counts and rebuilds the words,
 and the rest of the window is typed again from the new set.  Flip
 digits are drawn no further ahead than the climb is sure to evaluate,
 so a seeded climb equals one that draws one digit per flip.
-Tests hold the batch kernel and the flip kernel to the word rule, the
+Tests hold the pass kernel and the flip kernel to the word rule, the
 flip kernel also to a scalar big-int twin of its proposal words, and the
 incremental updates, a flip-and-retype climb, an independent shift-loop
-batch kernel and the reference interval-typing path to identical
-answers.  One batch loop, :func:`_batches`, serves the exhaustive search
-and the record stream.
+kernel and the reference interval-typing path to identical answers.
+One pass loop, :func:`_batches`, serves the exhaustive search and the
+record stream.
 
 A climb's warm starts (:func:`_seed_masks`) are masks too, each built
 only when the climb reaches it.  The tower start is the table row's
@@ -52,17 +58,17 @@ step, with no typing: the climb types every start from its pair counts
 anyway, and the verified :func:`~cantorsum.constructions.chain_to_target`
 is the start's twin in the tests.
 
-A batch row carries one key besides a, b, c, d: v = 2 lambda =
+A pass row carries one key besides a, b, c, d: v = 2 lambda =
 (a + d) + sqrt((a - d)^2 + 4bc) in float32 (:func:`_two_lambda`).  On
 every matrix of a base <= 32 (a + b <= n, c + d <= n) v is exact: it
 orders and ties matrices as their Perron eigenvalues do and compares
 with integers as 2 lambda does, which the tests check on that whole
 domain.  So v checks the cheap invariants inline (eigenvalue
 dichotomy, lambda <= |A|, good sets need >= sqrt(n) digits, the
-missing-edge-digit bound; one flag test per invariant and batch,
+missing-edge-digit bound; one flag test per invariant and pass,
 :class:`~cantorsum.digitset.InvariantError` on a hit) and ranks the rows.
 lambda and dim come from :func:`~cantorsum.gdifs.matrix_dimension`, as
-``analyze``'s do, for the rows at a batch's top v, for rows near the
+``analyze``'s do, for the rows at a pass's top v, for rows near the
 conjecture monitor's threshold (which keeps its float dim test) and
 for the streamed records.  Any record whose dimension exceeds
 log(2)/log(3) + DIM_TOL is collected for the monitor rather than
@@ -99,7 +105,7 @@ _MONITOR_DIM = LOG2_OVER_LOG3 + DIM_TOL
 EXHAUSTIVE_MAX_N = 32
 _FIGURE_EXHAUSTIVE_MAX_N = 24
 _TABLE_DIGITS = 15  # inner digits in the low-part table: 2^15 rows, 768 KB
-# The float32 key v = 2 lambda of a batch row is within _V_ERROR of the
+# The float32 key v = 2 lambda of a pass row is within _V_ERROR of the
 # exact value for v <= 64 (lambda <= |A| <= 32)
 _V_ERROR = 1e-5
 # Limbs per array of a climb's window: 2^15 limbs, 256 KB
@@ -120,7 +126,12 @@ class InfeasibleSearchError(ValueError):
 
 @dataclass(frozen=True)
 class SearchRecord:
-    """One analyzed digit set, as a table row."""
+    """One analyzed digit set, as a table row.
+
+    lam is the Perron eigenvalue of the 2x2 L/R matrix [[a, b], [c, d]]
+    and dim = log lam / log n the L/R-core dimension; a lower bound unless
+    the set is good.
+    """
 
     n: int
     digits: tuple[int, ...]
@@ -343,7 +354,7 @@ def _record(n: int, mask: int, good: bool, very_good: bool,
 
 
 def _batch_records(n: int, masks: np.ndarray, cols, rows) -> list[SearchRecord]:
-    """The records of the given rows of a kernel batch."""
+    """The records of the given rows of a kernel pass."""
     return [_record(n, *row) for row in
             zip(masks[rows].tolist(), *(col[rows].tolist() for col in cols[:6]))]
 
@@ -395,30 +406,37 @@ def _add_digit_rows(j: int, rows, out) -> None:
 
 
 class _Workspace:
-    """The arrays of exhaustive batches of up to `rows` rows, which every
-    kernel step writes with ``out=``: the low table, uint64 words, int16
-    counts, the float32 key and bool flags.  A batch of fewer rows uses
-    the start of each array, and only the pages it touches are mapped."""
+    """The arrays of exhaustive passes of up to `rows` rows, which every
+    kernel step writes with ``out=``: the low table and its rows' set
+    sizes and edge flags, uint64 words, the pass's set sizes and edge
+    flags, int16 counts, the float32 key and bool flags.  A pass of fewer
+    rows uses the start of each array, and only the pages it touches are
+    mapped."""
 
     def __init__(self, rows: int):
         self.table = np.empty((3, rows), dtype=np.uint64)
+        self.table_sizes = np.empty(rows, dtype=np.int16)
+        self.table_edges = np.empty(rows, dtype=bool)
         self.words = np.empty((5, rows), dtype=np.uint64)
-        self.counts = np.empty((6, rows), dtype=np.int16)
+        self.sizes = np.empty(rows, dtype=np.int16)
+        self.edges = np.empty(rows, dtype=bool)
+        self.counts = np.empty((7, rows), dtype=np.int16)
         self.key = np.empty(rows, dtype=np.float32)
         self.flags = np.empty((5, rows), dtype=bool)
         self.ones = np.ones(rows, dtype=bool)
 
 
 # Workspaces of 2^_TABLE_DIGITS rows not in use.  A call holds one from
-# its first batch to its last, so interleaved or nested calls and threads
+# its first pass to its last, so interleaved or nested calls and threads
 # never share one.
 _FREE_WORKSPACES: list[_Workspace] = []
 
 
 def _low_table(n: int, ws: _Workspace | None = None):
     """k, s0 and every low part L (digit 0 plus a subset of the inner
-    digits 1..k) as rows (mask, m1, m2) of the workspace table; s0 is
-    the first row whose own reflection pairs are canonical.
+    digits 1..k) as rows (mask, m1, m2, size, edge) of the workspace
+    table; s0 is the first row whose own reflection pairs are canonical.
+    size is the digit count of L, and edge whether L holds digit 1.
 
     The p = n - 2 - k inner digits above k pair under reflection with
     the prefix digits 1..p; the rest pair among themselves.  The table
@@ -445,74 +463,73 @@ def _low_table(n: int, ws: _Workspace | None = None):
     for i in range(p, 0, -1):
         half = 1 << (k - i)
         _add_digit_rows(i, table[:, :half], table[:, half:2 * half])
-    return k, len(canonical) - int(np.count_nonzero(canonical)), tuple(table)
+    sizes = np.bitwise_count(table[0], out=ws.table_sizes[:1 << k])
+    edges = np.not_equal(np.bitwise_and(table[0], 2, out=ws.words[0, :1 << k]), 0,
+                         out=ws.table_edges[:1 << k])
+    return k, len(canonical) - int(np.count_nonzero(canonical)), (*table, sizes, edges)
 
 
 def _two_lambda(a, b, c, d, out=None):
     """v = 2 lambda = (a + d) + sqrt((a - d)^2 + 4bc) in float32, from
     int16 columns: exact while a + b and c + d are at most 32.  `out` is
-    v and two int16 scratch columns, or None for new arrays."""
-    v, x, y = out or (np.empty(a.shape, np.float32), np.empty_like(a), np.empty_like(a))
+    v and three int16 columns, of which the first two hold (a - d)^2 and
+    bc on return, or None for new arrays."""
+    v, x, y, z = out or (np.empty(a.shape, np.float32), *(np.empty_like(a) for _ in range(3)))
     np.multiply(np.subtract(a, d, out=x), x, out=x)
-    np.left_shift(np.multiply(b, c, out=y), 2, out=y)
-    np.sqrt(np.add(x, y, out=x), out=v, dtype=np.float32)
-    v += np.add(a, d, out=x)
+    np.multiply(b, c, out=y)
+    np.sqrt(np.add(x, np.left_shift(y, 2, out=z), out=z), out=v, dtype=np.float32)
+    v += np.add(a, d, out=z)
     return v
 
 
-def _type_batch(n: int, masks: np.ndarray, m1: np.ndarray, m2: np.ndarray,
-                ws: _Workspace | None = None):
+def _type_batch(n: int, m1: np.ndarray, m2: np.ndarray, sizes: np.ndarray,
+                edges: np.ndarray, ws: _Workspace | None = None):
     """Vector twin of :func:`~cantorsum.gdifs.word_typing` with the inline
     invariants: (good, very_good, a, b, c, d, v), a..d int16 and v =
     2 lambda from :func:`_two_lambda`, in the workspace (a new one if None).
 
-    The steps are those of :func:`~cantorsum.gdifs.word_typing`, with
-    one edge-digit test for both the very-good rule and the
-    missing-edge-digit invariant.  The invariants read v, which compares
-    with integers exactly, and are tested in order, one flag test each.
+    `sizes` (int16) are the rows' digit counts and `edges` whether 1 or
+    n - 2 is a digit; the very-good rule and the invariants read them.
+    The invariants read v, which compares with integers exactly, and are
+    tested in order, one flag test each.
     """
-    rows = len(masks)
+    rows = len(m1)
     ws = ws or _Workspace(rows)
     t, u = ws.words[3:, :rows]
-    a, b, c, d, x, y = ws.counts[:, :rows]
+    a, b, c, d, x, y, z = ws.counts[:, :rows]
     good, very_good, good_no_edge, below_2, hit = ws.flags[:, :rows]
     v = ws.key[:rows]
-    # good: m1 | m1 >> 1 is all ones; neither 1 nor n - 2 a digit:
-    # m1 | m1 >> (2n - 4) has bit 1 clear
-    np.bitwise_or(np.right_shift(m1, 1, out=t), m1, out=t)
-    np.equal(t, (1 << 2 * n - 1) - 1, out=good)
-    np.bitwise_or(np.right_shift(m1, 2 * n - 4, out=t), m1, out=t)
-    np.equal(np.bitwise_and(t, 2, out=t), 0, out=good_no_edge)
-    good_no_edge &= good
+    # good: m1 | m1 >> 1 is all ones
+    right = np.right_shift(m1, 1, out=t)
+    np.equal(np.bitwise_or(right, m1, out=u), (1 << 2 * n - 1) - 1, out=good)
+    np.greater(good, edges, out=good_no_edge)  # good, and neither 1 nor n - 2 a digit
     # with unique = m1 ^ m2, R = unique << 1 & ~m1 is t << 1 for
     # t = unique & ~(m1 >> 1), and L = unique & ~(m1 << 1); the count of
     # a word's upper half is its popcount less that of its bits below n
     np.bitwise_xor(m1, m2, out=u)
-    np.bitwise_and(np.right_shift(m1, 1, out=t), u, out=t)
-    t ^= u
-    np.bitwise_count(t, out=d)
-    np.bitwise_count(np.bitwise_and(t, (1 << n - 1) - 1, out=t), out=b)
+    right &= u
+    right ^= u
+    np.bitwise_count(right, out=d)
+    np.bitwise_count(np.bitwise_and(right, (1 << n - 1) - 1, out=right), out=b)
     d -= b
     u ^= np.bitwise_and(np.left_shift(m1, 1, out=t), u, out=t)
     np.bitwise_count(u, out=c)
     np.bitwise_count(np.bitwise_and(u, (1 << n) - 1, out=u), out=a)
     c -= a
+    _two_lambda(a, b, c, d, (v, x, y, z))
     # equal row or column sums, a + b == c + d or a + c == b + d, is
-    # |a - d| == |b - c|
-    np.abs(np.subtract(a, d, out=x), out=x)
-    np.equal(x, np.abs(np.subtract(b, c, out=y), out=y), out=very_good)
-    very_good &= good_no_edge
-    _two_lambda(a, b, c, d, (v, x, y))
-    size = np.bitwise_count(masks, out=y)
+    # (a - d)^2 == (b - c)^2
+    np.multiply(np.subtract(b, c, out=z), z, out=z)
+    np.logical_and(np.equal(x, z, out=very_good), good_no_edge, out=very_good)
     # lambda < 2; with bc = 0 lambda is max(a, d), so such a row is
     # trivial exactly when bc = 0
     np.less(v, 4, out=below_2)
-    np.not_equal(np.multiply(b, c, out=x), 0, out=hit)
+    np.not_equal(y, 0, out=hit)
     if np.logical_and(hit, below_2, out=hit).any():
         raise InvariantError("eigenvalue dichotomy violated")
-    if np.greater(v, np.left_shift(size, 1, out=x), out=hit).any():
+    if np.greater(v, np.left_shift(sizes, 1, out=x), out=hit).any():
         raise InvariantError("lambda exceeded |A|")
-    np.less(np.multiply(size, size, out=x), n, out=hit)
+    np.less(np.multiply(sizes, sizes, out=x), n, out=hit)
     if np.logical_and(hit, good, out=hit).any():
         raise InvariantError("good set smaller than sqrt(n)")
     if np.logical_and(below_2, good_no_edge, out=hit).any():
@@ -523,21 +540,36 @@ def _type_batch(n: int, masks: np.ndarray, m1: np.ndarray, m2: np.ndarray,
 def _batches(n: int, require_good: bool, require_very_good: bool,
              tops: range | None = None):
     """(masks, kernel columns, matching flags) of the reflection-canonical
-    masks of each high part in `tops` (default: all), in table row order.
-    The arrays are views into the call's workspace, valid until the next
-    batch; a consumer may overwrite them and copies what it keeps.
+    masks of the high parts in `tops` (default: all), one typing pass at a
+    time.  A pass holds the canonical suffixes of consecutive high parts,
+    each in table row order, as many as fit the workspace; since a higher
+    high part holds only larger masks, the passes follow each other in
+    mask order.  The arrays are views into the call's workspace, valid
+    until the next pass; a consumer may overwrite them and copies what it
+    keeps.
 
     High part t holds n - 1 and digit k + 1 + i for each bit i of t.
     L | H is canonical when its first unequal reflection pair (i, n-1-i)
     has i set: for i <= p that puts L in a later group of the table than
-    the index bits of the partners of H, otherwise at or past s0.
+    the index bits of the partners of H, otherwise at or past s0.  A
+    row's set size is its table row's plus |H|, and its edge flag the
+    table row's: a canonical set holding n - 2 holds 1 too.
     """
     try:
         ws = _FREE_WORKSPACES.pop()
     except IndexError:  # none free, or another thread took the last one
         ws = _Workspace(1 << _TABLE_DIGITS)
+    masks, m1, m2 = ws.words[:3]
+    sizes, edges = ws.sizes, ws.edges
+
+    def typed(rows: int):
+        cols = _type_batch(n, m1[:rows], m2[:rows], sizes[:rows], edges[:rows], ws)
+        keep = cols[1] if require_very_good else cols[0] if require_good else ws.ones[:rows]
+        return masks[:rows], cols, keep
+
     try:
-        k, s0, (mask_l, m1_l, m2_l) = _low_table(n, ws)
+        k, s0, (mask_l, m1_l, m2_l, sizes_l, edges_l) = _low_table(n, ws)
+        filled = 0
         for top in range(1 << (n - 2 - k)) if tops is None else tops:
             high = [j for j in range(k + 1, n - 1) if top >> (j - k - 1) & 1]
             start = s0 + sum(1 << (k - (n - 1 - j)) for j in high)
@@ -546,17 +578,22 @@ def _batches(n: int, require_good: bool, require_very_good: bool,
             for j in high:
                 mask_h, m1_h, m2_h = _add_digit(j, mask_h, m1_h, m2_h)
             low = mask_l[start:]
-            masks, m1, m2, cross = ws.words[:4, :len(low)]
-            np.bitwise_or(low, mask_h, out=masks)
-            np.left_shift(low, high[0], out=cross)
+            if filled + len(low) > len(masks):
+                yield typed(filled)
+                filled = 0
+            part = slice(filled, filled + len(low))
+            filled += len(low)
+            out_mask, out_m1, out_m2, out_cross = ws.words[:4, part]
+            np.bitwise_or(low, mask_h, out=out_mask)
+            np.left_shift(low, high[0], out=out_cross)
             for j in high[1:]:
-                cross |= np.left_shift(low, j, out=m2)
-            np.bitwise_or(np.bitwise_or(m1_l[start:], cross, out=m1), m1_h, out=m1)
-            np.bitwise_or(np.bitwise_or(m2_l[start:], cross, out=m2), m2_h, out=m2)
-            cols = _type_batch(n, masks, m1, m2, ws)
-            keep = (cols[1] if require_very_good else cols[0] if require_good
-                    else ws.ones[:len(low)])
-            yield masks, cols, keep
+                out_cross |= np.left_shift(low, j, out=out_m2)
+            np.bitwise_or(np.bitwise_or(m1_l[start:], out_cross, out=out_m1), m1_h, out=out_m1)
+            np.bitwise_or(np.bitwise_or(m2_l[start:], out_cross, out=out_m2), m2_h, out=out_m2)
+            np.add(sizes_l[start:], len(high), out=sizes[part])
+            edges[part] = edges_l[start:]
+        if filled:
+            yield typed(filled)
     finally:
         _FREE_WORKSPACES.append(ws)
 
@@ -577,9 +614,11 @@ def search_exhaustive(n: int, require_good: bool = False,
 
     Sets are deduplicated under reflection (the kept representative is
     the one whose mask is not larger than its mirror's).  The best
-    record maximizes dim under the constraints, ties broken by the
-    lexicographically smallest digit list; both are decided by the
-    exact key v = 2 lambda of the batch rows.
+    record maximizes dim (the L/R-core dimension; a lower bound unless
+    the set is good, so an unconstrained ranking can miss a non-good set
+    whose uniqueness set is larger) under the constraints, ties broken
+    by the lexicographically smallest digit list; both are decided by
+    the exact key v = 2 lambda of the pass rows.
     """
     _check_exhaustive_base(n)
     best: SearchRecord | None = None
@@ -590,16 +629,21 @@ def search_exhaustive(n: int, require_good: bool = False,
     # v at dim _MONITOR_DIM, lowered by more than v's error (2 n^dim >= 4);
     # the rows above it take the float dim test that flags them
     monitor_v = 2 * n ** _MONITOR_DIM * (1 - _V_ERROR)
+    unconstrained = not (require_good or require_very_good)
     for masks, cols, keep in _batches(n, require_good, require_very_good):
         n_enumerated += len(masks)
-        matching = int(np.count_nonzero(keep))
-        n_matching += matching
-        if not matching:
-            continue
-        # a matching row has v >= 2 (a, d >= 1 for canonical sets), so the
-        # rows that do not match, at 0, never reach the top; the key column
-        # is the batch's own, and nothing reads it after this
-        v = np.multiply(cols[6], keep, out=cols[6])
+        v = cols[6]
+        if unconstrained:
+            n_matching += len(masks)
+        else:
+            matching = int(np.count_nonzero(keep))
+            n_matching += matching
+            if not matching:
+                continue
+            # a matching row has v >= 2 (a, d >= 1 for canonical sets), so
+            # the rows that do not match, at 0, never reach the top; the key
+            # column is the pass's own, and nothing reads it after this
+            np.multiply(v, keep, out=v)
         top = float(v.max())
         if top > monitor_v:
             exceed.extend(rec for rec in _batch_records(
@@ -678,12 +722,13 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
     or the table row through base 27, then the sqrt family and the full
     set, each built only when reached) and then random restarts, flipping
     one interior digit at a time and keeping strict improvements of the
-    exact key 2 lambda; non-good proposals are evaluated (they cost
-    budget) but never climbed onto when goodness is required.  A climb
-    ends after 4n + 1 rejections in a row (a stuck run).  The climb
-    carries the pair counts of its current set and their threshold
-    words, and types its proposals a window of drawn digits at a time in
-    one NumPy pass (:class:`_FlipKernel`).  The rows up to the first
+    exact key 2 lambda, whose dim is the L/R-core dimension; a lower
+    bound unless the set is good.  Non-good proposals are evaluated
+    (they cost budget) but never climbed onto when goodness is
+    required.  A climb ends after 4n + 1 rejections in a row (a stuck
+    run).  The climb carries the pair counts of its current set and
+    their threshold words, and types its proposals a window of drawn
+    digits at a time in one NumPy pass (:class:`_FlipKernel`).  The rows up to the first
     accept count as evaluated, in order; an accept updates the counts,
     and the rest of the window is typed again from the new set.  A
     climb's first window covers every flip it is sure to evaluate (the

@@ -132,6 +132,16 @@ def _full_states(n: int, m1: int) -> int:
     return full
 
 
+def _seeds_and_full(n: int, m1: int, units: int) -> tuple[tuple[int, ...], int]:
+    """The seed code words of the level-1 units (the bits of `units`) and
+    the FULL states of a non-good set with support word m1, checking that
+    some unit is dead."""
+    seeds = _code_words(m1, m1 << 1, units)
+    if not seeds[_DEAD]:
+        raise InvariantError("a support gap >= 3 left every level-1 unit covered")
+    return seeds, _full_states(n, m1)
+
+
 @dataclass(frozen=True)
 class StructureReport:
     """Trichotomy verdict with exact rational witnesses.
@@ -188,14 +198,11 @@ def classify_structure(A: DigitSet, m1: int | None = None,
     if good:
         return _FULL_INTERVAL
     units = (1 << 2 * n) - 1
-    seeds = _code_words(m1, m1 << 1, units)
+    seeds, full = _seeds_and_full(n, m1, units)
     dead = seeds[_DEAD]
-    if not dead:
-        raise InvariantError("a support gap >= 3 left every level-1 unit covered")
     j = (dead ^ dead - 1).bit_length() - 1
     live = (units ^ dead) >> j  # lowest bit: the first live unit after the run
     gap = (Fraction(j, n), Fraction(j + (live ^ live - 1).bit_length() - 1, n))
-    full = _full_states(n, m1)
     if not full:
         return StructureReport(
             case=StructureCase.CANTOR_SET,
@@ -249,13 +256,20 @@ def cantor_sum_dimension(A: DigitSet, depth: int = 8,
                          budget: int | None = None) -> CantorDimension:
     """Dimension of the sum when it is a Cantor set.
 
-    Raises :class:`NotApplicableError` for FullInterval or Mixed sets.
+    Raises :class:`NotApplicableError` for FullInterval or Mixed sets,
+    decided as :func:`classify_structure` decides them, without its
+    witnesses.
     """
+    if not A.canonical:
+        raise ValueError("structure classification needs a canonical digit set")
+    n = A.n
     m1, _ = sumset_words(_digit_array(A))
-    report = classify_structure(A, m1)
-    if report.case is not StructureCase.CANTOR_SET:
-        raise NotApplicableError(f"sum is {report.case.value}, not a Cantor set")
-    logn = math.log(A.n)
+    case = (StructureCase.FULL_INTERVAL if word_good(n, m1) else
+            StructureCase.MIXED if _seeds_and_full(n, m1, (1 << 2 * n) - 1)[1] else
+            StructureCase.CANTOR_SET)
+    if case is not StructureCase.CANTOR_SET:
+        raise NotApplicableError(f"sum is {case.value}, not a Cantor set")
+    logn = math.log(n)
     if m1 & m1 >> 1 == 0:  # no two adjacent sums: every support gap >= 2
         value = math.log(m1.bit_count()) / logn
         return CantorDimension(value=value, lower=value, upper=value,

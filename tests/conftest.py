@@ -24,6 +24,15 @@ def word_row(n, m1, m2):
     return rep.good, rep.very_good, a, b, c, d, rep.lam, rep.dim
 
 
+def batch_flags(n, masks):
+    """The set sizes (int16) and edge flags (1 or n - 2 a digit) that
+    search._type_batch takes, from the uint64 masks by popcount and bit
+    tests."""
+    masks = np.asarray(masks, dtype=np.uint64)
+    edges = (masks >> np.uint64(1) | masks >> np.uint64(n - 2)) & np.uint64(1)
+    return np.bitwise_count(masks).astype(np.int16), edges.astype(bool)
+
+
 def eval_mask(n, mask):
     """Scalar twin of the batch kernel: goodness, typing, lambda and dim
     of one mask from its pair counts and sumset words."""

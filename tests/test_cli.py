@@ -26,6 +26,7 @@ class TestAnalyze:
         assert code == 0
         assert "good: false" in out
         assert "structure: Mixed" in out
+        assert "dim: 0.4306765581 (L/R-core dimension; a lower bound unless the set is good)" in out
 
     def test_steinhaus_json(self, capsys):
         code, out, _ = run(capsys, "analyze", "-n", "3", "-A", "0,2", "--json")

@@ -19,6 +19,7 @@ from cantorsum.oracle import (
     level_typing_counts,
     typing_count_evolution,
 )
+from cantorsum.report import analyze
 from cantorsum.search import iter_exhaustive_records
 
 from conftest import canonical_sets, feasible_oracle_depth
@@ -277,6 +278,20 @@ class TestGrowthCheck:
     def test_symmetric_instance_ambiguous(self):
         rep = growth_check(DigitSet.of(3, [0, 2]), 4)
         assert rep.orientation == "ambiguous"
+
+    def test_non_good_set_outgrows_its_matrix(self):
+        # not good: the unique-interval counts grow by phi^2 = 2.618 a
+        # level, not by the matrix's lambda = 2, so analyze's dim is only
+        # the L/R-core dimension, below the uniqueness set's 0.4946.  The
+        # exact count automaton of ROADMAP Direction 1 moves this test.
+        A = DigitSet(7, (0, 1, 6))
+        rep = growth_check(A, 7)
+        want = [2, 5, 13, 34, 89, 233, 610]
+        assert [L for L, _ in rep.counts] == [R for _, R in rep.counts] == want
+        assert rep.orientation == "mismatch"
+        rep = analyze(A)
+        assert not rep.good
+        assert (rep.uniqueness.lam, round(rep.uniqueness.dim, 10)) == (2.0, 0.3562071871)
 
     def test_trivial_construction_stays_at_one(self):
         from cantorsum.constructions import sqrt_good_set

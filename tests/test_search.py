@@ -19,7 +19,7 @@ from cantorsum import search
 from cantorsum.constructions import (BaseMissingError, TowerVerificationError, chain_to_target,
                                     sqrt_good_set)
 from cantorsum.digitset import DigitSet, InvariantError, _bits_word, is_n_good, reflect, sumset_profile
-from cantorsum.gdifs import classify_intervals, uniqueness_report, word_typing
+from cantorsum.gdifs import classify_intervals, uniqueness_report, word_edge_digit, word_typing
 from cantorsum.report import analyze
 from cantorsum.search import (
     LOG2_OVER_LOG3,
@@ -32,7 +32,7 @@ from cantorsum.search import (
     search_heuristic,
 )
 
-from conftest import eval_mask, word_row
+from conftest import batch_flags, eval_mask, word_row
 
 
 class TestExhaustive:
@@ -227,13 +227,49 @@ class TestSplitMaskKernel:
             _assert_same_rows(_split_rows(n, range(top, top + 1)),
                               _reference_rows(n, top << k, (top + 1) << k))
 
+    # passes of one high part, of several, and a full pass before a part
+    # that does not fit it; with all parts, 21 passes at n = 22 and 42 at
+    # n = 23 against one per part, 32 and 64
+    @pytest.mark.parametrize("n,tops,passes", [
+        (23, range(30, 36), 4), (23, range(56, 64), 1), (25, range(0, 3), 3),
+        (25, range(132, 136), 2), (28, range(0, 2), 2), (28, range(2040, 2048), 1),
+        (22, None, 21), (23, None, 42)])
+    def test_passes_of_consecutive_high_parts(self, n, tops, passes):
+        got = [masks.copy() for masks, _, _ in search._batches(n, False, False, tops)]
+        assert len(got) == passes
+        assert all(len(masks) <= 1 << search._TABLE_DIGITS for masks in got)
+        # each pass lies above the last, so the record stream sorts by pass
+        assert all(lo.max() < hi.min() for lo, hi in zip(got, got[1:]))
+        if tops is not None:
+            k = search._low_table(n)[0]
+            _assert_same_rows(_split_rows(n, tops),
+                              _reference_rows(n, tops.start << k, tops.stop << k))
+
+    @pytest.mark.parametrize("n", list(range(3, 18)) + [22])
+    def test_sizes_and_edges_match_the_masks(self, n, monkeypatch):
+        seen = []
+        type_batch = search._type_batch
+
+        def spy(n, m1, m2, sizes, edges, ws):
+            seen.append((sizes.copy(), edges.copy()))
+            return type_batch(n, m1, m2, sizes, edges, ws)
+
+        monkeypatch.setattr(search, "_type_batch", spy)
+        for i, (masks, _, _) in enumerate(search._batches(n, False, False)):
+            want = batch_flags(n, masks)
+            assert all(np.array_equal(got, ref) for got, ref in zip(seen[i], want)), i
+        assert len(seen) == i + 1
+
     def test_tail_matches_scalar_tail_on_wide_counts(self):
         # all 30 digits, words with every even sum unique: a = b = c = d = 15
         n, mask = 30, (1 << 30) - 1
         m1 = sum(1 << s for s in range(0, 2 * n - 1, 2))
-        cols = search._type_batch(n, np.array([mask], dtype=np.uint64),
-                                  np.array([m1], dtype=np.uint64),
-                                  np.zeros(1, dtype=np.uint64))
+        sizes, _ = batch_flags(n, [mask])
+        # the words claim neither sum 1 nor 2n - 3; the scalar twin reads
+        # the edge digits off m1
+        edges = np.array([word_edge_digit(n, m1)], dtype=bool)
+        cols = search._type_batch(n, np.array([m1], dtype=np.uint64),
+                                  np.zeros(1, dtype=np.uint64), sizes, edges)
         want = word_row(n, m1, 0)
         assert want[2:6] == (15, 15, 15, 15)
         got = tuple(col[0] for col in cols)
@@ -335,9 +371,11 @@ class TestBatchInvariants:
     ])
     def test_crafted_words_raise(self, message, row):
         masks, m1, m2 = (np.array(col, dtype=np.uint64) for col in zip(self.FULL, row))
-        search._type_batch(5, masks[:1], m1[:1], m2[:1])  # the valid row alone passes
+        sizes, edges = batch_flags(5, masks)
+        # the valid row alone passes
+        search._type_batch(5, m1[:1], m2[:1], sizes[:1], edges[:1])
         with pytest.raises(InvariantError) as exc:
-            search._type_batch(5, masks, m1, m2)
+            search._type_batch(5, m1, m2, sizes, edges)
         assert str(exc.value) == message
 
 
@@ -990,6 +1028,7 @@ class TestChecksSurviveOptimize:
         from cantorsum import constructions, search, structure
         from cantorsum.digitset import DigitSet, InvariantError, sumset_profile
         from cantorsum.structure import classify_structure
+        from conftest import batch_flags
 
         def raised(fn):
             try:
@@ -1004,7 +1043,7 @@ class TestChecksSurviveOptimize:
         # an empty set whose words claim every sum twice: good with 0 digits
         full = np.full(1, (1 << 5) - 1, dtype=np.uint64)
         out["kernel"] = raised(lambda: search._type_batch(
-            3, np.zeros(1, dtype=np.uint64), full, full))
+            3, full, full, *batch_flags(3, np.zeros(1, dtype=np.uint64))))
         # goodness denied over a support word (sums 0..8) with no dead unit
         structure.word_good = lambda n, m1: False
         out["structure"] = raised(lambda: classify_structure(DigitSet(5, (0, 4)), (1 << 9) - 1))
@@ -1023,7 +1062,8 @@ class TestChecksSurviveOptimize:
     def test_invariants_raise_under_python_O(self):
         src = str(Path(cantorsum.__file__).resolve().parents[1])
         env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        tests = str(Path(__file__).resolve().parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-O", "-c", self.SCRIPT], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
