@@ -240,7 +240,6 @@ def cmd_oracle(args) -> list[str]:
         lines = ["m,L,R,dim_estimate"]
         for m, ((L, R), est) in enumerate(zip(rep.counts, rep.dim_estimates), 1):
             lines.append(f"{m},{L},{R},{_fmt(est)}")
-        lines.append(f"orientation: {rep.orientation}")
         lines.append(f"matrix_power_match: {str(rep.matches_transpose).lower()}")
         lines.append(f"dim: {_fmt(rep.dim)}")
         lines.append(f"final_estimate_gap: {_fmt(rep.final_estimate_gap)}")

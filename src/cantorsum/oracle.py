@@ -292,62 +292,43 @@ def level_typing_counts(A: DigitSet, m: int, budget: int | None = None) -> tuple
 
 @dataclass(frozen=True)
 class GrowthReport:
-    """Observed vs. predicted unique-interval counts by depth."""
+    """Observed unique-interval counts by depth against those the L/R
+    matrix ((a, b), (c, d)) predicts by L' = a L + c R, R' = b L + d R.
+    `matches_transpose` is False when that matrix misses part of the
+    uniqueness set: a non-good set whose counts outgrow lambda."""
 
     n: int
     matrix: tuple[tuple[int, int], tuple[int, int]]
     counts: tuple[tuple[int, int], ...]
     predicted: tuple[tuple[int, int], ...]
     matches_transpose: bool
-    matches_direct: bool
     dim: float
     dim_estimates: tuple[float, ...]
-
-    @property
-    def orientation(self) -> str:
-        if self.matches_transpose and self.matches_direct:
-            return "ambiguous"
-        if self.matches_transpose:
-            return "transpose"
-        if self.matches_direct:
-            return "direct"
-        return "mismatch"
 
     @property
     def final_estimate_gap(self) -> float:
         return abs(self.dim_estimates[-1] - self.dim)
 
 
-def _evolve(v: tuple[int, int], M, transpose: bool) -> tuple[int, int]:
-    (a, b), (c, d) = M
-    L, R = v
-    if transpose:
-        return (a * L + c * R, b * L + d * R)
-    return (a * L + b * R, c * L + d * R)
-
-
 def growth_check(A: DigitSet, m_max: int, budget: int | None = None) -> GrowthReport:
     """Compare oracle typing counts with the matrix-power prediction.
 
-    The closed-form dimension comes from the adjacency matrix; here the
-    same matrix must also reproduce the exact unique-interval counts
-    level by level, starting from (L_1, R_1) = column sums.  The counts
-    advance by the transpose, L' = a L + c R and R' = b L + d R (the
-    tests pin this on an asymmetric set).  The report carries both
-    orientations; `ambiguous` means the matrix is too symmetric for the
-    data to tell them apart.
+    The closed-form dimension comes from the L/R matrix ((a, b), (c, d));
+    here the same matrix must also reproduce the exact unique-interval
+    counts level by level, starting from (L_1, R_1) = column sums and
+    advancing by L' = a L + c R, R' = b L + d R (the transpose; the tests
+    pin it on an asymmetric set).  `matches_transpose` is False when the
+    matrix misses part of the uniqueness set: a non-good set whose points
+    leave L/R and come back has counts that outgrow its lambda.
     """
     typing = classify_intervals(sumset_profile(A))
-    M = typing.matrix
+    (a, b), (c, d) = M = typing.matrix
     counts = list(typing_count_evolution(A, m_max, budget))
-    pred_t = [counts[0]]
-    pred_d = [counts[0]]
+    predicted = [counts[0]]
     for _ in range(1, len(counts)):
-        pred_t.append(_evolve(pred_t[-1], M, transpose=True))
-        pred_d.append(_evolve(pred_d[-1], M, transpose=False))
-    matches_t = counts == pred_t
-    matches_d = counts == pred_d
-    _, _, dim = matrix_dimension(typing.a, typing.b, typing.c, typing.d, A.n)
+        L, R = predicted[-1]
+        predicted.append((a * L + c * R, b * L + d * R))
+    _, _, dim = matrix_dimension(a, b, c, d, A.n)
     ests = tuple(
         math.log(L + R) / (m * math.log(A.n)) if L + R > 0 else 0.0
         for m, (L, R) in enumerate(counts, start=1)
@@ -356,9 +337,8 @@ def growth_check(A: DigitSet, m_max: int, budget: int | None = None) -> GrowthRe
         n=A.n,
         matrix=M,
         counts=tuple(counts),
-        predicted=tuple(pred_t),
-        matches_transpose=matches_t,
-        matches_direct=matches_d,
+        predicted=tuple(predicted),
+        matches_transpose=counts == predicted,
         dim=dim,
         dim_estimates=ests,
     )

@@ -83,10 +83,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constructions import _chain_reduction, chain_to_target, load_base_table, sqrt_good_set
-from .digitset import (DigitSet, InvariantError, _bits_word, _digit_array, _word_bits,
-                       pair_sum_counts)
+from .constructions import _chain_reduction, load_base_table, sqrt_good_set
+from .digitset import DigitSet, InvariantError, _word_bits, pair_sum_counts
 from .gdifs import DIM_TOL, matrix_dimension, very_good_rule, word_typing
+
+# Unused; bench/layers.py wraps it here, so the name must resolve.
+from .constructions import chain_to_target  # noqa: F401
 
 __all__ = [
     "SearchRecord",
@@ -432,7 +434,7 @@ class _Workspace:
 _FREE_WORKSPACES: list[_Workspace] = []
 
 
-def _low_table(n: int, ws: _Workspace | None = None):
+def _low_table(n: int, ws: _Workspace):
     """k, s0 and every low part L (digit 0 plus a subset of the inner
     digits 1..k) as rows (mask, m1, m2, size, edge) of the workspace
     table; s0 is the first row whose own reflection pairs are canonical.
@@ -448,7 +450,6 @@ def _low_table(n: int, ws: _Workspace | None = None):
     # (n + 10) // 2 keeps the 2^(2k+2-n) rows partitioned per call <= 2^12
     k = min(n - 2, _TABLE_DIGITS, (n + 10) // 2)
     p = n - 2 - k
-    ws = ws or _Workspace(1 << k)
     table = ws.table[:, :1 << k]
     mirror = ws.words[0, :1 << (k - p)]
     table[:, 0] = mirror[0] = 0
@@ -469,12 +470,12 @@ def _low_table(n: int, ws: _Workspace | None = None):
     return k, len(canonical) - int(np.count_nonzero(canonical)), (*table, sizes, edges)
 
 
-def _two_lambda(a, b, c, d, out=None):
+def _two_lambda(a, b, c, d, out):
     """v = 2 lambda = (a + d) + sqrt((a - d)^2 + 4bc) in float32, from
     int16 columns: exact while a + b and c + d are at most 32.  `out` is
     v and three int16 columns, of which the first two hold (a - d)^2 and
-    bc on return, or None for new arrays."""
-    v, x, y, z = out or (np.empty(a.shape, np.float32), *(np.empty_like(a) for _ in range(3)))
+    bc on return."""
+    v, x, y, z = out
     np.multiply(np.subtract(a, d, out=x), x, out=x)
     np.multiply(b, c, out=y)
     np.sqrt(np.add(x, np.left_shift(y, 2, out=z), out=z), out=v, dtype=np.float32)
@@ -483,10 +484,10 @@ def _two_lambda(a, b, c, d, out=None):
 
 
 def _type_batch(n: int, m1: np.ndarray, m2: np.ndarray, sizes: np.ndarray,
-                edges: np.ndarray, ws: _Workspace | None = None):
+                edges: np.ndarray, ws: _Workspace):
     """Vector twin of :func:`~cantorsum.gdifs.word_typing` with the inline
     invariants: (good, very_good, a, b, c, d, v), a..d int16 and v =
-    2 lambda from :func:`_two_lambda`, in the workspace (a new one if None).
+    2 lambda from :func:`_two_lambda`, in the workspace.
 
     `sizes` (int16) are the rows' digit counts and `edges` whether 1 or
     n - 2 is a digit; the very-good rule and the invariants read them.
@@ -494,7 +495,6 @@ def _type_batch(n: int, m1: np.ndarray, m2: np.ndarray, sizes: np.ndarray,
     tested in order, one flag test each.
     """
     rows = len(m1)
-    ws = ws or _Workspace(rows)
     t, u = ws.words[3:, :rows]
     a, b, c, d, x, y, z = ws.counts[:, :rows]
     good, very_good, good_no_edge, below_2, hit = ws.flags[:, :rows]
@@ -707,9 +707,7 @@ def _seed_masks(n: int):
             mask |= mask << 2 * base - k
             base = 3 * base - k
         yield mask
-        bits = np.zeros(n, dtype=bool)
-        bits[_digit_array(sqrt_good_set(n))] = True
-        yield _bits_word(bits)
+        yield sum(1 << d for d in sqrt_good_set(n).digits)
     yield (1 << n) - 1  # the full digit set is always good
 
 
@@ -739,10 +737,13 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
     need them, never more than the budget or the stuck run leave, so
     every drawn digit is used and the result is that of one draw per
     flip.  The arrays are cut from a scratch block that the climb takes
-    from a free list and returns.  `budget` caps the number of
-    single-set evaluations.  For n <= 8 (at most 64 sets) this is
-    :func:`search_exhaustive`, and `budget` and `seed` are unused.
+    from a free list and returns.  `budget` (>= 1, else ValueError) caps
+    the number of single-set evaluations.  For n <= 8 (at most 64 sets)
+    this is :func:`search_exhaustive`, and `budget` and `seed` are
+    otherwise unused.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     if n <= 8:
         return search_exhaustive(n, require_good, require_very_good)
     base = 1 | (1 << (n - 1))
@@ -880,9 +881,11 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
 def figure_data(n_lo: int, n_hi: int, budget: int = 10_000, seed: int = 0):
     """Best known dimension per base, for plotting against log2/log3.
 
-    Per base: exhaustive search through base 24, otherwise hill climbing
-    floored by the tower-chain value.  Returns (rows, exceedances)
-    where rows are (n, best_dim, reference).
+    Per base: exhaustive search through base 24, otherwise hill climbing.
+    No tower-chain floor is needed: the exhaustive search enumerates the
+    tower set and the climb's first start is that set, evaluated since
+    `budget` >= 1, so neither can end below it.  Returns (rows,
+    exceedances) where rows are (n, best_dim, reference).
     """
     rows: list[tuple[int, float, float]] = []
     exceed: list[SearchRecord] = []
@@ -891,9 +894,6 @@ def figure_data(n_lo: int, n_hi: int, budget: int = 10_000, seed: int = 0):
             res = search_exhaustive(n, require_good=True)
         else:
             res = search_heuristic(n, budget=budget, seed=seed)
-        best = res.best.dim if res.best is not None else 0.0
-        if n >= 9:
-            best = max(best, chain_to_target(n).final.dim)
         exceed.extend(res.exceedances)
-        rows.append((n, best, LOG2_OVER_LOG3))
+        rows.append((n, res.best.dim, LOG2_OVER_LOG3))
     return rows, exceed

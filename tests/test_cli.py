@@ -157,6 +157,25 @@ class TestOracleCmd:
         assert "matrix_power_match: true" in out
         assert "3,27,27" in out  # counts tripling
 
+    def test_growth_of_non_good_set(self, capsys):
+        # the counts grow by phi^2 a level, not by the matrix's lambda = 2
+        code, out, _ = run(capsys, "oracle", "-n", "7", "-A", "0,1,6",
+                           "--growth", "--depth", "7")
+        assert code == 0
+        assert out.splitlines() == [
+            "m,L,R,dim_estimate",
+            "1,2,2,0.7124143742",
+            "2,5,5,0.5916473312",
+            "3,13,13,0.5581101367",
+            "4,34,34,0.5420995038",
+            "5,89,89,0.5325819954",
+            "6,233,233,0.5262478021",
+            "7,610,610,0.5217247306",
+            "matrix_power_match: false",
+            "dim: 0.3562071871",
+            "final_estimate_gap: 0.1655175435",
+        ]
+
     @pytest.mark.parametrize("which", ["--em", "--typing", "--growth"])
     def test_depth_zero_exit_code(self, capsys, which):
         code, out, err = run(capsys, "oracle", "-n", "8", "-A", "0,2,5,7",

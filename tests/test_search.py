@@ -35,6 +35,17 @@ from cantorsum.search import (
 from conftest import batch_flags, eval_mask, word_row
 
 
+def table_digits(n):
+    """k of the low table at base n: its rows are the 2^k low parts."""
+    return search._low_table(n, search._Workspace(1 << search._TABLE_DIGITS))[0]
+
+
+def two_lambda(a, b, c, d):
+    """v = 2 lambda of int16 columns, in a workspace of their length."""
+    ws = search._Workspace(len(a))
+    return search._two_lambda(a, b, c, d, (ws.key, *ws.counts[4:]))
+
+
 class TestExhaustive:
     def test_table_row_9(self):
         res = search_exhaustive(9, require_very_good=True)
@@ -221,7 +232,7 @@ class TestSplitMaskKernel:
     # at n = 32, m1 << 1 reaches bit 63
     @pytest.mark.parametrize("n", [23, 25, 28, 30, 31, 32])
     def test_first_last_and_random_high_part(self, n, rng):
-        k = search._low_table(n)[0]
+        k = table_digits(n)
         last = (1 << (n - 2 - k)) - 1
         for top in (0, last, int(rng.integers(1, last))):
             _assert_same_rows(_split_rows(n, range(top, top + 1)),
@@ -241,7 +252,7 @@ class TestSplitMaskKernel:
         # each pass lies above the last, so the record stream sorts by pass
         assert all(lo.max() < hi.min() for lo, hi in zip(got, got[1:]))
         if tops is not None:
-            k = search._low_table(n)[0]
+            k = table_digits(n)
             _assert_same_rows(_split_rows(n, tops),
                               _reference_rows(n, tops.start << k, tops.stop << k))
 
@@ -269,7 +280,8 @@ class TestSplitMaskKernel:
         # the edge digits off m1
         edges = np.array([word_edge_digit(n, m1)], dtype=bool)
         cols = search._type_batch(n, np.array([m1], dtype=np.uint64),
-                                  np.zeros(1, dtype=np.uint64), sizes, edges)
+                                  np.zeros(1, dtype=np.uint64), sizes, edges,
+                                  search._Workspace(1))
         want = word_row(n, m1, 0)
         assert want[2:6] == (15, 15, 15, 15)
         got = tuple(col[0] for col in cols)
@@ -372,10 +384,11 @@ class TestBatchInvariants:
     def test_crafted_words_raise(self, message, row):
         masks, m1, m2 = (np.array(col, dtype=np.uint64) for col in zip(self.FULL, row))
         sizes, edges = batch_flags(5, masks)
+        ws = search._Workspace(len(masks))
         # the valid row alone passes
-        search._type_batch(5, m1[:1], m2[:1], sizes[:1], edges[:1])
+        search._type_batch(5, m1[:1], m2[:1], sizes[:1], edges[:1], ws)
         with pytest.raises(InvariantError) as exc:
-            search._type_batch(5, m1, m2, sizes, edges)
+            search._type_batch(5, m1, m2, sizes, edges, ws)
         assert str(exc.value) == message
 
 
@@ -393,7 +406,7 @@ class TestExactKey:
                          dtype=np.int16)
         low, high = (idx.ravel() for idx in np.indices((len(pairs), len(pairs))))
         (a, b), (c, d) = pairs[low].T, pairs[high].T
-        v = search._two_lambda(a, b, c, d)
+        v = two_lambda(a, b, c, d)
         s = (a + d).astype(np.int64)
         q = (a.astype(np.int64) - d) ** 2 + 4 * b.astype(np.int64) * c
         # v is one value per (s, q), the eigenvalue's integer form
@@ -754,6 +767,15 @@ class TestHeuristic:
             with pytest.raises(error):
                 search_heuristic(30, budget=50, seed=0)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        # at every base, the exhaustive ones too, as the CLI does
+        for n in (5, 30):
+            with pytest.raises(ValueError, match="budget must be >= 1"):
+                search_heuristic(n, budget=budget)
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            figure_data(25, 25, budget=budget)
+
     def test_bases_beyond_word_size(self):
         # masks wider than 64 bits: pure-int path and random restarts
         res = search_heuristic(81, budget=300, seed=2)
@@ -942,7 +964,7 @@ class TestFigureData:
         assert [r[0] for r in rows] == [25, 26]
         assert exceed == []
         for n, best, _ in rows:
-            # floored by the tower chain
+            # not below the tower set, the climb's first start
             assert best >= chain_to_target(n).final.dim
         # and never above the exact optimum over good sets
         assert rows[0][1] <= search_exhaustive(25, require_good=True).best.dim
@@ -1005,7 +1027,7 @@ class TestConjectureMonitor:
         a, b, c, d = np.array([(5, 0, 0, 5), (4, 0, 0, 4), (1, 1, 1, 1)], dtype=np.int16).T
         masks = np.array([0b100000111, 0b100001011, 0b100000101], dtype=np.uint64)
         keep = np.ones(3, dtype=bool)
-        cols = (keep, keep, a, b, c, d, search._two_lambda(a, b, c, d))
+        cols = (keep, keep, a, b, c, d, two_lambda(a, b, c, d))
         monkeypatch.setattr(search, "_batches", lambda *args: iter([(masks, cols, keep)]))
         res = search_exhaustive(9)
         assert [r.digits for r in res.exceedances] == [(0, 1, 2, 8)]
@@ -1043,7 +1065,8 @@ class TestChecksSurviveOptimize:
         # an empty set whose words claim every sum twice: good with 0 digits
         full = np.full(1, (1 << 5) - 1, dtype=np.uint64)
         out["kernel"] = raised(lambda: search._type_batch(
-            3, full, full, *batch_flags(3, np.zeros(1, dtype=np.uint64))))
+            3, full, full, *batch_flags(3, np.zeros(1, dtype=np.uint64)),
+            search._Workspace(1)))
         # goodness denied over a support word (sums 0..8) with no dead unit
         structure.word_good = lambda n, m1: False
         out["structure"] = raised(lambda: classify_structure(DigitSet(5, (0, 4)), (1 << 9) - 1))
