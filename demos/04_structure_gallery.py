@@ -46,7 +46,7 @@ for n, digits, label in GALLERY:
 
 print("a Cantor case whose images overlap (no open set condition):")
 A = DigitSet(6, (0, 1, 5))
-cd = cantor_sum_dimension(A, depth=8)
+cd = cantor_sum_dimension(A)
 print(f"{A}: box-count estimate {cd.value:.4f}, "
       f"certified upper bound {cd.upper:.4f}, "
       f"minimum of the last three growth rates {cd.lower:.4f}")

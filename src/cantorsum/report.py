@@ -20,10 +20,13 @@ __all__ = ["AnalysisReport", "analyze"]
 @dataclass(frozen=True)
 class AnalysisReport:
     digitset: DigitSet
-    good: bool
     typing: TypingProfile
     uniqueness: UniquenessReport
     structure: StructureReport
+
+    @property
+    def good(self) -> bool:
+        return self.uniqueness.good
 
     def to_json_dict(self) -> dict:
         return {
@@ -52,5 +55,5 @@ def analyze(A: DigitSet) -> AnalysisReport:
     types = bits[2 * n :] << 1
     types |= bits[: 2 * n]
     struct = classify_structure(A, m1, uniq.good)
-    return AnalysisReport(digitset=A, good=uniq.good, typing=TypingProfile(n, types, matrix),
+    return AnalysisReport(digitset=A, typing=TypingProfile(n, types, matrix),
                           uniqueness=uniq, structure=struct)

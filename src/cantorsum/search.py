@@ -37,9 +37,9 @@ types a window of drawn flip digits in one NumPy pass
 (:class:`_FlipKernel`): the shifted masks by a limb gather and a funnel
 shift, then the steps of :func:`~cantorsum.gdifs.word_typing`, the one
 typing rule (shared with the tower steps and ``analyze``), on
-(limbs, window) arrays.  Proposals rank by the exact key 2 lambda =
-s + sqrt(q), float64 v filtering and :func:`_root_sum_sign` deciding
-where v cannot.  The rows up to the first accept count as evaluated, in
+(limbs, window) arrays.  A proposal is accepted on the exact key
+2 lambda = s + sqrt(q), float64 v filtering and :func:`_root_sum_sign`
+deciding where v cannot.  The rows up to the first accept count as evaluated, in
 order; only an accepted flip updates the counts and rebuilds the words,
 and the rest of the window is typed again from the new set.  Flip
 digits are drawn no further ahead than the climb is sure to evaluate,
@@ -66,13 +66,15 @@ with integers as 2 lambda does, which the tests check on that whole
 domain.  So v checks the cheap invariants inline (eigenvalue
 dichotomy, lambda <= |A|, good sets need >= sqrt(n) digits, the
 missing-edge-digit bound; one flag test per invariant and pass,
-:class:`~cantorsum.digitset.InvariantError` on a hit) and ranks the rows.
-lambda and dim come from :func:`~cantorsum.gdifs.matrix_dimension`, as
-``analyze``'s do, for the rows at a pass's top v, for rows near the
-conjecture monitor's threshold (which keeps its float dim test) and
-for the streamed records.  Any record whose dimension exceeds
-log(2)/log(3) + DIM_TOL is collected for the monitor rather than
-silently kept.
+:class:`~cantorsum.digitset.InvariantError` on a hit).
+
+Both searches pick their best through one tracker, :class:`_Best`: the
+float key only filters, the ranking is exact by s + sqrt(q)
+(:func:`_outranks`), ties to the smaller digit list, and one builder,
+:func:`_record`, takes lambda and dim from
+:func:`~cantorsum.gdifs.matrix_dimension`, as ``analyze`` does, for the
+winner, for each monitor hit (a dim above log(2)/log(3) + DIM_TOL,
+collected rather than silently kept) and for the streamed records.
 """
 
 from __future__ import annotations
@@ -346,19 +348,16 @@ def _scratch_limbs(n: int, rows: int) -> int:
 _FREE_SCRATCH: list[np.ndarray] = []
 
 
-def _record(n: int, mask: int, good: bool, very_good: bool,
-            a: int, b: int, c: int, d: int) -> SearchRecord:
-    """The record of a typed set, with lambda and dim from
-    :func:`~cantorsum.gdifs.matrix_dimension`; takes Python scalars."""
+def _record(n: int, mask: int, good: bool, a: int, b: int, c: int, d: int) -> SearchRecord:
+    """The record of a typed set, very-good by
+    :func:`~cantorsum.gdifs.very_good_rule` from the mask's edge digits,
+    lambda and dim from :func:`~cantorsum.gdifs.matrix_dimension`; takes
+    Python scalars."""
+    edge = mask >> 1 & 1 | mask >> n - 2 & 1  # 1 or n - 2 a digit
     lam, _, dim = matrix_dimension(a, b, c, d, n)
     return SearchRecord(n=n, digits=tuple(np.flatnonzero(_word_bits(mask, n)).tolist()),
-                        good=good, very_good=very_good, a=a, b=b, c=c, d=d, lam=lam, dim=dim)
-
-
-def _batch_records(n: int, masks: np.ndarray, cols, rows) -> list[SearchRecord]:
-    """The records of the given rows of a kernel pass."""
-    return [_record(n, *row) for row in
-            zip(masks[rows].tolist(), *(col[rows].tolist() for col in cols[:6]))]
+                        good=good, very_good=very_good_rule(good, edge, a, b, c, d),
+                        a=a, b=b, c=c, d=d, lam=lam, dim=dim)
 
 
 def _root_sum_sign(p1: int, q1: int, p2: int, q2: int) -> int:
@@ -383,6 +382,56 @@ def _outranks(s: int, q: int, mask: int, s0: int, q0: int, mask0: int) -> bool:
         return order > 0
     diff = mask ^ mask0
     return bool(mask >> (diff ^ (diff - 1)).bit_length() - 1 & 1)
+
+
+class _Best:
+    """The selection policy of both searches in base n: the best matching
+    set by the exact key 2 lambda = s + sqrt(q) (:func:`_outranks`) and
+    the conjecture monitor's hits, a record for each and for the winner.
+
+    A set's float key v, within _V_ERROR of 2 lambda, only filters: below
+    min(monitor_v, max(top, best_v) (1 - _V_ERROR)), top the largest v
+    offered with it and best_v the leader's, a set can neither win nor
+    trip the monitor; above monitor_v (v at dim _MONITOR_DIM lowered by
+    more than v's error, as 2 n^dim >= 4) it takes the monitor's dim test.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.lead = None  # (s, q, mask, good, a, b, c, d) of the best set
+        self.best_v = 0.0
+        self.monitor_v = 2 * n ** _MONITOR_DIM * (1 - _V_ERROR)
+        self.exceed: list[SearchRecord] = []
+
+    def offer(self, mask: int, good: bool, a: int, b: int, c: int, d: int, v: float) -> None:
+        """Take a matching set, typed a..d, with key v; Python scalars."""
+        if v > self.monitor_v and matrix_dimension(a, b, c, d, self.n)[2] > _MONITOR_DIM:
+            self.exceed.append(_record(self.n, mask, good, a, b, c, d))
+        key = a + d, (a - d) ** 2 + 4 * b * c, mask
+        if self.lead is None or _outranks(*key, *self.lead[:3]):
+            self.lead, self.best_v = (*key, good, a, b, c, d), v
+
+    def offer_rows(self, v: np.ndarray, match: np.ndarray | None, row) -> None:
+        """Offer the rows of the key column v that match (flags `match`;
+        None: every row) and lie above the floor; row(i) is the (mask,
+        good, a, b, c, d) of row i."""
+        top = float(v.max() if match is None else v.max(initial=0.0, where=match))
+        floor = min(self.monitor_v, max(top, self.best_v) * (1 - _V_ERROR))
+        if top < floor:
+            return
+        keep = v >= floor
+        if match is not None:
+            keep &= match
+        for i in np.flatnonzero(keep).tolist():
+            self.offer(*row(i), float(v[i]))
+
+    def result(self, evaluations: int, n_matching: int, source: str) -> SearchResult:
+        """The winner's record and the monitor's hits in digit order."""
+        best = None if self.lead is None else _record(self.n, *self.lead[2:])
+        self.exceed.sort(key=lambda r: (r.n, r.digits))
+        return SearchResult(best=best, n_enumerated=evaluations, n_matching=n_matching,
+                            evaluations=evaluations, exceedances=tuple(self.exceed),
+                            source=source)
 
 
 def _add_digit(j: int, mask, m1, m2):
@@ -618,57 +667,30 @@ def search_exhaustive(n: int, require_good: bool = False,
     the set is good, so an unconstrained ranking can miss a non-good set
     whose uniqueness set is larger) under the constraints, ties broken
     by the lexicographically smallest digit list; both are decided by
-    the exact key v = 2 lambda of the pass rows.
+    :class:`_Best` on the exact key 2 lambda, which the pass's float32
+    key only filters.
     """
     _check_exhaustive_base(n)
-    best: SearchRecord | None = None
-    best_v = 0.0
-    n_enumerated = 0
-    n_matching = 0
-    exceed: list[SearchRecord] = []
-    # v at dim _MONITOR_DIM, lowered by more than v's error (2 n^dim >= 4);
-    # the rows above it take the float dim test that flags them
-    monitor_v = 2 * n ** _MONITOR_DIM * (1 - _V_ERROR)
+    best = _Best(n)
+    n_enumerated = n_matching = 0
     unconstrained = not (require_good or require_very_good)
-    for masks, cols, keep in _batches(n, require_good, require_very_good):
+    for masks, (good, _, a, b, c, d, v), keep in _batches(n, require_good, require_very_good):
         n_enumerated += len(masks)
-        v = cols[6]
-        if unconstrained:
-            n_matching += len(masks)
-        else:
-            matching = int(np.count_nonzero(keep))
-            n_matching += matching
-            if not matching:
-                continue
-            # a matching row has v >= 2 (a, d >= 1 for canonical sets), so
-            # the rows that do not match, at 0, never reach the top; the key
-            # column is the pass's own, and nothing reads it after this
-            np.multiply(v, keep, out=v)
-        top = float(v.max())
-        if top > monitor_v:
-            exceed.extend(rec for rec in _batch_records(
-                n, masks, cols, np.flatnonzero(v > monitor_v))
-                if rec.dim > _MONITOR_DIM)
-        if best is not None and top < best_v:
-            continue
-        # the key column, done with, flags the rows at the top
-        rows = np.flatnonzero(np.equal(v, top, out=v))
-        cand = min(_batch_records(n, masks, cols, rows), key=lambda rec: rec.digits)
-        if best is None or top > best_v or cand.digits < best.digits:
-            best, best_v = cand, top
-    exceed.sort(key=lambda r: (r.n, r.digits))
-    return SearchResult(best=best, n_enumerated=n_enumerated,
-                        n_matching=n_matching, evaluations=n_enumerated,
-                        exceedances=tuple(exceed), source="exhaustive")
+        n_matching += len(masks) if unconstrained else int(np.count_nonzero(keep))
+        best.offer_rows(v, None if unconstrained else keep, lambda i: (
+            int(masks[i]), bool(good[i]), int(a[i]), int(b[i]), int(c[i]), int(d[i])))
+    return best.result(n_enumerated, n_matching, "exhaustive")
 
 
 def iter_exhaustive_records(n: int, require_good: bool = False,
                             require_very_good: bool = False):
     """Stream every reflection-canonical record (3 <= n <= 32)."""
     _check_exhaustive_base(n)
-    for masks, cols, keep in _batches(n, require_good, require_very_good):
+    for masks, (good, _, a, b, c, d, _), keep in _batches(n, require_good, require_very_good):
         rows = np.flatnonzero(keep)
-        yield from _batch_records(n, masks, cols, rows[np.argsort(masks[rows])])
+        rows = rows[np.argsort(masks[rows])]
+        for row in zip(*(col[rows].tolist() for col in (masks, good, a, b, c, d))):
+            yield _record(n, *row)
 
 
 def _random_inner(rng, bits: int) -> int:
@@ -721,42 +743,38 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
     set, each built only when reached) and then random restarts, flipping
     one interior digit at a time and keeping strict improvements of the
     exact key 2 lambda, whose dim is the L/R-core dimension; a lower
-    bound unless the set is good.  Non-good proposals are evaluated
-    (they cost budget) but never climbed onto when goodness is
-    required.  A climb ends after 4n + 1 rejections in a row (a stuck
+    bound unless the set is good.  The best evaluated set is picked as
+    :func:`search_exhaustive` picks it, by :class:`_Best`.  Non-good
+    proposals are evaluated (they cost budget) but never climbed onto
+    when goodness is required.  A climb ends after 4n + 1 rejections in a row (a stuck
     run).  The climb carries the pair counts of its current set and
     their threshold words, and types its proposals a window of drawn
-    digits at a time in one NumPy pass (:class:`_FlipKernel`).  The rows up to the first
-    accept count as evaluated, in order; an accept updates the counts,
-    and the rest of the window is typed again from the new set.  A
-    climb's first window covers every flip it is sure to evaluate (the
-    rest of the budget or of the stuck run) within the byte bound on its
-    arrays.  After an accept the window spans about _ACCEPT_LIMBS limbs
-    and doubles while nothing is accepted, so a climb that accepts often
-    does not retype long windows.  The flip digits are drawn as windows
-    need them, never more than the budget or the stuck run leave, so
-    every drawn digit is used and the result is that of one draw per
-    flip.  The arrays are cut from a scratch block that the climb takes
-    from a free list and returns.  `budget` (>= 1, else ValueError) caps
-    the number of single-set evaluations.  For n <= 8 (at most 64 sets)
-    this is :func:`search_exhaustive`, and `budget` and `seed` are
-    otherwise unused.
+    digits at a time in one NumPy pass (:class:`_FlipKernel`).  The rows
+    up to the first accept count as evaluated, in order; an accept
+    updates the counts, and the rest of the window is typed again from
+    the new set.  A climb's first window covers every flip it is sure to
+    evaluate (the rest of the budget or of the stuck run) within the
+    byte bound on its arrays.  After an accept the window spans about
+    _ACCEPT_LIMBS limbs and doubles while nothing is accepted, so a
+    climb that accepts often does not retype long windows.  The flip
+    digits are drawn as windows need them, never more than the budget or
+    the stuck run leave, so every drawn digit is used and the result is
+    that of one draw per flip.  The arrays are cut from a scratch block
+    that the climb takes from a free list and returns.  `budget` (>= 1,
+    else ValueError) caps the number of single-set evaluations.  For
+    n <= 8 (at most 64 sets) this is :func:`search_exhaustive`, and
+    `budget` and `seed` are otherwise unused.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     if n <= 8:
         return search_exhaustive(n, require_good, require_very_good)
     base = 1 | (1 << (n - 1))
-    lead = None  # (s, q, mask, good, (a, b, c, d)) of the best matching set
-    best_v = 0.0
-    exceed: list[SearchRecord] = []
+    best = _Best(n)
     matching = 0
     rng = np.random.default_rng(seed)
     evals = 0
     unconstrained = not (require_good or require_very_good)
-    # float64 v is far within _V_ERROR of 2 lambda; rows above monitor_v
-    # take the float dim test of the conjecture monitor
-    monitor_v = 2 * n ** _MONITOR_DIM * (1 - _V_ERROR)
     k = -(-n // 32)
     rows = max(1, min(_WINDOW_LIMBS // (k + 1), budget))
     after_accept = min(rows, max(1, _ACCEPT_LIMBS // (k + 8)))
@@ -768,31 +786,15 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
         scratch = np.empty(_scratch_limbs(n, rows), dtype=np.uint64)
     kernel = _FlipKernel(n, rows, scratch)
 
-    def record(mask: int, good: bool, abcd: tuple[int, int, int, int]) -> SearchRecord:
-        edge = mask >> 1 & 1 | mask >> n - 2 & 1  # 1 or n - 2 a digit
-        return _record(n, mask, good, very_good_rule(good, edge, *abcd), *abcd)
-
-    def offer(mask: int, good: bool, abcd: tuple[int, int, int, int], v: float) -> None:
-        """Take a matching set that can end up best or exceed the monitor;
-        the best is kept as its key and mask, recorded once at the end."""
-        nonlocal lead, best_v
-        if v > monitor_v and matrix_dimension(*abcd, n)[2] > _MONITOR_DIM:
-            exceed.append(record(mask, good, abcd))
-        a, b, c, d = abcd
-        key = a + d, (a - d) ** 2 + 4 * b * c, mask
-        if lead is None or _outranks(*key, *lead[:3]):
-            lead, best_v = (*key, good, abcd), v
-
     def tally(cols, flips) -> None:
         """Count the typed flips of the current set as evaluated, in
-        order, and offer the matching ones that can end up best."""
+        order, and offer them to the tracker."""
         nonlocal evals, matching
         good, a, b, c, d, _, _, v = cols
         evals += len(v)
         if unconstrained:
             match = None
             matching += len(v)
-            top = v.max()
         else:
             if require_very_good:
                 ind = current.ind  # 1 or n - 2 a digit of the flipped set
@@ -801,16 +803,9 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
             else:
                 match = good
             matching += int(np.count_nonzero(match))
-            top = v.max(initial=0.0, where=match)
-        floor = min(monitor_v, max(top, best_v) * (1 - _V_ERROR))
-        if top < floor:
-            return
-        keep = v >= floor
-        if match is not None:
-            keep &= match
-        for i in np.flatnonzero(keep).tolist():
-            offer(current.mask ^ 1 << int(flips[i]), bool(good[i]),
-                  (int(a[i]), int(b[i]), int(c[i]), int(d[i])), float(v[i]))
+        mask = current.mask
+        best.offer_rows(v, match, lambda i: (
+            mask ^ 1 << int(flips[i]), bool(good[i]), int(a[i]), int(b[i]), int(c[i]), int(d[i])))
 
     def first_accept(cols, key) -> int:
         """Index of the first climbable row whose exact key exceeds key =
@@ -842,8 +837,7 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
             evals += 1
             if very_good if require_very_good else good or not require_good:
                 matching += 1
-                if key[2] >= min(monitor_v, best_v * (1 - _V_ERROR)):
-                    offer(current.mask, good, (a, b, c, d), key[2])
+                best.offer(current.mask, good, a, b, c, d, key[2])
             climbable = good or unconstrained
             stuck = 0
             window = rows
@@ -871,11 +865,7 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
                     window = after_accept
     finally:
         _FREE_SCRATCH.append(scratch)
-    best = None if lead is None else record(*lead[2:])
-    exceed.sort(key=lambda r: (r.n, r.digits))
-    return SearchResult(best=best, n_enumerated=evals, n_matching=matching,
-                        evaluations=evals, exceedances=tuple(exceed),
-                        source="heuristic")
+    return best.result(evals, matching, "heuristic")
 
 
 def figure_data(n_lo: int, n_hi: int, budget: int = 10_000, seed: int = 0):

@@ -84,6 +84,8 @@ __all__ = [
 _DEAD, _Y, _X = 0, 1, 2
 _LIVE = (_Y, _X, _X | _Y)
 _LIVE_MASK = sum(1 << state for state in _LIVE)
+# Levels of start counts behind a growth-rate estimate of a Cantor sum
+_ESTIMATE_DEPTH = 8
 
 
 class StructureCase(Enum):
@@ -252,13 +254,14 @@ class CantorDimension:
         return self.value
 
 
-def cantor_sum_dimension(A: DigitSet, depth: int = 8,
-                         budget: int | None = None) -> CantorDimension:
+def cantor_sum_dimension(A: DigitSet) -> CantorDimension:
     """Dimension of the sum when it is a Cantor set.
 
-    Raises :class:`NotApplicableError` for FullInterval or Mixed sets,
-    decided as :func:`classify_structure` decides them, without its
-    witnesses.
+    Exact when every support gap is >= 2, otherwise estimated from the
+    start counts of levels 1..8, within the oracle's default budget
+    (:class:`~cantorsum.oracle.BudgetExceededError` beyond it).  Raises
+    :class:`NotApplicableError` for FullInterval or Mixed sets, decided
+    as :func:`classify_structure` decides them, without its witnesses.
     """
     if not A.canonical:
         raise ValueError("structure classification needs a canonical digit set")
@@ -274,11 +277,10 @@ def cantor_sum_dimension(A: DigitSet, depth: int = 8,
         value = math.log(m1.bit_count()) / logn
         return CantorDimension(value=value, lower=value, upper=value,
                                exact=True, depth=0)
-    if depth < 2:
-        raise ValueError("a growth-rate estimate needs depth >= 2")
-    counts = oracle.level_start_counts(A, depth, budget)
+    counts = oracle.level_start_counts(A, _ESTIMATE_DEPTH)
     per_level = [math.log(c) / (m * logn) for m, c in enumerate(counts, start=1)]
     ratios = [math.log(c / prev) / logn for prev, c in zip(counts, counts[1:])]
     value = ratios[-1]
     return CantorDimension(value=value, lower=min(ratios[-3:]),
-                           upper=max(min(per_level), value), exact=False, depth=depth)
+                           upper=max(min(per_level), value), exact=False,
+                           depth=_ESTIMATE_DEPTH)

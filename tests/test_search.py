@@ -287,7 +287,7 @@ class TestSplitMaskKernel:
         got = tuple(col[0] for col in cols)
         assert got[:6] == want[:6]
         assert got[6] == 60.0 == 2 * want[6]
-        rec = search._batch_records(n, np.array([mask], dtype=np.uint64), cols, [0])[0]
+        rec = search._record(n, mask, bool(got[0]), *(int(x) for x in got[2:6]))
         assert (rec.lam, rec.dim) == want[6:]
 
     def test_enumerated_count_closed_form(self):
@@ -661,6 +661,20 @@ def _rank_key(rec):
     return s, q, sum(1 << x for x in rec.digits)
 
 
+def _spy_records(monkeypatch):
+    """The list that every :func:`search._record` call from now on
+    appends its record to."""
+    built = []
+    record = search._record
+
+    def spy(*args):
+        built.append(record(*args))
+        return built[-1]
+
+    monkeypatch.setattr(search, "_record", spy)
+    return built
+
+
 class TestExactRanking:
     def _record(self, digits, abcd, dim):
         a, b, c, d = abcd
@@ -696,6 +710,19 @@ class TestExactRanking:
             top = max(two_lam.values())
             want = min(k for k, v in two_lam.items() if top - v < Decimal("1e-40"))
             assert search_exhaustive(n, **kw).best.digits == want, (n, kw)
+
+    @pytest.mark.parametrize("search_fn,kw", [
+        # n = 17: the best lambda occurs in two passes
+        (search_exhaustive, {"n": 17}),
+        (search_exhaustive, {"n": 20, "require_good": True}),
+        (search_heuristic, {"n": 300, "budget": 200}),
+    ])
+    def test_builds_only_the_winners_record(self, monkeypatch, search_fn, kw):
+        # ranking is exact on keys; lambda and dim are worked out once
+        built = _spy_records(monkeypatch)
+        res = search_fn(**kw)
+        assert res.exceedances == ()
+        assert built == [res.best]
 
     def test_root_sum_sign_against_decimal(self, rng):
         ties = [(5, 0, 3, 4), (4, 9, 6, 1), (2, 8, 2, 8), (0, 0, 0, 0), (7, 1, 8, 0)]
@@ -828,7 +855,8 @@ def _reference_climb(n, budget, seed, require_good, require_very_good):
         good, very_good, dim = row[0], row[1], row[7]
         if not ((require_very_good and not very_good) or (require_good and not good)):
             matching += 1
-            cand = search._record(n, counts.mask, *row[:6])
+            cand = search._record(n, counts.mask, good, *row[2:6])
+            assert cand.very_good == very_good
             if dim > search._MONITOR_DIM:
                 exceed.append(cand)
             if best is None or search._outranks(*_rank_key(cand), *_rank_key(best)):
@@ -1029,10 +1057,13 @@ class TestConjectureMonitor:
         keep = np.ones(3, dtype=bool)
         cols = (keep, keep, a, b, c, d, two_lambda(a, b, c, d))
         monkeypatch.setattr(search, "_batches", lambda *args: iter([(masks, cols, keep)]))
+        built = _spy_records(monkeypatch)
         res = search_exhaustive(9)
         assert [r.digits for r in res.exceedances] == [(0, 1, 2, 8)]
         assert res.exceedances[0].dim == math.log(5) / math.log(9)
         assert res.best == res.exceedances[0]
+        # one record per hit, one for the winner
+        assert built == [*res.exceedances, res.best]
 
     def test_monitor_reports_rather_than_asserts(self):
         # the mechanism itself: records above the threshold are carried

@@ -244,7 +244,7 @@ class TestCantorDimension:
         # overlapping images: box-count estimate vs an independent
         # spectral computation on the covering automaton
         A = DigitSet(6, (0, 1, 5))
-        cd = cantor_sum_dimension(A, depth=8)
+        cd = cantor_sum_dimension(A)
         assert not cd.exact
         assert cd.lower <= cd.value <= cd.upper
         assert cd.width < 0.05
@@ -257,20 +257,11 @@ class TestCantorDimension:
         assert cd.value == pytest.approx(truth, abs=1e-3)
 
     @pytest.mark.parametrize("digits", [(0, 1, 5), (0, 3, 5)])
-    @pytest.mark.parametrize("depth", [6, 8])
-    def test_upper_is_a_bound(self, digits, depth):
+    def test_upper_is_a_bound(self, digits):
         A = DigitSet(6, digits)
-        cd = cantor_sum_dimension(A, depth=depth)
+        cd = cantor_sum_dimension(A)
         assert not cd.exact
         assert cd.upper >= _transfer_dimension(A)
-
-    @pytest.mark.parametrize("depth", [0, 1])
-    def test_bracket_needs_depth_two(self, depth):
-        A = DigitSet(10, (0, 5, 8, 9))  # adjacent sums: the bracket path
-        with pytest.raises(ValueError, match="depth >= 2"):
-            cantor_sum_dimension(A, depth=depth)
-        # the exact gap >= 2 branch ignores depth
-        assert cantor_sum_dimension(DigitSet.of(5, [0, 4]), depth=1).exact
 
     def test_not_applicable(self):
         with pytest.raises(NotApplicableError):
