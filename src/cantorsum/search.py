@@ -12,21 +12,23 @@ into a low part L (digit 0 and the inner digits up to k <= 15) and high
 digits H (n - 1 and the rest).  A table of every L and its words is
 built once per call by doubling: adding digit j to each row puts the
 cross sums a + j into both words (pairs (a, j) and (j, a)) and 2j into
-m1.  The table also holds each L's digit count and whether it holds
-digit 1.  That is the edge-digit flag of the very-good rule: a
-reflection-canonical set that holds the other edge digit, n - 2, holds 1
-too, as (1, n - 2) is its first reflection pair.  A high part H is
-crossed with the table the same way: with X = OR_h (L << h) the words
-are m1_L | X | m1_H and m2_L | X | m2_H, |H| + 4 vector operations.  (A
-sum of both L + L and H + H with one pair on each side would be 2l = 2h,
-so m1_L & m1_H adds nothing to m2.)  The table rows are laid out so that
-the reflection-canonical sets of any H are one suffix of it.  The
-suffixes of consecutive high parts fill one pass of up to 2^15 rows,
-typed in one go; a row's set size is its table row's count plus |H|, and
-its edge flag the table row's.  A call holds one workspace
-(:class:`_Workspace`) for its whole life: the table and every pass
-array, written with ``out=``, so a repeated call allocates nothing of
-pass size.
+m1.  Its first block, the digits that reflection pairs among themselves,
+depends on the base only by a shift, so it is built once per process for
+each size (:func:`_self_paired`).  The table also holds each L's digit
+count and whether it holds digit 1.  That is the edge-digit flag of the
+very-good rule: a reflection-canonical set that holds the other edge
+digit, n - 2, holds 1 too, as (1, n - 2) is its first reflection pair.
+A high part H is crossed with the table the same way: with
+X = OR_h (L << h) the words are m1_L | X | m1_H and m2_L | X | m2_H,
+|H| + 4 vector operations.  (A sum of both L + L and H + H with one
+pair on each side would be 2l = 2h, so m1_L & m1_H adds nothing to
+m2.)  The table rows are laid out so that the reflection-canonical sets
+of any H are one suffix of it.  The suffixes of consecutive high parts
+fill one pass of up to 2^15 rows, typed in one go; a row's set size is
+its table row's count plus |H|, and its edge flag the table row's.  A
+call holds one workspace (:class:`_Workspace`) for its whole life: the
+table and every pass array, written with ``out=``, so a repeated call
+allocates nothing of pass size.
 
 The hill climb keeps the exact pair counts of its current set instead,
 with the threshold words W_t = {s : count >= t}, t = 1..4, and its mask
@@ -65,8 +67,9 @@ orders and ties matrices as their Perron eigenvalues do and compares
 with integers as 2 lambda does, which the tests check on that whole
 domain.  So v checks the cheap invariants inline (eigenvalue
 dichotomy, lambda <= |A|, good sets need >= sqrt(n) digits, the
-missing-edge-digit bound; one flag test per invariant and pass,
-:class:`~cantorsum.digitset.InvariantError` on a hit).
+missing-edge-digit bound; one flag test per pass for all four,
+:class:`~cantorsum.digitset.InvariantError` on a hit).  A pass types
+the very-good column only when very-good is required.
 
 Both searches pick their best through one tracker, :class:`_Best`: the
 float key only filters, the ranking is exact by s + sqrt(q)
@@ -79,6 +82,7 @@ collected rather than silently kept) and for the streamed records.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -394,6 +398,8 @@ class _Best:
     offered with it and best_v the leader's, a set can neither win nor
     trip the monitor; above monitor_v (v at dim _MONITOR_DIM lowered by
     more than v's error, as 2 n^dim >= 4) it takes the monitor's dim test.
+    :meth:`offer_rows` takes top as the max of v * match: v >= 0, and
+    NumPy's masked max (``where=``) runs on a slow path.
     """
 
     def __init__(self, n: int):
@@ -414,8 +420,11 @@ class _Best:
     def offer_rows(self, v: np.ndarray, match: np.ndarray | None, row) -> None:
         """Offer the rows of the key column v that match (flags `match`;
         None: every row) and lie above the floor; row(i) is the (mask,
-        good, a, b, c, d) of row i."""
-        top = float(v.max() if match is None else v.max(initial=0.0, where=match))
+        good, a, b, c, d) of row i.  With flags, v is overwritten by
+        v * match."""
+        if match is not None:
+            np.multiply(v, match, out=v)
+        top = float(v.max())
         floor = min(self.monitor_v, max(top, self.best_v) * (1 - _V_ERROR))
         if top < floor:
             return
@@ -473,7 +482,7 @@ class _Workspace:
         self.edges = np.empty(rows, dtype=bool)
         self.counts = np.empty((7, rows), dtype=np.int16)
         self.key = np.empty(rows, dtype=np.float32)
-        self.flags = np.empty((5, rows), dtype=bool)
+        self.flags = np.empty((7, rows), dtype=bool)
         self.ones = np.ones(rows, dtype=bool)
 
 
@@ -483,6 +492,26 @@ class _Workspace:
 _FREE_WORKSPACES: list[_Workspace] = []
 
 
+@functools.cache
+def _self_paired(m: int):
+    """(rows, s0): every subset of the digits 1..m, which reflection
+    pairs among themselves (i with m + 1 - i), as read-only uint64 rows
+    (mask, m1, m2), stably partitioned so that the sets with mirror >=
+    mask form a suffix starting at s0.  Built by doubling, once per m
+    and process; the block of digits p+1..p+m is these rows with the
+    mask shifted by p and both words by 2p, in the same order."""
+    rows = np.zeros((3, 1 << m), dtype=np.uint64)
+    mirror = np.zeros(1 << m, dtype=np.uint64)
+    for j in range(1, m + 1):
+        half = 1 << (j - 1)
+        _add_digit_rows(j, rows[:, :half], rows[:, half:2 * half])
+        np.bitwise_or(mirror[:half], 1 << (m + 1 - j), out=mirror[half:2 * half])
+    canonical = mirror >= rows[0]
+    rows = rows[:, np.argsort(canonical, kind="stable")]
+    rows.flags.writeable = False
+    return rows, len(canonical) - int(np.count_nonzero(canonical))
+
+
 def _low_table(n: int, ws: _Workspace):
     """k, s0 and every low part L (digit 0 plus a subset of the inner
     digits 1..k) as rows (mask, m1, m2, size, edge) of the workspace
@@ -490,33 +519,30 @@ def _low_table(n: int, ws: _Workspace):
     size is the digit count of L, and edge whether L holds digit 1.
 
     The p = n - 2 - k inner digits above k pair under reflection with
-    the prefix digits 1..p; the rest pair among themselves.  The table
-    is built by doubling: the self-paired digits p+1..k first, whose
-    rows are then stably partitioned so that the ones with mirror >= mask
-    form a suffix starting at s0; then digit 0 in place; then the prefix
-    digits p..1, digit i doubling on index bit k - i.
+    the prefix digits 1..p; the m = k - p digits p+1..k pair among
+    themselves.  The table starts as :func:`_self_paired`'s block of m
+    digits shifted into place, takes digit 0 in place, and then doubles
+    on the prefix digits p..1, digit i on index bit k - i: the new half's
+    sizes are one more, and its edge flags are set when i = 1.
     """
-    # (n + 10) // 2 keeps the 2^(2k+2-n) rows partitioned per call <= 2^12
+    # (n + 10) // 2 keeps m = 2k + 2 - n <= 12: blocks of <= 2^12 rows
     k = min(n - 2, _TABLE_DIGITS, (n + 10) // 2)
     p = n - 2 - k
+    block, s0 = _self_paired(k - p)
     table = ws.table[:, :1 << k]
-    mirror = ws.words[0, :1 << (k - p)]
-    table[:, 0] = mirror[0] = 0
-    for j in range(p + 1, k + 1):
-        half = 1 << (j - p - 1)
-        _add_digit_rows(j, table[:, :half], table[:, half:2 * half])
-        np.bitwise_or(mirror[:half], 1 << (n - 1 - j), out=mirror[half:2 * half])
-    own = table[:, :len(mirror)]
-    canonical = np.greater_equal(mirror, own[0], out=ws.flags[0, :len(mirror)])
-    own[:] = np.take(own, np.argsort(canonical, kind="stable"), axis=1)
-    _add_digit_rows(0, own, own)
+    sizes, edges = ws.table_sizes[:1 << k], ws.table_edges[:1 << k]
+    own = 1 << (k - p)
+    np.left_shift(block[0], p, out=table[0, :own])
+    np.left_shift(block[1:], 2 * p, out=table[1:, :own])
+    _add_digit_rows(0, table[:, :own], table[:, :own])
+    np.bitwise_count(table[0, :own], out=sizes[:own])
+    np.not_equal(np.bitwise_and(table[0, :own], 2, out=ws.words[0, :own]), 0, out=edges[:own])
     for i in range(p, 0, -1):
         half = 1 << (k - i)
         _add_digit_rows(i, table[:, :half], table[:, half:2 * half])
-    sizes = np.bitwise_count(table[0], out=ws.table_sizes[:1 << k])
-    edges = np.not_equal(np.bitwise_and(table[0], 2, out=ws.words[0, :1 << k]), 0,
-                         out=ws.table_edges[:1 << k])
-    return k, len(canonical) - int(np.count_nonzero(canonical)), (*table, sizes, edges)
+        np.add(sizes[:half], 1, out=sizes[half:2 * half])
+        np.logical_or(edges[:half], i == 1, out=edges[half:2 * half])
+    return k, s0, (*table, sizes, edges)
 
 
 def _two_lambda(a, b, c, d, out):
@@ -532,21 +558,27 @@ def _two_lambda(a, b, c, d, out):
     return v
 
 
+_INVARIANTS = ("eigenvalue dichotomy violated", "lambda exceeded |A|",
+               "good set smaller than sqrt(n)", "missing-edge-digit bound violated")
+
+
 def _type_batch(n: int, m1: np.ndarray, m2: np.ndarray, sizes: np.ndarray,
                 edges: np.ndarray, ws: _Workspace):
     """Vector twin of :func:`~cantorsum.gdifs.word_typing` with the inline
-    invariants: (good, very_good, a, b, c, d, v), a..d int16 and v =
-    2 lambda from :func:`_two_lambda`, in the workspace.
+    invariants: (good, a, b, c, d, v), a..d int16 and v = 2 lambda from
+    :func:`_two_lambda`, in the workspace; :func:`_very_good_rows` adds
+    the very-good column from what this leaves there.
 
     `sizes` (int16) are the rows' digit counts and `edges` whether 1 or
-    n - 2 is a digit; the very-good rule and the invariants read them.
-    The invariants read v, which compares with integers exactly, and are
-    tested in order, one flag test each.
+    n - 2 is a digit; the invariants read them and v, which compares
+    with integers exactly.  One test covers all four invariants; a hit
+    raises the first of them, in the order of _INVARIANTS, that fails.
     """
     rows = len(m1)
     t, u = ws.words[3:, :rows]
     a, b, c, d, x, y, z = ws.counts[:, :rows]
-    good, very_good, good_no_edge, below_2, hit = ws.flags[:, :rows]
+    good, good_no_edge = ws.flags[:2, :rows]
+    hits = ws.flags[2:6, :rows]
     v = ws.key[:rows]
     # good: m1 | m1 >> 1 is all ones
     right = np.right_shift(m1, 1, out=t)
@@ -566,43 +598,51 @@ def _type_batch(n: int, m1: np.ndarray, m2: np.ndarray, sizes: np.ndarray,
     np.bitwise_count(np.bitwise_and(u, (1 << n) - 1, out=u), out=a)
     c -= a
     _two_lambda(a, b, c, d, (v, x, y, z))
-    # equal row or column sums, a + b == c + d or a + c == b + d, is
-    # (a - d)^2 == (b - c)^2
-    np.multiply(np.subtract(b, c, out=z), z, out=z)
-    np.logical_and(np.equal(x, z, out=very_good), good_no_edge, out=very_good)
+    dichotomy, over_size, small_good, no_edge = hits
     # lambda < 2; with bc = 0 lambda is max(a, d), so such a row is
     # trivial exactly when bc = 0
-    np.less(v, 4, out=below_2)
-    np.not_equal(y, 0, out=hit)
-    if np.logical_and(hit, below_2, out=hit).any():
-        raise InvariantError("eigenvalue dichotomy violated")
-    if np.greater(v, np.left_shift(sizes, 1, out=x), out=hit).any():
-        raise InvariantError("lambda exceeded |A|")
-    np.less(np.multiply(sizes, sizes, out=x), n, out=hit)
-    if np.logical_and(hit, good, out=hit).any():
-        raise InvariantError("good set smaller than sqrt(n)")
-    if np.logical_and(below_2, good_no_edge, out=hit).any():
-        raise InvariantError("missing-edge-digit bound violated")
-    return good, very_good, a, b, c, d, v
+    below_2 = np.less(v, 4, out=no_edge)
+    np.logical_and(np.not_equal(y, 0, out=dichotomy), below_2, out=dichotomy)
+    np.greater(v, np.left_shift(sizes, 1, out=z), out=over_size)
+    np.logical_and(np.less_equal(sizes, math.isqrt(n - 1), out=small_good), good,
+                   out=small_good)  # |A|^2 < n
+    np.logical_and(below_2, good_no_edge, out=no_edge)
+    if hits.any():
+        raise InvariantError(_INVARIANTS[int(hits.any(axis=1).argmax())])
+    return good, a, b, c, d, v
+
+
+def _very_good_rows(rows: int, ws: _Workspace) -> np.ndarray:
+    """The very-good flags of the `rows` rows that :func:`_type_batch`
+    typed last in the workspace: good with neither 1 nor n - 2 a digit,
+    and equal row or column sums, a + b == c + d or a + c == b + d, which
+    is (a - d)^2 == (b - c)^2 (the first left in x by _type_batch)."""
+    _, b, c, _, x, _, z = ws.counts[:, :rows]
+    good_no_edge, very_good = ws.flags[1, :rows], ws.flags[6, :rows]
+    np.multiply(np.subtract(b, c, out=z), z, out=z)
+    return np.logical_and(np.equal(x, z, out=very_good), good_no_edge, out=very_good)
 
 
 def _batches(n: int, require_good: bool, require_very_good: bool,
              tops: range | None = None):
     """(masks, kernel columns, matching flags) of the reflection-canonical
     masks of the high parts in `tops` (default: all), one typing pass at a
-    time.  A pass holds the canonical suffixes of consecutive high parts,
-    each in table row order, as many as fit the workspace; since a higher
-    high part holds only larger masks, the passes follow each other in
-    mask order.  The arrays are views into the call's workspace, valid
-    until the next pass; a consumer may overwrite them and copies what it
-    keeps.
+    time; the columns are (good, very_good, a, b, c, d, v), very_good
+    None unless very-good is required.  A pass holds the canonical
+    suffixes of consecutive high parts, each in table row order, as many
+    as fit the workspace; since a higher high part holds only larger
+    masks, the passes follow each other in mask order.  The arrays are
+    views into the call's workspace, valid until the next pass; a
+    consumer may overwrite them and copies what it keeps.
 
-    High part t holds n - 1 and digit k + 1 + i for each bit i of t.
-    L | H is canonical when its first unequal reflection pair (i, n-1-i)
-    has i set: for i <= p that puts L in a later group of the table than
-    the index bits of the partners of H, otherwise at or past s0.  A
-    row's set size is its table row's plus |H|, and its edge flag the
-    table row's: a canonical set holding n - 2 holds 1 too.
+    High part t holds n - 1 and digit k + 1 + i for each bit i of t; the
+    call lists every high part's digits and words first, by doubling
+    (2^(n - 2 - k) parts of about 280 bytes: 10 KB at n = 23, 9 MB at
+    n = 32).  L | H is canonical when its first unequal reflection pair
+    (i, n-1-i) has i set: for i <= p that puts L in a later group of the
+    table than the index bits of the partners of H, otherwise at or past
+    s0.  A row's set size is its table row's plus |H|, and its edge flag
+    the table row's: a canonical set holding n - 2 holds 1 too.
     """
     try:
         ws = _FREE_WORKSPACES.pop()
@@ -612,20 +652,22 @@ def _batches(n: int, require_good: bool, require_very_good: bool,
     sizes, edges = ws.sizes, ws.edges
 
     def typed(rows: int):
-        cols = _type_batch(n, m1[:rows], m2[:rows], sizes[:rows], edges[:rows], ws)
-        keep = cols[1] if require_very_good else cols[0] if require_good else ws.ones[:rows]
-        return masks[:rows], cols, keep
+        good, a, b, c, d, v = _type_batch(n, m1[:rows], m2[:rows], sizes[:rows], edges[:rows], ws)
+        very_good = _very_good_rows(rows, ws) if require_very_good else None
+        keep = very_good if require_very_good else good if require_good else ws.ones[:rows]
+        return masks[:rows], (good, very_good, a, b, c, d, v), keep
 
     try:
         k, s0, (mask_l, m1_l, m2_l, sizes_l, edges_l) = _low_table(n, ws)
+        # every high part's digits and words, doubling on digits k+1..n-2
+        parts = [((n - 1,), *_add_digit(n - 1, 0, 0, 0))]
+        for j in range(k + 1, n - 1):
+            parts += [((j, *high), *_add_digit(j, *words)) for high, *words in parts]
         filled = 0
-        for top in range(1 << (n - 2 - k)) if tops is None else tops:
-            high = [j for j in range(k + 1, n - 1) if top >> (j - k - 1) & 1]
-            start = s0 + sum(1 << (k - (n - 1 - j)) for j in high)
-            high.append(n - 1)
-            mask_h = m1_h = m2_h = 0
-            for j in high:
-                mask_h, m1_h, m2_h = _add_digit(j, mask_h, m1_h, m2_h)
+        for top in range(len(parts)) if tops is None else tops:
+            high, mask_h, m1_h, m2_h = parts[top]
+            # the partner of high digit k + 1 + i is table index bit 2k + 2 - n + i
+            start = s0 + (top << 2 * k + 2 - n)
             low = mask_l[start:]
             if filled + len(low) > len(masks):
                 yield typed(filled)
@@ -853,6 +895,8 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
                 cols = kernel.type_flips(current, digits)
                 i = first_accept(cols, key)
                 used = len(digits) if i < 0 else i + 1
+                if i >= 0:  # before tally, which may overwrite the key column
+                    key = int(cols[5][i]), int(cols[6][i]), float(cols[7][i])
                 tally([col[:used] for col in cols], digits[:used])
                 drawn = drawn[used:]
                 if i < 0:
@@ -860,7 +904,6 @@ def search_heuristic(n: int, budget: int = 10_000, seed: int = 0,
                     window = min(2 * window, rows)
                 else:
                     current.flip(int(digits[i]))
-                    key = int(cols[5][i]), int(cols[6][i]), float(cols[7][i])
                     stuck = 0
                     window = after_accept
     finally:

@@ -133,7 +133,8 @@ class TestKernelAgainstReference:
 
     def test_batch_kernel_matches_scalar(self, rng):
         for n in (5, 9, 13, 20):
-            for masks, batch, _ in search._batches(n, False, False):
+            # the very-good column is typed only when very-good is required
+            for masks, batch, _ in search._batches(n, False, True):
                 idx = rng.integers(0, len(masks), size=50 if n < 20 else 5)
                 for i in idx:
                     row = eval_mask(n, int(masks[i]))
@@ -200,10 +201,11 @@ def _reference_rows(n, lo, hi):
 
 
 def _split_rows(n, tops=None):
-    """The split-mask batches of the high parts `tops`, ordered by mask;
+    """The split-mask batches of the high parts `tops`, ordered by mask,
+    with the very-good column (typed only when very-good is required);
     each batch is copied, as its arrays last only until the next one."""
     parts = [(masks.copy(), [col.copy() for col in cols], None)
-             for masks, cols, _ in search._batches(n, False, False, tops)]
+             for masks, cols, _ in search._batches(n, False, True, tops)]
     masks = np.concatenate([m for m, _, _ in parts])
     order = np.argsort(masks)
     return masks[order], [np.concatenate([c[j] for _, c, _ in parts])[order] for j in range(7)]
@@ -279,12 +281,12 @@ class TestSplitMaskKernel:
         # the words claim neither sum 1 nor 2n - 3; the scalar twin reads
         # the edge digits off m1
         edges = np.array([word_edge_digit(n, m1)], dtype=bool)
-        cols = search._type_batch(n, np.array([m1], dtype=np.uint64),
-                                  np.zeros(1, dtype=np.uint64), sizes, edges,
-                                  search._Workspace(1))
+        ws = search._Workspace(1)
+        good, *cols = search._type_batch(n, np.array([m1], dtype=np.uint64),
+                                         np.zeros(1, dtype=np.uint64), sizes, edges, ws)
         want = word_row(n, m1, 0)
         assert want[2:6] == (15, 15, 15, 15)
-        got = tuple(col[0] for col in cols)
+        got = tuple(col[0] for col in (good, search._very_good_rows(1, ws), *cols))
         assert got[:6] == want[:6]
         assert got[6] == 60.0 == 2 * want[6]
         rec = search._record(n, mask, bool(got[0]), *(int(x) for x in got[2:6]))
@@ -294,6 +296,66 @@ class TestSplitMaskKernel:
         for n in range(3, 25):
             want = ((1 << (n - 2)) + (1 << -(-(n - 2) // 2))) // 2
             assert search_exhaustive(n).n_enumerated == want, n
+
+
+def _doubling_low_table(n):
+    """The low table with every self-paired digit doubled per call, its
+    rows then stably partitioned by mirror >= mask, then digit 0 and the
+    prefix digits p..1; sizes by popcount and edges by a bit test."""
+    k = min(n - 2, search._TABLE_DIGITS, (n + 10) // 2)
+    p = n - 2 - k
+    table = np.zeros((3, 1 << k), dtype=np.uint64)
+    mirror = np.zeros(1 << (k - p), dtype=np.uint64)
+    for j in range(p + 1, k + 1):
+        half = 1 << (j - p - 1)
+        search._add_digit_rows(j, table[:, :half], table[:, half:2 * half])
+        np.bitwise_or(mirror[:half], 1 << (n - 1 - j), out=mirror[half:2 * half])
+    own = table[:, :len(mirror)]
+    canonical = mirror >= own[0]
+    own[:] = own[:, np.argsort(canonical, kind="stable")]
+    search._add_digit_rows(0, own, own)
+    for i in range(p, 0, -1):
+        half = 1 << (k - i)
+        search._add_digit_rows(i, table[:, :half], table[:, half:2 * half])
+    sizes = np.bitwise_count(table[0]).astype(np.int16)
+    edges = table[0] & np.uint64(2) != 0
+    return k, len(canonical) - int(np.count_nonzero(canonical)), (*table, sizes, edges)
+
+
+class TestLowTable:
+    """The low table from the shared self-paired block against the table
+    built digit by digit per call, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def dirty(self):
+        # one workspace for every base, filled with garbage first, so a
+        # cell the table leaves unwritten shows
+        ws = search._Workspace(1 << search._TABLE_DIGITS)
+        ws.table.fill(0xDEADBEEF)
+        ws.table_sizes.fill(-1)
+        ws.table_edges.fill(True)
+        return ws
+
+    @pytest.mark.parametrize("n", range(3, 33))
+    def test_matches_per_digit_doubling(self, n, dirty):
+        k, s0, cols = search._low_table(n, dirty)
+        want_k, want_s0, want = _doubling_low_table(n)
+        assert (k, s0) == (want_k, want_s0)
+        for name, col, ref in zip(("mask", "m1", "m2", "size", "edge"), cols, want):
+            assert col.dtype == ref.dtype and np.array_equal(col, ref), name
+
+    def test_blocks_are_shared_read_only_and_lazy(self):
+        block, s0 = search._self_paired(5)
+        assert search._self_paired(5)[0] is block
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 1
+        # nothing is built at import
+        code = "from cantorsum import search; print(search._self_paired.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(Path(search.__file__).parents[1])},
+                             check=True)
+        assert out.stdout.split() == ["0"]
 
 
 class TestWorkspace:
@@ -732,6 +794,69 @@ class TestExactRanking:
                 _root_sum_sign_twin(p1, q1, p2, q2), (p1, q1, p2, q2)
 
 
+class TestTrackerRows:
+    """_Best.offer_rows, a pass at a time, against offering every matching
+    row in order through _Best.offer: the same leader, key and monitor
+    hits."""
+
+    N = 23
+
+    @staticmethod
+    def _pool(n):
+        """Every matrix with entries 0..9 and its float32 key v = 2 lambda."""
+        a, b, c, d = (col.astype(np.int16) for col in np.indices((10,) * 4).reshape(4, -1))
+        return np.stack((a, b, c, d)), two_lambda(a, b, c, d).copy()
+
+    def _rows(self, keys, rng, size=3000):
+        """(masks, good, a..d, v) of `size` rows whose keys are all zero,
+        are the top keys below the monitor's threshold (where the floor
+        follows the top) with exact ties, lie either side of the
+        threshold, or mix the three with random matrices."""
+        n = self.N
+        pool, v = self._pool(n)
+        order = np.argsort(v, kind="stable")
+        below = order[:np.searchsorted(v[order], search._Best(n).monitor_v)]
+        picks = {
+            "zero": np.flatnonzero(v == 0),
+            "ties": below[-40:],  # several matrices to a key
+            "monitor": order[len(below) - 20:len(below) + 20],
+        }
+        picks["mixed"] = np.concatenate([*picks.values(), rng.integers(0, len(v), 40)])
+        idx = rng.choice(picks[keys], size=size)
+        if keys in ("ties", "mixed"):
+            idx[rng.choice(size, size // 10, replace=False)] = below[-1]
+        masks = rng.choice(1 << (n - 2), size=size, replace=False).astype(np.uint64)
+        masks = masks << np.uint64(1) | np.uint64(1 | 1 << (n - 1))
+        return masks, rng.random(size) < 0.5, *pool[:, idx], v[idx]
+
+    @pytest.mark.parametrize("keys", ["zero", "ties", "monitor", "mixed"])
+    @pytest.mark.parametrize("flags", ["every", "all", "none", "1%", "80%", "random",
+                                       "below_top"])
+    def test_same_as_offering_every_row(self, keys, flags, rng):
+        masks, good, a, b, c, d, v = self._rows(keys, rng)
+        share = {"every": 1.0, "all": 1.0, "none": 0.0, "1%": 0.01, "80%": 0.8,
+                 "random": rng.random(), "below_top": 1.0}[flags]
+        match = None if flags == "every" else rng.random(len(v)) < share
+        if flags == "below_top":  # the top of all rows must not set the floor
+            match &= v < v.max()
+        row = lambda i: (int(masks[i]), bool(good[i]), int(a[i]), int(b[i]),
+                         int(c[i]), int(d[i]))
+        want = search._Best(self.N)
+        for i in range(len(v)):
+            if match is None or match[i]:
+                want.offer(*row(i), float(v[i]))
+        got = search._Best(self.N)
+        for lo in range(0, len(v), 700):  # passes of 700 rows
+            part = slice(lo, lo + 700)
+            got.offer_rows(v[part].copy(), None if match is None else match[part],
+                           lambda i, lo=lo: row(lo + i))
+        assert got.lead == want.lead
+        assert got.best_v == want.best_v
+        assert got.exceed == want.exceed
+        if keys == "monitor" and flags in ("every", "all"):
+            assert got.exceed  # the keys above the threshold trip it
+
+
 class TestHeuristic:
     def test_matches_exhaustive_optimum_at_9(self):
         ex = search_exhaustive(9, require_good=True)
@@ -782,6 +907,20 @@ class TestHeuristic:
         assert (res.best.a, res.best.b, res.best.c, res.best.d) == abcd
         assert len(res.best.digits) == size
         assert hashlib.sha256(repr(res).encode()).hexdigest() == digest
+
+    def test_pinned_climbs_digest(self):
+        # 189 climbs: every base, constraint, seed and budget below, one
+        # sha256 over their results' reprs in loop order
+        digest = hashlib.sha256()
+        for n in (9, 12, 30, 57, 100, 300, 1000):
+            for kw in ({"require_good": False}, {"require_good": True},
+                       {"require_very_good": True}):
+                for seed in range(3):
+                    for budget in (50, 200, 2000):
+                        res = search_heuristic(n, budget=budget, seed=seed, **kw)
+                        digest.update(repr(res).encode())
+        assert digest.hexdigest() == \
+            "f81dfc87959fd6aa074ea7cff3dfba49460b53deefd90d017a448092b413824d"
 
     def test_tower_verification_failure_propagates(self, monkeypatch):
         # the climb builds its tower seed from the chain's reduction, not
