@@ -10,6 +10,7 @@ import threading
 import tracemalloc
 from decimal import Decimal, localcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -134,7 +135,7 @@ class TestKernelAgainstReference:
     def test_batch_kernel_matches_scalar(self, rng):
         for n in (5, 9, 13, 20):
             # the very-good column is typed only when very-good is required
-            for masks, batch, _ in search._batches(n, False, True):
+            for masks, batch, _, _ in search._batches(n, False, True):
                 idx = rng.integers(0, len(masks), size=50 if n < 20 else 5)
                 for i in idx:
                     row = eval_mask(n, int(masks[i]))
@@ -200,15 +201,34 @@ def _reference_rows(n, lo, hi):
     return masks, _shift_loop_kernel(n, masks)
 
 
-def _split_rows(n, tops=None):
+def _split_rows(n, tops=None, require_good=False):
     """The split-mask batches of the high parts `tops`, ordered by mask,
-    with the very-good column (typed only when very-good is required);
-    each batch is copied, as its arrays last only until the next one."""
-    parts = [(masks.copy(), [col.copy() for col in cols], None)
-             for masks, cols, _ in search._batches(n, False, True, tops)]
-    masks = np.concatenate([m for m, _, _ in parts])
+    with the kernel's very-good column of every row.  The batches are
+    typed as good or unconstrained searches type them: the kernel types
+    the very-good column itself only for very-good searches, which skip
+    the rows that cannot be good, so it is typed here by
+    search._very_good_rows from the workspace each pass leaves.  With
+    `require_good`, only the matching (good) rows, or None when the
+    prune skips them all; each batch is copied, as its arrays last only
+    until the next one."""
+    parts = []
+    with mock.patch.object(search, "_type_batch", wraps=search._type_batch) as spy:
+        for masks, cols, keep, _ in search._batches(n, require_good, False, tops):
+            very_good = search._very_good_rows(len(masks), spy.call_args.args[-1])
+            cols = (cols[0], very_good, *cols[2:])
+            parts.append((masks[keep], [col[keep] for col in cols]))
+    if not parts:  # every row skipped
+        return None
+    masks = np.concatenate([m for m, _ in parts])
     order = np.argsort(masks)
-    return masks[order], [np.concatenate([c[j] for _, c, _ in parts])[order] for j in range(7)]
+    return masks[order], [np.concatenate([c[j] for _, c in parts])[order] for j in range(7)]
+
+
+def _good_rows(rows):
+    """The rows of (masks, columns) whose good column is set."""
+    masks, cols = rows
+    good = cols[0]
+    return masks[good], [col[good] for col in cols]
 
 
 def _assert_same_rows(got, want):
@@ -248,7 +268,7 @@ class TestSplitMaskKernel:
         (25, range(132, 136), 2), (28, range(0, 2), 2), (28, range(2040, 2048), 1),
         (22, None, 21), (23, None, 42)])
     def test_passes_of_consecutive_high_parts(self, n, tops, passes):
-        got = [masks.copy() for masks, _, _ in search._batches(n, False, False, tops)]
+        got = [masks.copy() for masks, _, _, _ in search._batches(n, False, False, tops)]
         assert len(got) == passes
         assert all(len(masks) <= 1 << search._TABLE_DIGITS for masks in got)
         # each pass lies above the last, so the record stream sorts by pass
@@ -268,7 +288,7 @@ class TestSplitMaskKernel:
             return type_batch(n, m1, m2, sizes, edges, ws)
 
         monkeypatch.setattr(search, "_type_batch", spy)
-        for i, (masks, _, _) in enumerate(search._batches(n, False, False)):
+        for i, (masks, _, _, _) in enumerate(search._batches(n, False, False)):
             want = batch_flags(n, masks)
             assert all(np.array_equal(got, ref) for got, ref in zip(seen[i], want)), i
         assert len(seen) == i + 1
@@ -293,9 +313,72 @@ class TestSplitMaskKernel:
         assert (rec.lam, rec.dim) == want[6:]
 
     def test_enumerated_count_closed_form(self):
+        # the pass loop counts the sets the good prune skips too
         for n in range(3, 25):
             want = ((1 << (n - 2)) + (1 << -(-(n - 2) // 2))) // 2
-            assert search_exhaustive(n).n_enumerated == want, n
+            for kw in ({}, {"require_good": True}, {"require_very_good": True}):
+                assert search_exhaustive(n, **kw).n_enumerated == want, (n, kw)
+
+
+class TestGoodPrune:
+    """Good and very-good searches skip the low-table rows and the high
+    parts that cannot be good; what they return equals the full
+    enumeration's."""
+
+    @pytest.mark.parametrize("n", range(3, 19))
+    def test_streams_and_counts_equal_the_full_enumeration(self, n):
+        every = list(iter_exhaustive_records(n))
+        for kw, rule in (({"require_good": True}, lambda r: r.good),
+                         ({"require_very_good": True}, lambda r: r.very_good)):
+            want = [r for r in every if rule(r)]
+            assert list(iter_exhaustive_records(n, **kw)) == want, kw
+            best = None
+            for r in want:
+                if best is None or search._outranks(*_rank_key(r), *_rank_key(best)):
+                    best = r
+            res = search_exhaustive(n, **kw)
+            assert (res.n_enumerated, res.n_matching, res.evaluations) == (
+                len(every), len(want), len(every)), kw
+            assert (res.best, res.exceedances) == (best, ()), kw
+
+    # the first high part (n - 1 alone) leaves a double gap above n + k at
+    # these bases and is skipped; the last (every high digit) is kept
+    @pytest.mark.parametrize("n", [23, 28, 32])
+    def test_single_high_parts_keep_every_good_row(self, n, rng):
+        k = table_digits(n)
+        last = (1 << (n - 2 - k)) - 1
+        kept = []
+        for top in (0, last, int(rng.integers(1, last))):
+            want = _good_rows(_reference_rows(n, top << k, (top + 1) << k))
+            got = _split_rows(n, range(top, top + 1), require_good=True)
+            kept.append(got is not None)
+            if got is None:
+                assert len(want[0]) == 0, top
+            else:
+                _assert_same_rows(got, want)
+        assert kept[:2] == [False, True]
+
+    def test_table_rows_cover_the_low_sums(self):
+        # kept: exactly the rows whose sums 0..k have no double gap, in
+        # table order, with their own columns
+        ws = search._Workspace(1 << search._TABLE_DIGITS)
+        for n in (5, 15, 22, 32):
+            k, _, table = search._low_table(n, ws)
+            cols, index = search._covering_rows(k, table, ws)
+            m1 = table[1].tolist()
+            want = [i for i, w in enumerate(m1)
+                    if all(w >> s & 3 for s in range(k))]
+            assert index.tolist() == want, n
+            for col, ref in zip(cols, table):
+                assert np.array_equal(col, ref[want]), n
+
+    def test_pass_count_at_22(self):
+        # 21 passes unpruned (TestSplitMaskKernel); the kept rows of the
+        # kept high parts fill 10, each counting the sets it skipped
+        got = [(masks.copy(), sets) for masks, _, _, sets in search._batches(22, True, False)]
+        assert len(got) == 10
+        assert sum(sets for _, sets in got) == ((1 << 20) + (1 << 10)) // 2
+        assert all(lo.max() < hi.min() for (lo, _), (hi, _) in zip(got, got[1:]))
 
 
 def _doubling_low_table(n):
@@ -1121,25 +1204,51 @@ class TestFigureData:
         assert best[10] >= 0.4771212549 - 1e-9
         assert exceed == []
 
-    def test_climbs_above_base_24(self, monkeypatch):
+    def test_climbs_above_base_32(self, monkeypatch):
         calls = []
         climb = search.search_heuristic
         monkeypatch.setattr(search, "search_heuristic",
                             lambda n, **kw: calls.append(n) or climb(n, **kw))
-        rows, exceed = figure_data(25, 26, budget=300)
-        assert calls == [25, 26]
-        assert [r[0] for r in rows] == [25, 26]
+        rows, exceed = figure_data(33, 34, budget=300)
+        assert calls == [33, 34]
+        assert [r[0] for r in rows] == [33, 34]
         assert exceed == []
         for n, best, _ in rows:
             # not below the tower set, the climb's first start
             assert best >= chain_to_target(n).final.dim
-        # and never above the exact optimum over good sets
-        assert rows[0][1] <= search_exhaustive(25, require_good=True).best.dim
+            # and the good-set climb's own best: no exact optimum exists
+            # above 32 to bound it
+            assert best == climb(n, budget=300, require_good=True).best.dim
 
-    def test_exact_through_base_24(self):
+    def test_exact_through_base_32(self, monkeypatch):
         # the default 10^4-budget climb reaches only 0.4956483270 at n = 20
         (row,), _ = figure_data(20, 20)
         assert row[1] == search_exhaustive(20, require_good=True).best.dim
+        # every base through 32 is the exact good-set search, never a climb
+        calls = []
+        res = search_exhaustive(9, require_good=True)
+        monkeypatch.setattr(search, "search_exhaustive",
+                            lambda n, **kw: calls.append((n, kw)) or res)
+        monkeypatch.setattr(search, "search_heuristic", None)
+        figure_data(3, 32)
+        assert calls == [(n, {"require_good": True}) for n in range(3, 33)]
+
+
+class TestGoodOptima:
+    """The best good sets at bases 25..28, which the figure reads off
+    the exhaustive search (bases 29..32 are in
+    measurements/exhaustive_prune.json)."""
+
+    @pytest.mark.parametrize("n,digits,dim", [
+        (25, (0, 2, 5, 7, 16, 18, 22, 24), 0.5834795897626972),
+        (26, (0, 2, 6, 8, 17, 19, 23, 25), 0.5972536805913646),
+        (27, (0, 2, 6, 8, 18, 20, 24, 26), 0.6309297535714574),
+        (28, (0, 2, 6, 8, 9, 19, 21, 25, 27), 0.5665649848567639),
+    ])
+    def test_pinned(self, n, digits, dim):
+        best = search_exhaustive(n, require_good=True).best
+        assert (best.digits, best.good, best.dim) == (digits, True, dim)
+        assert figure_data(n, n)[0][0][1] == dim
 
 
 class TestPropertySuites:
@@ -1195,7 +1304,7 @@ class TestConjectureMonitor:
         masks = np.array([0b100000111, 0b100001011, 0b100000101], dtype=np.uint64)
         keep = np.ones(3, dtype=bool)
         cols = (keep, keep, a, b, c, d, two_lambda(a, b, c, d))
-        monkeypatch.setattr(search, "_batches", lambda *args: iter([(masks, cols, keep)]))
+        monkeypatch.setattr(search, "_batches", lambda *args: iter([(masks, cols, keep, 3)]))
         built = _spy_records(monkeypatch)
         res = search_exhaustive(9)
         assert [r.digits for r in res.exceedances] == [(0, 1, 2, 8)]
