@@ -19,10 +19,12 @@ count and whether it holds digit 1.  That is the edge-digit flag of the
 very-good rule: a reflection-canonical set that holds the other edge
 digit, n - 2, holds 1 too, as (1, n - 2) is its first reflection pair.
 A high part H is crossed with the table the same way: with
-X = OR_h (L << h) the words are m1_L | X | m1_H and m2_L | X | m2_H,
-|H| + 4 vector operations.  (A sum of both L + L and H + H with one
-pair on each side would be 2l = 2h, so m1_L & m1_H adds nothing to
-m2.)  The table rows are laid out so that the reflection-canonical sets
+X = OR_h (L << h) the words are m1_L | X | m1_H and m2_L | X | m2_H.
+(A sum of both L + L and H + H with one pair on each side would be
+2l = 2h, so m1_L & m1_H adds nothing to m2.)  Every H holds n - 1, so a
+call ORs L << (n - 1) into both words of the table once, and each H
+crosses only its other digits: |H| + 3 vector operations, two when H is
+n - 1 alone.  The table rows are laid out so that the reflection-canonical sets
 of any H are one suffix of it.  The suffixes of consecutive high parts
 fill one pass of up to 2^15 rows, typed in one go; a row's set size is
 its table row's count plus |H|, and its edge flag the table row's.  A
@@ -39,7 +41,11 @@ in 0..k drops out of the table, which keeps the other rows in order, and
 a high part that leaves one in n + k..2n-2 is skipped with its whole
 suffix (:func:`_batches`).  Neither test drops a good set.  Together
 they type 79% of the canonical sets at bases 15 and 16, 48% at 17..20
-and 38% at 32; above base 16, 79-99% of the typed sets are good.
+and 38% at 32; above base 16, 79-99% of the typed sets are good.  A
+very-good search also drops the table rows that hold digit 1, by their
+edge flag: a canonical set holding n - 2 holds 1 too, so every set it
+types lacks both edge digits, and a high part holding n - 2 is left
+with an empty suffix.  At base 22 its rows fill one pass instead of 10.
 
 The hill climb keeps the exact pair counts of its current set instead,
 with the threshold words W_t = {s : count >= t}, t = 1..4, and its mask
@@ -79,7 +85,10 @@ with integers as 2 lambda does, which the tests check on that whole
 domain.  So v checks the cheap invariants inline (eigenvalue
 dichotomy, lambda <= |A|, good sets need >= sqrt(n) digits, the
 missing-edge-digit bound; one flag test per pass for all four,
-:class:`~cantorsum.digitset.InvariantError` on a hit).  A pass types
+:class:`~cantorsum.digitset.InvariantError` on a hit).  They see only
+typed rows: a very-good search no longer types the rows that hold
+digit 1, so no invariant checks those, while good and unconstrained
+searches and record streams still type and check them.  A pass types
 the very-good column only when very-good is required.
 
 Both searches pick their best through one tracker, :class:`_Best`: the
@@ -174,7 +183,7 @@ class SearchResult:
 
     n_enumerated counts every candidate set: for the exhaustive search
     every reflection-canonical set of the base, including those a good
-    or very-good search skips untyped because they cannot be good;
+    or very-good search skips untyped because they cannot match;
     n_matching the sets among them that meet the constraint; evaluations
     equals n_enumerated, and for the climb both count its typed sets.
     """
@@ -417,7 +426,8 @@ class _Best:
     trip the monitor; above monitor_v (v at dim _MONITOR_DIM lowered by
     more than v's error, as 2 n^dim >= 4) it takes the monitor's dim test.
     :meth:`offer_rows` takes top as the max of v * match: v >= 0, and
-    NumPy's masked max (``where=``) runs on a slow path.
+    NumPy's masked max (``where=``) runs on a slow path.  The max starts
+    at 0, so a pass of no rows offers nothing.
     """
 
     def __init__(self, n: int):
@@ -442,7 +452,7 @@ class _Best:
         v * match."""
         if match is not None:
             np.multiply(v, match, out=v)
-        top = float(v.max())
+        top = float(v.max(initial=0.0))
         floor = min(self.monitor_v, max(top, self.best_v) * (1 - _V_ERROR))
         if top < floor:
             return
@@ -568,18 +578,19 @@ def _low_table(n: int, ws: _Workspace):
     return k, s0, (*table, sizes, edges)
 
 
-def _covering_rows(k: int, table, ws: _Workspace):
+def _covering_rows(k: int, table, ws: _Workspace, edge_free: bool):
     """The rows of the low-table columns `table` that leave no two
-    consecutive sums of 0..k missing, as columns (mask, m1, m2, size,
-    edge) in table order in the workspace's kept columns, and their
-    sorted indices in `table`.
+    consecutive sums of 0..k missing, and with `edge_free` lack digit 1,
+    as columns (mask, m1, m2, size, edge) in table order in the
+    workspace's kept columns, and their sorted indices in `table`.
 
     Every high digit exceeds k, so a sum <= k has only low pairs: a row
     whose m1 | m1 >> 1 lacks a bit below k leaves a double gap in every
-    set it is part of, and no such set is good.  The flags and the
-    indices live in pass arrays, free before the first pass and
-    overwritten by it.  The indices are found _INDEX_ROWS rows at a
-    time, so no array of table size is allocated.
+    set it is part of, and no such set is good.  A row whose edge flag is
+    set is part of no very-good set.  The flags and the indices live in
+    pass arrays, free before the first pass and overwritten by it.  The
+    indices are found _INDEX_ROWS rows at a time, so no array of table
+    size is allocated.
     """
     rows = len(table[0])
     m1, cover, keep = table[1], ws.words[0, :rows], ws.flags[0, :rows]
@@ -587,6 +598,8 @@ def _covering_rows(k: int, table, ws: _Workspace):
     full = (1 << k) - 1
     np.bitwise_or(np.right_shift(m1, 1, out=cover), m1, out=cover)
     np.equal(np.bitwise_and(cover, full, out=cover), full, out=keep)
+    if edge_free:
+        np.greater(keep, table[4], out=keep)  # covering, and without digit 1
     kept = 0
     for lo in range(0, rows, _INDEX_ROWS):
         found = keep[lo:lo + _INDEX_ROWS].nonzero()[0]
@@ -692,13 +705,16 @@ def _batches(n: int, require_good: bool, require_very_good: bool,
     and copies what it keeps.
 
     High part t holds n - 1 and digit k + 1 + i for each bit i of t; the
-    call lists every high part's digits and words first, by doubling
+    call lists every high part's other digits and words first, by doubling
     (2^(n - 2 - k) parts of about 280 bytes: 10 KB at n = 23, 9 MB at
     n = 32).  L | H is canonical when its first unequal reflection pair
     (i, n-1-i) has i set: for i <= p that puts L in a later group of the
     table than the index bits of the partners of H, otherwise at or past
     s0.  A row's set size is its table row's plus |H|, and its edge flag
-    the table row's: a canonical set holding n - 2 holds 1 too.
+    the table row's: a canonical set holding n - 2 holds 1 too.  The
+    call keeps the table from s0 on and ORs the cross sums of digit
+    n - 1, L << (n - 1), into both of its words in place, once, so a
+    high part crosses the rows only with its other digits.
 
     When good or very-good sets are required, rows that cannot be good
     are not typed.  A good set leaves no two consecutive sums of
@@ -709,12 +725,21 @@ def _batches(n: int, require_good: bool, require_very_good: bool,
     each high part's canonical rows are still a suffix, now starting at
     the number of kept rows between s0 and its old start; a high part
     whose own m1 leaves a double gap in n + k..2n-2 is skipped with its
-    whole suffix.  Both tests only drop sets that are not good, so the
-    matches are those of the full enumeration, and sets still counts
-    every canonical set.  A skipped row is not checked for the
-    invariants that hold for any set (the eigenvalue dichotomy,
-    lambda <= |A|); unconstrained passes type and check every row.  The
-    good-set invariants lose nothing, as they bind only good rows.
+    whole suffix.  When very-good sets are required, the table also
+    drops its rows with the edge flag (1 in L), as no set holding 1 or
+    n - 2 is very good; every canonical row of a high part holding n - 2
+    holds 1, so its suffix is empty.  These tests only drop sets that
+    cannot match, so the matches are those of the full enumeration, and
+    sets still counts every canonical set, also when no set is typed:
+    the last pass, of no rows then, is yielded whenever it stands for
+    any set.  A skipped row is not checked for the invariants that hold
+    for any set (the eigenvalue dichotomy, lambda <= |A|); unconstrained
+    passes type and check every row.  The good prune costs the good-set
+    invariants nothing, as they bind only good rows; the very-good edge
+    test skips good rows that hold 1, which the sqrt(n) size bound of
+    good sets then does not see (good searches and streams still check
+    them), while the missing-edge-digit bound binds only rows without
+    an edge digit.
     """
     try:
         ws = _FREE_WORKSPACES.pop()
@@ -732,21 +757,28 @@ def _batches(n: int, require_good: bool, require_very_good: bool,
 
     try:
         k, s0, table = _low_table(n, ws)
+        # the rows from s0 on, where every canonical suffix starts
+        table = [col[s0:] for col in table]
         step = 2 * k + 2 - n  # the partner of high digit k + 1 + i is table index bit step + i
-        if prune:  # of the rows from s0 on, where every canonical suffix starts
-            table, index = _covering_rows(k, [col[s0:] for col in table], ws)
+        if prune:
+            table, index = _covering_rows(k, table, ws, require_very_good)
             kept_starts = np.searchsorted(index, np.arange(1 << n - 2 - k) << step).tolist()
         mask_l, m1_l, m2_l, sizes_l, edges_l = table
-        # every high part's digits and words, doubling on digits k+1..n-2
-        parts = [((n - 1,), *_add_digit(n - 1, 0, 0, 0))]
+        # every high part holds n - 1: its cross sums with L, in both words
+        cross = np.left_shift(mask_l, n - 1, out=masks[:len(mask_l)])
+        m1_l |= cross
+        m2_l |= cross
+        # every high part's other digits and its words, doubling on digits
+        # k+1..n-2
+        parts = [((), *_add_digit(n - 1, 0, 0, 0))]
         for j in range(k + 1, n - 1):
             parts += [((j, *high), *_add_digit(j, *words)) for high, *words in parts]
         high_sums = (1 << n - 2 - k) - 1  # the pairs of sums n + k + i, i < n - 2 - k
         filled = sets = 0
         for top in range(len(parts)) if tops is None else tops:
             high, mask_h, m1_h, m2_h = parts[top]
-            start = s0 + (top << step)
-            canonical = (1 << k) - start
+            start = top << step
+            canonical = (1 << k) - s0 - start
             if prune:
                 if (m1_h | m1_h >> 1) >> n + k & high_sums != high_sums:
                     sets += canonical
@@ -761,14 +793,18 @@ def _batches(n: int, require_good: bool, require_very_good: bool,
             sets += canonical
             out_mask, out_m1, out_m2, out_cross = ws.words[:4, part]
             np.bitwise_or(low, mask_h, out=out_mask)
-            np.left_shift(low, high[0], out=out_cross)
-            for j in high[1:]:
-                out_cross |= np.left_shift(low, j, out=out_m2)
-            np.bitwise_or(np.bitwise_or(m1_l[start:], out_cross, out=out_m1), m1_h, out=out_m1)
-            np.bitwise_or(np.bitwise_or(m2_l[start:], out_cross, out=out_m2), m2_h, out=out_m2)
-            np.add(sizes_l[start:], len(high), out=sizes[part])
+            m1_p, m2_p = m1_l[start:], m2_l[start:]
+            if high:
+                np.left_shift(low, high[0], out=out_cross)
+                for j in high[1:]:
+                    out_cross |= np.left_shift(low, j, out=out_m2)
+                m1_p = np.bitwise_or(m1_p, out_cross, out=out_m1)
+                m2_p = np.bitwise_or(m2_p, out_cross, out=out_m2)
+            np.bitwise_or(m1_p, m1_h, out=out_m1)
+            np.bitwise_or(m2_p, m2_h, out=out_m2)
+            np.add(sizes_l[start:], len(high) + 1, out=sizes[part])
             edges[part] = edges_l[start:]
-        if filled:
+        if sets:  # a call that types no set still counts its sets
             yield typed(filled, sets)
     finally:
         _FREE_WORKSPACES.append(ws)
@@ -800,8 +836,11 @@ def search_exhaustive(n: int, require_good: bool = False,
     Under either constraint, a set that leaves a double gap in its low
     sums 0..k or its high sums n + k..2n-2 (k the low table's inner
     digits) is skipped untyped: those sums come from its low or its high
-    digits alone, so such a set cannot be good (:func:`_batches`).  The
-    matches and the best are those of typing every set; n_enumerated
+    digits alone, so such a set cannot be good (:func:`_batches`).  Under
+    very-good, a set holding digit 1 is skipped too, and with it every
+    canonical set holding n - 2; such sets are never very good.  Every
+    set is typed with digit n - 1's cross sums already in the low table.
+    The matches and the best are those of typing every set; n_enumerated
     still counts every canonical set.
     """
     _check_exhaustive_base(n)

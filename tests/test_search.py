@@ -201,22 +201,23 @@ def _reference_rows(n, lo, hi):
     return masks, _shift_loop_kernel(n, masks)
 
 
-def _split_rows(n, tops=None, require_good=False):
+def _split_rows(n, tops=None, require_good=False, require_very_good=False):
     """The split-mask batches of the high parts `tops`, ordered by mask,
     with the kernel's very-good column of every row.  The batches are
     typed as good or unconstrained searches type them: the kernel types
     the very-good column itself only for very-good searches, which skip
     the rows that cannot be good, so it is typed here by
     search._very_good_rows from the workspace each pass leaves.  With
-    `require_good`, only the matching (good) rows, or None when the
-    prune skips them all; each batch is copied, as its arrays last only
-    until the next one."""
+    `require_good` or `require_very_good`, only the matching rows, or
+    None when the prune skips them all (no pass, or passes of no rows);
+    each batch is copied, as its arrays last only until the next one."""
     parts = []
     with mock.patch.object(search, "_type_batch", wraps=search._type_batch) as spy:
-        for masks, cols, keep, _ in search._batches(n, require_good, False, tops):
+        for masks, cols, keep, _ in search._batches(n, require_good, require_very_good, tops):
             very_good = search._very_good_rows(len(masks), spy.call_args.args[-1])
             cols = (cols[0], very_good, *cols[2:])
-            parts.append((masks[keep], [col[keep] for col in cols]))
+            if len(masks):
+                parts.append((masks[keep], [col[keep] for col in cols]))
     if not parts:  # every row skipped
         return None
     masks = np.concatenate([m for m, _ in parts])
@@ -224,10 +225,11 @@ def _split_rows(n, tops=None, require_good=False):
     return masks[order], [np.concatenate([c[j] for _, c in parts])[order] for j in range(7)]
 
 
-def _good_rows(rows):
-    """The rows of (masks, columns) whose good column is set."""
+def _good_rows(rows, column=0):
+    """The rows of (masks, columns) whose good column (or `column`: 1 is
+    very-good) is set."""
     masks, cols = rows
-    good = cols[0]
+    good = cols[column]
     return masks[good], [col[good] for col in cols]
 
 
@@ -358,19 +360,40 @@ class TestGoodPrune:
                 _assert_same_rows(got, want)
         assert kept[:2] == [False, True]
 
+    # under very-good, the first high part is skipped as above, the last
+    # holds n - 2, so its canonical rows all hold 1 and none is typed, and
+    # the part of every high digit but n - 2 keeps its edge-free rows
+    @pytest.mark.parametrize("n", [23, 28, 32])
+    def test_single_high_parts_keep_every_very_good_row(self, n, rng):
+        k = table_digits(n)
+        last = (1 << (n - 2 - k)) - 1
+        kept = []
+        for top in (0, last, last >> 1, int(rng.integers(1, last))):
+            want = _good_rows(_reference_rows(n, top << k, (top + 1) << k), column=1)
+            got = _split_rows(n, range(top, top + 1), require_very_good=True)
+            kept.append(got is not None)
+            if got is None:
+                assert len(want[0]) == 0, top
+            else:
+                _assert_same_rows(got, want)
+        assert kept[:3] == [False, False, True]
+
     def test_table_rows_cover_the_low_sums(self):
-        # kept: exactly the rows whose sums 0..k have no double gap, in
-        # table order, with their own columns
+        # kept: exactly the rows whose sums 0..k have no double gap, and
+        # for very-good also lack digit 1, in table order, with their own
+        # columns
         ws = search._Workspace(1 << search._TABLE_DIGITS)
         for n in (5, 15, 22, 32):
-            k, _, table = search._low_table(n, ws)
-            cols, index = search._covering_rows(k, table, ws)
-            m1 = table[1].tolist()
-            want = [i for i, w in enumerate(m1)
-                    if all(w >> s & 3 for s in range(k))]
-            assert index.tolist() == want, n
-            for col, ref in zip(cols, table):
-                assert np.array_equal(col, ref[want]), n
+            for edge_free in (False, True):
+                k, _, table = search._low_table(n, ws)
+                cols, index = search._covering_rows(k, table, ws, edge_free)
+                masks, m1 = table[0].tolist(), table[1].tolist()
+                want = [i for i, w in enumerate(m1)
+                        if all(w >> s & 3 for s in range(k))
+                        and not (edge_free and masks[i] & 2)]
+                assert index.tolist() == want, (n, edge_free)
+                for col, ref in zip(cols, table):
+                    assert np.array_equal(col, ref[want]), (n, edge_free)
 
     def test_pass_count_at_22(self):
         # 21 passes unpruned (TestSplitMaskKernel); the kept rows of the
@@ -379,6 +402,11 @@ class TestGoodPrune:
         assert len(got) == 10
         assert sum(sets for _, sets in got) == ((1 << 20) + (1 << 10)) // 2
         assert all(lo.max() < hi.min() for (lo, _), (hi, _) in zip(got, got[1:]))
+
+    def test_very_good_pass_count_at_22(self):
+        # the edge-free kept rows fill one pass, which counts every set
+        got = [sets for _, _, _, sets in search._batches(22, False, True)]
+        assert got == [((1 << 20) + (1 << 10)) // 2]
 
 
 def _doubling_low_table(n):
@@ -1249,6 +1277,20 @@ class TestGoodOptima:
         best = search_exhaustive(n, require_good=True).best
         assert (best.digits, best.good, best.dim) == (digits, True, dim)
         assert figure_data(n, n)[0][0][1] == dim
+
+
+class TestVeryGoodOptima:
+    """The best very-good sets at bases 28..30 (bases 31 and 32 are in
+    measurements/exhaustive_edge.json)."""
+
+    @pytest.mark.parametrize("n,digits,dim", [
+        (28, (0, 2, 3, 4, 7, 9, 19, 21, 25, 27), 0.5377099345963751),
+        (29, (0, 2, 3, 4, 8, 10, 20, 22, 26, 28), 0.5321063428024535),
+        (30, (0, 2, 6, 7, 10, 11, 21, 23, 27, 29), 0.5721250285404937),
+    ])
+    def test_pinned(self, n, digits, dim):
+        best = search_exhaustive(n, require_very_good=True).best
+        assert (best.digits, best.very_good, best.dim) == (digits, True, dim)
 
 
 class TestPropertySuites:
